@@ -46,7 +46,6 @@ from .engine import (
     CounterpartyKind,
     Simulation,
     SimulationResult,
-    StepReport,
     TerminalReason,
     TradeRecord,
     run_simulation,
@@ -62,7 +61,6 @@ from .harness import (
     run_batch,
 )
 from .landscape import (
-    ClientCell,
     Direction,
     Landscape,
     LandscapeConfig,
@@ -91,7 +89,6 @@ __all__ = [
     "BatchSummary",
     "BernoulliProvider",
     "CeaseRule",
-    "ClientCell",
     "ConfigError",
     "CounterpartyKind",
     "DecisionOutcome",
@@ -114,7 +111,6 @@ __all__ = [
     "Simulation",
     "SimulationResult",
     "SimulationSummary",
-    "StepReport",
     "SyntheticBurstyProvider",
     "TerminalReason",
     "TradeRecord",

@@ -2,7 +2,9 @@
 
 Fixed per-step order, documented and load-bearing for replayability:
 
-1. Reroll every client's availability and direction; clear desires.
+1. Open the step's block of the step-rolls stream (see ``Landscape``):
+   every client's availability and direction for this step, drawn only
+   for the clients that are phoned.
 2. Each Active market maker, in id order, phones exactly one uniformly
    chosen client from its base. Unavailable client: contact ends, no
    decision. Available: one desire query to the provider. Yes: the MM MUST
@@ -13,8 +15,10 @@ Fixed per-step order, documented and load-bearing for replayability:
 5. The step counter increments.
 
 Trades never create or destroy value: the engine tracks exactly how much
-each resource the cost metabolism consumed, and the conservation audit
-checks clients + MMs + consumed == initial totals after every step.
+each resource the cost metabolism consumed, so clients + MMs + consumed ==
+initial totals holds at every step. The engine does not audit it while it
+runs: the tests check ``conservation_errors()`` after every step, and the
+benchmark checks each finished run's final totals.
 
 A run is strictly single-threaded; batch parallelism lives in the harness.
 """
@@ -74,14 +78,6 @@ class TradeRecord:
     client_direction: Direction | None  # None for interbank legs
     bond_qty: float
     cash_qty: float
-
-
-@dataclass(frozen=True)
-class StepReport:
-    contacts: int
-    decision_requests: int
-    trades: int
-    ceases: int
 
 
 @dataclass
@@ -161,68 +157,57 @@ class Simulation:
     def any_active(self) -> bool:
         return any(mm.active for mm in self.mms)
 
-    def step(self) -> StepReport:
+    def step(self) -> None:
         """Execute one full round; see the module docstring for the order."""
         assert self.any_active(), "step() on a fully ceased society"
         assert self.step_no < self.max_steps, "step() past max_steps"
 
-        self.grid.roll_step_state(self._rng_rolls)
+        self.grid.begin_step(self._rng_rolls)
 
-        contacts = requests = trades = 0
+        contacts = 0
         for mm in self.mms:
             if not mm.active:
                 continue
             contacts += 1
-            record, requested = self._contact_client(mm)
-            requests += requested
-            if record is not None:
-                trades += 1
-
+            self._contact_client(mm)
         self.contacts += contacts
-        interbank = self._interbank_rebalance()
-        trades += len(interbank)
 
-        ceases = 0
+        self._interbank_rebalance()
+
         for mm in self.mms:
             if not mm.active:
                 continue
-            consumed_b, consumed_c, ceased = apply_costs(mm, self.step_no, self.cease_rule)
+            consumed_b, consumed_c, _ = apply_costs(mm, self.step_no, self.cease_rule)
             self.consumed_bonds += consumed_b
             self.consumed_cash += consumed_c
-            if ceased:
-                ceases += 1
 
         self.step_no += 1
-        return StepReport(contacts=contacts, decision_requests=requests, trades=trades, ceases=ceases)
 
-    def _contact_client(self, mm: MarketMakerState) -> tuple[TradeRecord | None, int]:
-        """One call: pick a client, maybe ask, maybe trade. Returns (trade, asked)."""
+    def _contact_client(self, mm: MarketMakerState) -> None:
+        """One call: pick a client, maybe ask, maybe trade."""
         base = self._bases[mm.id]
         x, y = base[int(self._rng_contact.integers(len(base)))]
-        if not self.grid.available[y, x]:
-            return None, 0
-        cell = self.grid.cell(x, y)
+        if not self.grid.is_available(x, y):
+            return
         query = DesireQuery(
             sim_id=self.sim_id,
             step=self.step_no,
             mm_id=mm.id,
             client_position=(x, y),
-            client_bonds=cell.bonds,
-            client_cash=cell.cash,
+            client_bonds=float(self.grid.bonds[y, x]),
+            client_cash=float(self.grid.cash[y, x]),
             sequence_no=self.seq,
         )
         self.seq += 1
         outcome = self.provider.decide(query, self._rng_provider)
         self.decisions.append((query, outcome))
-        self.grid.set_desire(x, y, outcome)
         if self.journal_lines is not None:
             self.journal_lines.append(journal_line(query, outcome, self.journal_template))
         if outcome.state is not DecisionState.YES:
-            return None, 1
-        record = self._execute_client_trade(mm, x, y, cell.direction_now)
+            return
+        record = self._execute_client_trade(mm, x, y, self.grid.direction_at(x, y))
         if record is not None:
             self.trades.append(record)
-        return record, 1
 
     def _execute_client_trade(
         self, mm: MarketMakerState, x: int, y: int, direction: Direction

@@ -29,6 +29,7 @@ import datetime as _dt
 import hashlib
 import json
 import logging
+import shutil
 from dataclasses import dataclass, field, replace
 from importlib import resources
 from pathlib import Path
@@ -570,6 +571,18 @@ def write_outputs(
     out = batch.output_dir
     out.mkdir(parents=True, exist_ok=True)
     cfg = batch.config
+
+    # A rerun into the same directory must leave no earlier run's artifacts:
+    # drop the ones this run will not rewrite.
+    if (out / JOURNAL_DIR).exists():
+        shutil.rmtree(out / JOURNAL_DIR)
+    stale: list[str] = []
+    if batch.batch is None:
+        stale += [*TABLE_FILES["full"], *TABLE_FILES["client"]]
+    if batch.series is None:
+        stale += [SERIES_CSV, *TABLE_FILES["yes_ratio"]]
+    for name in stale:
+        (out / name).unlink(missing_ok=True)
 
     with open(out / TRADES_CSV, "w", encoding="utf-8", newline="") as fh:
         w = _csv_writer(fh)

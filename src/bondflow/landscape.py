@@ -3,9 +3,10 @@
 Each grid cell is one client with immutable position, mutable bond and cash
 holdings, and per-step stochastic state: whether the client answers the
 phone this step (availability) and which side it would trade (direction).
-Whether the client actually wants to trade is resolved lazily, only when a
-market maker calls, by the decision layer; the landscape just stores the
-outcome for the rest of the step.
+Step state is drawn lazily, only for the cells a market maker phones, yet
+exactly as if the whole grid were drawn every step (see ``Landscape``).
+Whether the client actually wants to trade is resolved by the decision
+layer, not here.
 
 Holdings are initialized from truncated log-normal distributions using
 rejection sampling, so there is no probability atom at the cap. The system
@@ -17,17 +18,13 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
-from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .errors import ConfigError
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard, types only
-    from .decision import DecisionOutcome
 
 
 class Direction(Enum):
@@ -91,18 +88,6 @@ def arithmetic_to_underlying(mean: float, std: float) -> tuple[float, float]:
     return mu, math.sqrt(sigma_sq)
 
 
-@dataclass
-class ClientCell:
-    """Snapshot of one client cell (positions are immutable; see Landscape)."""
-
-    position: tuple[int, int]
-    bonds: float
-    cash: float
-    available_now: bool
-    direction_now: Direction
-    desire_now: "DecisionOutcome | None" = field(default=None)
-
-
 def sample_truncated_lognormal(
     mu: float,
     sigma: float,
@@ -141,8 +126,17 @@ def sample_truncated_lognormal(
 class Landscape:
     """The client grid plus its per-step stochastic state.
 
-    Internally array-backed (row-major, indexed [y, x]) for cheap per-step
-    rerolls over all cells; single-writer per simulation.
+    Holdings are array-backed (row-major, indexed [y, x]); single-writer per
+    simulation.
+
+    Step state lives on the step-rolls stream, whose layout is fixed: step
+    ``s`` of an ``n``-cell grid owns the ``2n`` draws from ``2n*s``, cell
+    ``i = y*W + x`` drawing availability at ``i`` and direction at ``n + i``
+    of that block (one 64-bit output per ``float64``, C order). A lookup
+    jumps straight to its draw with the PCG64 ``advance`` (relative, mod
+    2**128, so backward too), so a step costs O(lookups), repeat lookups
+    of a cell within a step read the same draw, and the bytes match a
+    generator that drew both full grids every step.
     """
 
     def __init__(self, cfg: LandscapeConfig, rng: np.random.Generator) -> None:
@@ -155,10 +149,8 @@ class Landscape:
         # Fixed draw order: all bonds, then all cash.
         self.bonds = sample_truncated_lognormal(bmu, bsig, cfg.max_bonds, rng, size=n).reshape(h, w)
         self.cash = sample_truncated_lognormal(cmu, csig, cfg.max_cash, rng, size=n).reshape(h, w)
-        self.available = np.zeros((h, w), dtype=bool)
-        self.direction_sell = np.zeros((h, w), dtype=bool)
-        # Sparse: only cells actually contacted this step carry a desire.
-        self.desires: dict[tuple[int, int], DecisionOutcome] = {}
+        self._rng: np.random.Generator | None = None  # step-rolls stream, set by begin_step
+        self._cursor = 0  # offset of the stream's next draw within the step's block
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -169,31 +161,32 @@ class Landscape:
     def n_cells(self) -> int:
         return self.cfg.grid_width * self.cfg.grid_height
 
-    def roll_step_state(self, rng: np.random.Generator) -> None:
-        """Redraw availability and direction for every cell; clear desires.
+    def begin_step(self, rng: np.random.Generator) -> None:
+        """Open the next step's draw block on *rng*.
 
-        Fixed draw order (availability grid first, then direction grid) so
-        the consumed random stream is reproducible.
+        Skips whatever the previous step left unread, so each step starts
+        ``2n`` draws after the one before, whichever cells were looked up.
         """
-        h, w = self.cfg.grid_height, self.cfg.grid_width
-        self.available = rng.random((h, w)) < self.cfg.availability_p
-        self.direction_sell = rng.random((h, w)) < self.cfg.direction_p
-        self.desires.clear()
+        if self._rng is not None:
+            self._rng.bit_generator.advance(2 * self.n_cells - self._cursor)
+        self._rng = rng
+        self._cursor = 0
 
-    def cell(self, x: int, y: int) -> ClientCell:
-        """Current snapshot of the cell at (x, y)."""
-        pos = (x, y)
-        return ClientCell(
-            position=pos,
-            bonds=float(self.bonds[y, x]),
-            cash=float(self.cash[y, x]),
-            available_now=bool(self.available[y, x]),
-            direction_now=Direction.SELL if self.direction_sell[y, x] else Direction.BUY,
-            desire_now=self.desires.get(pos),
-        )
+    def _draw(self, offset: int) -> float:
+        """The uniform at *offset* in the current step's draw block."""
+        if offset != self._cursor:
+            self._rng.bit_generator.advance(offset - self._cursor)
+        self._cursor = offset + 1
+        return self._rng.random()
 
-    def set_desire(self, x: int, y: int, outcome: "DecisionOutcome") -> None:
-        self.desires[(x, y)] = outcome
+    def is_available(self, x: int, y: int) -> bool:
+        """Whether the client at (x, y) answers the phone this step."""
+        return self._draw(y * self.cfg.grid_width + x) < self.cfg.availability_p
+
+    def direction_at(self, x: int, y: int) -> Direction:
+        """The side the client at (x, y) would take if it traded this step."""
+        i = y * self.cfg.grid_width + x
+        return Direction.SELL if self._draw(self.n_cells + i) < self.cfg.direction_p else Direction.BUY
 
     def apply_trade(self, x: int, y: int, bond_delta: float, cash_delta: float) -> None:
         """Apply a settled trade's deltas to a client; holdings stay >= 0."""
@@ -219,5 +212,5 @@ class Landscape:
 
 
 def init_landscape(cfg: LandscapeConfig, rng: np.random.Generator) -> Landscape:
-    """Build a fresh landscape; all cells unavailable, no desires."""
+    """Build a fresh landscape; step state is drawn once a step begins."""
     return Landscape(cfg, rng)

@@ -52,10 +52,9 @@ class ExplodingProvider(BernoulliProvider):
         raise AssertionError("provider consulted when no client was available")
 
 
-def set_client(sim, x, y, bonds, cash, direction):
+def set_client(sim, x, y, bonds, cash):
     sim.grid.bonds[y, x] = bonds
     sim.grid.cash[y, x] = cash
-    sim.grid.direction_sell[y, x] = direction is Direction.SELL
 
 
 # -- the documented trade examples, executed exactly --------------------
@@ -65,16 +64,15 @@ def test_sell_full_unload_with_capped_cash_leg():
     sim = make_sim()
     mm = sim.mms[0]
     mm.bonds_acc, mm.cash_acc = 3.0, 4.0
-    set_client(sim, 2, 2, bonds=10.0, cash=2.0, direction=Direction.SELL)
+    set_client(sim, 2, 2, bonds=10.0, cash=2.0)
 
     record = sim._execute_client_trade(mm, 2, 2, Direction.SELL)
 
     assert record is not None
     assert record.bond_qty == pytest.approx(10.0)
     assert record.cash_qty == pytest.approx(4.0)  # all the cash the MM had
-    cell = sim.grid.cell(2, 2)
-    assert cell.bonds == pytest.approx(0.0)
-    assert cell.cash == pytest.approx(6.0)
+    assert sim.grid.bonds[2, 2] == pytest.approx(0.0)
+    assert sim.grid.cash[2, 2] == pytest.approx(6.0)
     assert mm.bonds_acc == pytest.approx(13.0)
     assert mm.cash_acc == pytest.approx(0.0)
     assert record.counterparty_kind is CounterpartyKind.CLIENT
@@ -86,16 +84,15 @@ def test_buy_par_swap_capped_by_inventory():
     sim = make_sim()
     mm = sim.mms[0]
     mm.bonds_acc, mm.cash_acc = 2.0, 1.0
-    set_client(sim, 1, 3, bonds=0.0, cash=3.0, direction=Direction.BUY)
+    set_client(sim, 1, 3, bonds=0.0, cash=3.0)
 
     record = sim._execute_client_trade(mm, 1, 3, Direction.BUY)
 
     assert record is not None
     assert record.bond_qty == pytest.approx(2.0)
     assert record.cash_qty == pytest.approx(2.0)
-    cell = sim.grid.cell(1, 3)
-    assert cell.bonds == pytest.approx(2.0)
-    assert cell.cash == pytest.approx(1.0)
+    assert sim.grid.bonds[3, 1] == pytest.approx(2.0)
+    assert sim.grid.cash[3, 1] == pytest.approx(1.0)
     assert mm.bonds_acc == pytest.approx(0.0)
     assert mm.cash_acc == pytest.approx(3.0)
 
@@ -106,12 +103,12 @@ def test_zero_quantity_trades_record_nothing():
 
     # Buy with a cashless client: nothing moves, nothing recorded.
     mm.bonds_acc, mm.cash_acc = 5.0, 5.0
-    set_client(sim, 0, 0, bonds=4.0, cash=0.0, direction=Direction.BUY)
+    set_client(sim, 0, 0, bonds=4.0, cash=0.0)
     assert sim._execute_client_trade(mm, 0, 0, Direction.BUY) is None
 
     # Sell with a bondless client and a cashless MM: nothing to record.
     mm.cash_acc = 0.0
-    set_client(sim, 0, 1, bonds=0.0, cash=2.0, direction=Direction.SELL)
+    set_client(sim, 0, 1, bonds=0.0, cash=2.0)
     assert sim._execute_client_trade(mm, 0, 1, Direction.SELL) is None
 
 
@@ -120,12 +117,12 @@ def test_sell_records_even_when_mm_cannot_pay():
     sim = make_sim()
     mm = sim.mms[0]
     mm.bonds_acc, mm.cash_acc = 1.0, 0.0
-    set_client(sim, 4, 4, bonds=2.5, cash=1.0, direction=Direction.SELL)
+    set_client(sim, 4, 4, bonds=2.5, cash=1.0)
     record = sim._execute_client_trade(mm, 4, 4, Direction.SELL)
     assert record is not None
     assert record.bond_qty == pytest.approx(2.5)
     assert record.cash_qty == 0.0
-    assert sim.grid.cell(4, 4).cash == pytest.approx(1.0)
+    assert sim.grid.cash[4, 4] == pytest.approx(1.0)
 
 
 # -- interbank rebalancing ----------------------------------------------

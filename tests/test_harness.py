@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import csv
 import filecmp
+import hashlib
 import json
 from pathlib import Path
 
@@ -316,6 +317,60 @@ def test_parallel_batches_are_byte_identical(tmp_path):
         if name == MANIFEST_JSON:  # timestamps and worker count differ by design
             continue
         assert filecmp.cmp(serial_dir / name, pooled_dir / name, shallow=False), name
+
+
+# sha256 of decisions.csv then trades.csv for exp1 on a 200x200 grid (2 sims,
+# 300-step cap, master seed 42), recorded from the full-grid roll that drew
+# every cell's availability and direction each step. Lazy lookups must
+# reproduce it on any grid shape, not only on the goldens' 50x50.
+GRID200_EXP1_SHA256 = "315ad3906045fdad5c0f8a00f7a0c435481cc4046d8132e6bb0c5d0e1007092c"
+
+
+def test_grid200_exp1_bytes_pinned(tmp_path):
+    out = tmp_path / "grid200"
+    run_batch(
+        resolve_preset(
+            "exp1",
+            {
+                "landscape.grid_width": 200,
+                "landscape.grid_height": 200,
+                "n_simulations": 2,
+                "max_steps": 300,
+                "master_seed": 42,
+                "output_dir": str(out),
+            },
+        )
+    )
+    digest = hashlib.sha256()
+    for name in (DECISIONS_CSV, TRADES_CSV):
+        digest.update((out / name).read_bytes())
+    assert digest.hexdigest() == GRID200_EXP1_SHA256
+
+
+def tree_bytes(root: Path) -> dict[str, bytes]:
+    return {
+        p.relative_to(root).as_posix(): p.read_bytes()
+        for p in root.rglob("*")
+        if p.is_file() and p.name != MANIFEST_JSON
+    }
+
+
+@pytest.mark.parametrize(
+    "second_run",
+    [{}, {"journal": False, "landscape.availability_p": 0.0}],
+    ids=["fewer-sims", "no-journal-no-decisions"],
+)
+def test_rerun_into_same_dir_leaves_no_stale_files(tmp_path, second_run):
+    def exp3(n_simulations, out, extra):
+        overrides = {"n_simulations": n_simulations, "max_steps": 60, "output_dir": str(out)}
+        return resolve_preset("exp3", {**overrides, **extra})
+
+    reused, fresh = tmp_path / "reused", tmp_path / "fresh"
+    run_batch(exp3(6, reused, {}))
+    assert len(list((reused / JOURNAL_DIR).glob("*.jsonl"))) == 6
+    run_batch(exp3(2, reused, second_run))
+    run_batch(exp3(2, fresh, second_run))
+    assert tree_bytes(reused) == tree_bytes(fresh)
 
 
 def test_exp2_preset_runs_trade_free(tmp_path):

@@ -106,8 +106,6 @@ def test_init_landscape_populates_every_cell():
     assert grid.bonds.shape == (50, 50)
     assert np.all(grid.bonds > 0) and np.all(grid.bonds <= cfg.max_bonds)
     assert np.all(grid.cash > 0) and np.all(grid.cash <= cfg.max_cash)
-    assert not grid.available.any()
-    assert grid.desires == {}
 
 
 def test_init_landscape_bitwise_deterministic():
@@ -122,9 +120,8 @@ def test_one_by_one_grid():
     cfg = LandscapeConfig(grid_width=1, grid_height=1)
     grid = init_landscape(cfg, substream(8, 0))
     assert grid.n_cells == 1
-    cell = grid.cell(0, 0)
-    assert cell.position == (0, 0)
-    assert 0 < cell.bonds <= cfg.max_bonds
+    assert grid.bonds.shape == (1, 1)
+    assert 0 < grid.bonds[0, 0] <= cfg.max_bonds
 
 
 def test_config_validation_errors():
@@ -138,63 +135,84 @@ def test_config_validation_errors():
         LandscapeConfig(bond_sigma=0.0).validate()
 
 
+def all_cells(grid):
+    w, h = grid.shape
+    return [(x, y) for y in range(h) for x in range(w)]
+
+
 def test_roll_step_state_extremes():
     grid = init_landscape(LandscapeConfig(availability_p=0.0), substream(9, 0))
-    grid.roll_step_state(substream(9, 1))
-    assert not grid.available.any()
+    grid.begin_step(substream(9, 1))
+    assert not any(grid.is_available(x, y) for x, y in all_cells(grid))
 
     grid = init_landscape(LandscapeConfig(availability_p=1.0), substream(9, 2))
-    grid.roll_step_state(substream(9, 3))
-    assert grid.available.all()
+    grid.begin_step(substream(9, 3))
+    assert all(grid.is_available(x, y) for x, y in all_cells(grid))
 
 
 def test_roll_step_state_frequencies():
     cfg = LandscapeConfig(availability_p=0.2, direction_p=0.5)
     grid = init_landscape(cfg, substream(10, 0))
     rng = substream(10, 1)
+    cells = all_cells(grid)
     avail = sell = 0
     rounds = 400
     for _ in range(rounds):
-        grid.roll_step_state(rng)
-        avail += int(grid.available.sum())
-        sell += int(grid.direction_sell.sum())
+        grid.begin_step(rng)
+        avail += sum(grid.is_available(x, y) for x, y in cells)
+        sell += sum(grid.direction_at(x, y) is Direction.SELL for x, y in cells)
     n = rounds * grid.n_cells
     assert avail / n == pytest.approx(0.2, abs=0.005)
     assert sell / n == pytest.approx(0.5, abs=0.005)
 
 
-def test_roll_clears_desires():
-    from bondflow import DecisionOutcome, DecisionState, ProviderKind
-
-    grid = init_landscape(LandscapeConfig(), substream(11, 0))
-    outcome = DecisionOutcome(
-        state=DecisionState.YES, raw_text="", provider=ProviderKind.BERNOULLI
-    )
-    grid.set_desire(3, 4, outcome)
-    assert grid.cell(3, 4).desire_now is outcome
-    grid.roll_step_state(substream(11, 1))
-    assert grid.cell(3, 4).desire_now is None
-
-
 def test_cell_direction_mapping():
-    grid = init_landscape(LandscapeConfig(), substream(12, 0))
-    grid.direction_sell[4, 3] = True
-    assert grid.cell(3, 4).direction_now is Direction.SELL
-    grid.direction_sell[4, 3] = False
-    assert grid.cell(3, 4).direction_now is Direction.BUY
+    for direction_p, expected in ((0.0, Direction.BUY), (1.0, Direction.SELL)):
+        grid = init_landscape(LandscapeConfig(direction_p=direction_p), substream(12, 0))
+        grid.begin_step(substream(12, 1))
+        assert {grid.direction_at(x, y) for x, y in all_cells(grid)} == {expected}
+
+
+@pytest.mark.parametrize("width, height", [(1, 1), (3, 2), (50, 50), (200, 200)])
+def test_step_lookups_match_full_grid_draws(width, height):
+    """Lazy lookups read exactly the draws of a full-grid roll on the same stream.
+
+    The reference draws both grids every step, availability then direction,
+    from an identically seeded generator. Lookups come out of order, repeat
+    within a step, mix availability-first and direction-first, and one step
+    has none at all, so every jump (forward, backward, skip-ahead) is used.
+    """
+    cfg = LandscapeConfig(grid_width=width, grid_height=height, availability_p=0.3, direction_p=0.6)
+    grid = init_landscape(cfg, substream(16, 0))
+    rng, reference = substream(16, 1), substream(16, 1)
+    picker = np.random.default_rng(16)
+    corners = [(width - 1, height - 1), (0, 0)]
+    for step in range(6):
+        grid.begin_step(rng)
+        available = reference.random((height, width)) < cfg.availability_p
+        sell = reference.random((height, width)) < cfg.direction_p
+        if step == 2:
+            continue
+        picks = [(int(i) % width, int(i) // width) for i in picker.integers(width * height, size=12)]
+        cells = corners + picks + picks[::-2]
+        for k, (x, y) in enumerate(cells):
+            expected_direction = Direction.SELL if sell[y, x] else Direction.BUY
+            if k % 3 == 0:
+                assert grid.direction_at(x, y) is expected_direction
+            assert grid.is_available(x, y) == available[y, x]
+            assert grid.direction_at(x, y) is expected_direction
 
 
 def test_apply_trade_updates_and_guards():
     grid = init_landscape(LandscapeConfig(), substream(13, 0))
-    b0, c0 = grid.cell(1, 2).bonds, grid.cell(1, 2).cash
+    b0, c0 = grid.bonds[2, 1], grid.cash[2, 1]
     grid.apply_trade(1, 2, -b0, 3.0)
-    cell = grid.cell(1, 2)
-    assert cell.bonds == 0.0
-    assert cell.cash == pytest.approx(c0 + 3.0)
+    assert grid.bonds[2, 1] == 0.0
+    assert grid.cash[2, 1] == pytest.approx(c0 + 3.0)
     # Tiny negative residue floors to exactly zero; a real overdraft raises.
     grid.apply_trade(1, 2, 1e-13, 0.0)
-    grid.apply_trade(1, 2, -(grid.cell(1, 2).bonds + 1e-13), 0.0)
-    assert grid.cell(1, 2).bonds == 0.0
+    grid.apply_trade(1, 2, -(grid.bonds[2, 1] + 1e-13), 0.0)
+    assert grid.bonds[2, 1] == 0.0
     with pytest.raises(AssertionError):
         grid.apply_trade(1, 2, -1.0, 0.0)
 
