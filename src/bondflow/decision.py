@@ -175,15 +175,17 @@ class JournalRecord:
 
 
 def journal_line(q: DesireQuery, outcome: DecisionOutcome, template: PromptTemplate) -> str:
-    """One UTF-8 JSON line for a decision, newline-terminated."""
-    record = {
-        "seq": q.sequence_no,
-        "prompt_hash": prompt_hash(render_prompt(template, q)),
-        "state": outcome.state.value,
-        "raw": outcome.raw_text,
-        "latency_ms": outcome.latency_ms,
-    }
-    return json.dumps(record, ensure_ascii=False, separators=(",", ":")) + "\n"
+    """One UTF-8 JSON line for a decision, newline-terminated.
+
+    Written field by field in a fixed order; the bytes equal
+    ``json.dumps(record, ensure_ascii=False, separators=(",", ":"))``.
+    """
+    raw = json.dumps(outcome.raw_text, ensure_ascii=False) if outcome.raw_text else '""'
+    latency = "null" if outcome.latency_ms is None else int(outcome.latency_ms)
+    return (
+        f'{{"seq":{q.sequence_no},"prompt_hash":{prompt_hash(render_prompt(template, q))},'
+        f'"state":"{outcome.state.value}","raw":{raw},"latency_ms":{latency}}}\n'
+    )
 
 
 def journal_append(
@@ -242,6 +244,14 @@ class DecisionProvider:
         raise NotImplementedError
 
 
+# Coin-flip and bursty providers carry no reply text or latency, so every
+# decision they make is one of two shared, immutable outcomes.
+_BERNOULLI_YES = DecisionOutcome(DecisionState.YES, "", ProviderKind.BERNOULLI)
+_BERNOULLI_NO = DecisionOutcome(DecisionState.NO, "", ProviderKind.BERNOULLI)
+_BURSTY_YES = DecisionOutcome(DecisionState.YES, "", ProviderKind.SYNTHETIC_BURSTY)
+_BURSTY_NO = DecisionOutcome(DecisionState.NO, "", ProviderKind.SYNTHETIC_BURSTY)
+
+
 class BernoulliProvider(DecisionProvider):
     kind = ProviderKind.BERNOULLI
 
@@ -251,8 +261,7 @@ class BernoulliProvider(DecisionProvider):
         self.p = p
 
     def decide(self, q: DesireQuery, rng: np.random.Generator) -> DecisionOutcome:
-        state = DecisionState.YES if rng.random() < self.p else DecisionState.NO
-        return DecisionOutcome(state=state, raw_text="", provider=self.kind)
+        return _BERNOULLI_YES if rng.random() < self.p else _BERNOULLI_NO
 
 
 class SyntheticBurstyProvider(DecisionProvider):
@@ -290,7 +299,7 @@ class SyntheticBurstyProvider(DecisionProvider):
             self._state = (
                 DecisionState.NO if emitted is DecisionState.YES else DecisionState.YES
             )
-        return DecisionOutcome(state=emitted, raw_text="", provider=self.kind)
+        return _BURSTY_YES if emitted is DecisionState.YES else _BURSTY_NO
 
 
 class ReplayProvider(DecisionProvider):

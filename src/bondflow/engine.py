@@ -7,11 +7,16 @@ Fixed per-step order, documented and load-bearing for replayability:
    for the clients that are phoned.
 2. Each Active market maker, in id order, phones exactly one uniformly
    chosen client from its base. Unavailable client: contact ends, no
-   decision. Available: one desire query to the provider. Yes: the MM MUST
-   trade (servicing obligation), sized by the client's direction.
+   decision. Available: one desire query to the provider, kept as one
+   (query, outcome) record. Yes: the MM MUST trade (servicing
+   obligation), sized by the client's direction. Nothing is encoded here:
+   a journaled run encodes its journal from the records once, when the
+   run ends.
 3. Interbank rebalancing: cash-poor MMs sell bonds at par to the
    richest-cash peer, at most one trade per needy MM per step.
 4. Business costs burn each Active MM's resources; the cease rule runs.
+   This is the only phase that changes an MM's status, so the list of
+   Active MMs taken when the step opens serves phases 2 to 4.
 5. The step counter increments.
 
 Trades never create or destroy value: the engine tracks exactly how much
@@ -99,7 +104,7 @@ class SimulationResult:
     initial_mm_cash: float
     consumed_bonds: float
     consumed_cash: float
-    journal_lines: list[str] | None = None
+    journal: str | None = None  # JSONL encoding of ``decisions``, if journaled
     aborted: bool = False
     abort_reason: str | None = None
 
@@ -125,6 +130,7 @@ class Simulation:
         self.interbank_runway_steps = interbank_runway_steps
         self.cease_rule: CeaseRule = agent_cfg.cease_rule
         self.journal_template = journal_template
+        self.keep_journal = keep_journal
 
         # Named substreams: provider draws never perturb landscape draws.
         self._rng_rolls = substream(seed, STREAM_STEP_ROLLS)
@@ -144,7 +150,6 @@ class Simulation:
         self.contacts = 0
         self.trades: list[TradeRecord] = []
         self.decisions: list[tuple[DesireQuery, DecisionOutcome]] = []
-        self.journal_lines: list[str] | None = [] if keep_journal else None
 
         self.initial_client_bonds, self.initial_client_cash = self.grid.totals()
         self.initial_mm_bonds = sum(mm.bonds_acc for mm in self.mms)
@@ -159,24 +164,19 @@ class Simulation:
 
     def step(self) -> None:
         """Execute one full round; see the module docstring for the order."""
-        assert self.any_active(), "step() on a fully ceased society"
+        active = [mm for mm in self.mms if mm.active]
+        assert active, "step() on a fully ceased society"
         assert self.step_no < self.max_steps, "step() past max_steps"
 
         self.grid.begin_step(self._rng_rolls)
 
-        contacts = 0
-        for mm in self.mms:
-            if not mm.active:
-                continue
-            contacts += 1
+        for mm in active:
             self._contact_client(mm)
-        self.contacts += contacts
+        self.contacts += len(active)
 
-        self._interbank_rebalance()
+        self._interbank_rebalance(active)
 
-        for mm in self.mms:
-            if not mm.active:
-                continue
+        for mm in active:
             consumed_b, consumed_c, _ = apply_costs(mm, self.step_no, self.cease_rule)
             self.consumed_bonds += consumed_b
             self.consumed_cash += consumed_c
@@ -201,8 +201,6 @@ class Simulation:
         self.seq += 1
         outcome = self.provider.decide(query, self._rng_provider)
         self.decisions.append((query, outcome))
-        if self.journal_lines is not None:
-            self.journal_lines.append(journal_line(query, outcome, self.journal_template))
         if outcome.state is not DecisionState.YES:
             return
         record = self._execute_client_trade(mm, x, y, self.grid.direction_at(x, y))
@@ -246,16 +244,20 @@ class Simulation:
             cash_qty=cash_qty,
         )
 
-    def _interbank_rebalance(self) -> list[TradeRecord]:
+    def _interbank_rebalance(
+        self, active: list[MarketMakerState] | None = None
+    ) -> list[TradeRecord]:
         """Cash-poor MMs sell bonds at par to the richest-cash peer.
 
         Needy = cash runway (cash / cash rate) below the configured
         threshold. Processed in id order; the buyer is re-picked per needy
         MM (ties to the lowest id); at most one trade per needy MM per
-        step; zero-quantity outcomes are skipped.
+        step; zero-quantity outcomes are skipped. ``active`` is the step's
+        list of Active MMs, computed here when not given.
         """
         records: list[TradeRecord] = []
-        active = [mm for mm in self.mms if mm.active]
+        if active is None:
+            active = [mm for mm in self.mms if mm.active]
         if len(active) < 2:
             return records
         for mm in active:
@@ -303,6 +305,10 @@ class Simulation:
             reason = TerminalReason.ALL_CEASED
         else:
             reason = TerminalReason.STEP_LIMIT
+        journal = None
+        if self.keep_journal:
+            template = self.journal_template
+            journal = "".join([journal_line(q, o, template) for q, o in self.decisions])
         return SimulationResult(
             sim_id=self.sim_id,
             seed=self.seed,
@@ -319,7 +325,7 @@ class Simulation:
             initial_mm_cash=self.initial_mm_cash,
             consumed_bonds=self.consumed_bonds,
             consumed_cash=self.consumed_cash,
-            journal_lines=self.journal_lines,
+            journal=journal,
             aborted=aborted,
             abort_reason=abort_reason,
         )

@@ -53,7 +53,7 @@ from .engine import (
     DEFAULT_MAX_STEPS,
     CounterpartyKind,
     SimulationResult,
-    Simulation,
+    run_simulation,
 )
 from .errors import ConfigError
 from .landscape import LandscapeConfig, LognormalParams
@@ -383,10 +383,14 @@ class _SimTask:
     keep_journal: bool
 
 
-def _run_one_task(task: _SimTask) -> SimulationResult:
-    """Worker entry point; must stay module-level and picklable."""
-    provider = build_provider(task.provider, task.replay_slice)
-    sim = Simulation(
+def _run_one_task(task: _SimTask, provider: DecisionProvider | None = None) -> SimulationResult:
+    """Worker entry point; must stay module-level and picklable.
+
+    Builds the configured provider unless one is injected.
+    """
+    if provider is None:
+        provider = build_provider(task.provider, task.replay_slice)
+    return run_simulation(
         task.sim_id,
         task.seed,
         task.landscape,
@@ -397,7 +401,6 @@ def _run_one_task(task: _SimTask) -> SimulationResult:
         journal_template=task.journal_template,
         keep_journal=task.keep_journal,
     )
-    return sim.run()
 
 
 @dataclass
@@ -485,19 +488,7 @@ def run_batch(
 
     if provider_factory is not None:
         for task in tasks:
-            provider = provider_factory(task.sim_id)
-            sim = Simulation(
-                task.sim_id,
-                task.seed,
-                task.landscape,
-                task.agents,
-                provider,
-                max_steps=task.max_steps,
-                interbank_runway_steps=task.interbank_runway_steps,
-                journal_template=task.journal_template,
-                keep_journal=task.keep_journal,
-            )
-            if not note(sim.run()):
+            if not note(_run_one_task(task, provider_factory(task.sim_id))):
                 break
     elif cfg.parallelism <= 1 or cfg.n_simulations == 1:
         for task in tasks:
@@ -604,12 +595,14 @@ def write_outputs(
     with open(out / DECISIONS_CSV, "w", encoding="utf-8", newline="") as fh:
         w = _csv_writer(fh)
         w.writerow(["sim_id", "seq", "step", "mm_id", "x", "y", "state", "provider"])
-        for r in batch.results:
-            for q, o in r.decisions:
-                x, y = q.client_position
-                w.writerow(
-                    [q.sim_id, q.sequence_no, q.step, q.mm_id, x, y, o.state.value, o.provider.value]
-                )
+        states = {s: s.value for s in DecisionState}
+        providers = {k: k.value for k in ProviderKind}
+        w.writerows(
+            (q.sim_id, q.sequence_no, q.step, q.mm_id, *q.client_position,
+             states[o.state], providers[o.provider])
+            for r in batch.results
+            for q, o in r.decisions
+        )
 
     with open(out / LIFECYCLE_CSV, "w", encoding="utf-8", newline="") as fh:
         w = _csv_writer(fh)
@@ -651,7 +644,7 @@ def write_outputs(
                 )
                 w.writerow([pos, _fmt_float(series.cumulative[i]), rolling])
 
-    write_tables(batch, out)
+    write_tables(out, batch.batch, batch.series)
 
     with open(out / CONFIG_ECHO, "w", encoding="utf-8", newline="") as fh:
         yaml.safe_dump(config_to_dict(cfg), fh, sort_keys=True, default_flow_style=False)
@@ -660,10 +653,10 @@ def write_outputs(
         jdir = out / JOURNAL_DIR
         jdir.mkdir(exist_ok=True)
         for r in batch.results:
-            if r.journal_lines is None:
+            if r.journal is None:
                 continue
             with open(jdir / f"sim_{r.sim_id:04d}.jsonl", "w", encoding="utf-8", newline="") as fh:
-                fh.writelines(r.journal_lines)
+                fh.write(r.journal)
 
     manifest = {
         "schema_version": 1,
@@ -686,20 +679,24 @@ def write_outputs(
         fh.write("\n")
 
 
-def write_tables(batch: BatchResult, out: Path) -> None:
-    """Emit the three stats tables as CSV and pretty text."""
-    out.mkdir(parents=True, exist_ok=True)
-    if batch.batch is not None:
-        for kind, render in (("full", render_full_stats_table), ("client", render_client_stats_table)):
-            csv_text, pretty = render(batch.batch)
-            csv_name, txt_name = TABLE_FILES[kind]
-            (out / csv_name).write_text(csv_text, encoding="utf-8")
-            (out / txt_name).write_text(pretty, encoding="utf-8")
-    if batch.series is not None:
-        csv_text, pretty = render_yes_ratio_table(batch.series)
-        csv_name, txt_name = TABLE_FILES["yes_ratio"]
+def write_tables(
+    out: Path, summary: BatchSummary | None, series: YesRatioSeries | None
+) -> dict[str, str]:
+    """Emit each stats table there is data for as CSV and pretty text.
+
+    Returns the pretty text of each written table keyed by table kind.
+    """
+    rendered: dict[str, tuple[str, str]] = {}
+    if summary is not None:
+        rendered["full"] = render_full_stats_table(summary)
+        rendered["client"] = render_client_stats_table(summary)
+    if series is not None:
+        rendered["yes_ratio"] = render_yes_ratio_table(series)
+    for kind, (csv_text, pretty) in rendered.items():
+        csv_name, txt_name = TABLE_FILES[kind]
         (out / csv_name).write_text(csv_text, encoding="utf-8")
         (out / txt_name).write_text(pretty, encoding="utf-8")
+    return {kind: pretty for kind, (_, pretty) in rendered.items()}
 
 
 # --------------------------------------------------------------------------
@@ -761,19 +758,5 @@ def rebuild_tables(out: Path | str, window: int = DEFAULT_ROLLING_WINDOW) -> dic
     summaries, states = load_output_dir(out)
     if not summaries:
         raise ConfigError(f"{out} holds no completed simulations to tabulate")
-    batch = aggregate_batch(summaries)
     series = yes_ratio_series(states, window) if states else None
-    pretty_by_kind: dict[str, str] = {}
-    for kind, render in (("full", render_full_stats_table), ("client", render_client_stats_table)):
-        csv_text, pretty = render(batch)
-        csv_name, txt_name = TABLE_FILES[kind]
-        (out / csv_name).write_text(csv_text, encoding="utf-8")
-        (out / txt_name).write_text(pretty, encoding="utf-8")
-        pretty_by_kind[kind] = pretty
-    if series is not None:
-        csv_text, pretty = render_yes_ratio_table(series)
-        csv_name, txt_name = TABLE_FILES["yes_ratio"]
-        (out / csv_name).write_text(csv_text, encoding="utf-8")
-        (out / txt_name).write_text(pretty, encoding="utf-8")
-        pretty_by_kind["yes_ratio"] = pretty
-    return pretty_by_kind
+    return write_tables(out, aggregate_batch(summaries), series)

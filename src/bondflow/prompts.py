@@ -7,6 +7,9 @@ single-brace names; the timeliness template says {client_bonds} and
 {client_cash} while the aversion templates say {bonds} and {cash}, and the
 renderer accepts both spellings. Floats render with two decimals, grid
 coordinates as plain integers.
+
+Each template is compiled once into a ``str.format`` string, so rendering
+is a single ``format`` call.
 """
 
 from __future__ import annotations
@@ -24,7 +27,16 @@ class PromptTemplate(Enum):
     AVERSION3 = "aversion3"
 
 
-_PLACEHOLDER = re.compile(r"\{(client_bonds|client_cash|bonds|cash|x|y)\}")
+# Placeholder name -> the str.format field it compiles to.
+_FORMAT_FIELDS = {
+    "client_bonds": "{b:.2f}",
+    "client_cash": "{c:.2f}",
+    "bonds": "{b:.2f}",
+    "cash": "{c:.2f}",
+    "x": "{x:d}",
+    "y": "{y:d}",
+}
+_PLACEHOLDER = re.compile(r"\{(" + "|".join(_FORMAT_FIELDS) + r")\}")
 
 
 @lru_cache(maxsize=None)
@@ -32,6 +44,25 @@ def load_template(template: PromptTemplate) -> str:
     """Raw template text, exactly as shipped."""
     ref = resources.files("bondflow").joinpath("data", "prompts", f"{template.value}.txt")
     return ref.read_text(encoding="utf-8")
+
+
+def compile_template(text: str) -> str:
+    """Turn template text into a ``str.format`` string over b, c, x and y.
+
+    Known placeholders become format fields; every other brace is doubled,
+    so unknown brace expressions render unchanged rather than erroring,
+    since template text is data, not code.
+    """
+    parts = _PLACEHOLDER.split(text)  # literal, name, literal, name, ..., literal
+    return "".join(
+        _FORMAT_FIELDS[part] if i % 2 else part.replace("{", "{{").replace("}", "}}")
+        for i, part in enumerate(parts)
+    )
+
+
+@lru_cache(maxsize=None)
+def _compiled(template: PromptTemplate) -> str:
+    return compile_template(load_template(template))
 
 
 def render_template(
@@ -42,18 +73,5 @@ def render_template(
     x: int,
     y: int,
 ) -> str:
-    """Substitute a client's holdings and position into the template.
-
-    Templates without placeholders render unchanged. Unknown brace
-    expressions in a template are left as-is rather than erroring, since
-    template text is data, not code.
-    """
-    values = {
-        "client_bonds": f"{client_bonds:.2f}",
-        "client_cash": f"{client_cash:.2f}",
-        "bonds": f"{client_bonds:.2f}",
-        "cash": f"{client_cash:.2f}",
-        "x": str(int(x)),
-        "y": str(int(y)),
-    }
-    return _PLACEHOLDER.sub(lambda m: values[m.group(1)], load_template(template))
+    """Substitute a client's holdings and position into the template."""
+    return _compiled(template).format(b=client_bonds, c=client_cash, x=int(x), y=int(y))

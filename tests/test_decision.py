@@ -5,6 +5,7 @@ from __future__ import annotations
 import http.server
 import json
 import logging
+import re
 import threading
 from importlib import resources
 
@@ -34,6 +35,7 @@ from bondflow import (
     substream,
 )
 from bondflow.decision import journal_line, parse_journal_line
+from bondflow.prompts import compile_template
 
 
 def make_query(seq=0, step=0, mm_id=0, pos=(3, 7), bonds=20.32, cash=4.62, sim_id=0):
@@ -123,6 +125,41 @@ def test_render_prompt_aversion_variants():
         rendered = render_prompt(template, q)
         assert "20.32" in rendered and "4.62" in rendered
         assert "{" not in rendered
+
+
+def regex_render(text, bonds, cash, x, y):
+    """Oracle: per-call regex substitution of the six known placeholders."""
+    values = {
+        "client_bonds": f"{bonds:.2f}",
+        "client_cash": f"{cash:.2f}",
+        "bonds": f"{bonds:.2f}",
+        "cash": f"{cash:.2f}",
+        "x": str(int(x)),
+        "y": str(int(y)),
+    }
+    return re.sub(
+        r"\{(client_bonds|client_cash|bonds|cash|x|y)\}", lambda m: values[m.group(1)], text
+    )
+
+
+@pytest.mark.parametrize("template", list(PromptTemplate))
+def test_compiled_renderer_matches_regex_oracle(template):
+    text = load_template(template)
+    holdings = (0.0, 0.005, 0.015, 1.5, 1e6, 123456.789)
+    positions = ((0, 0), (3, 7), (49, 0), (0, 49), (199, 123))
+    for bonds in holdings:
+        for cash in holdings:
+            for pos in positions:
+                q = make_query(pos=pos, bonds=bonds, cash=cash)
+                assert render_prompt(template, q) == regex_render(text, bonds, cash, *pos)
+
+
+def test_compile_template_passes_unknown_braces_through():
+    text = "a {foo} b, open { here, close } here, {x}/{y} {bonds}|{cash} {{client_bonds}}"
+    rendered = compile_template(text).format(b=1.5, c=0.005, x=3, y=7)
+    assert rendered == regex_render(text, 1.5, 0.005, 3, 7)
+    assert rendered == "a {foo} b, open { here, close } here, 3/7 1.50|0.01 {1.50}"
+    assert compile_template("{foo} { }").format() == "{foo} { }"
 
 
 def test_templates_load_once_and_nonempty():
@@ -232,6 +269,27 @@ def test_journal_line_format_and_parse():
     assert record.seq == 5
     assert record.state is DecisionState.YES
     assert record.latency_ms == 250
+
+
+@pytest.mark.parametrize(
+    "raw",
+    ["", "Yes", "Yes — ✓", 'say "no" \\ maybe', "a\nb\tc\x01d", "line\u2028sep"],
+)
+def test_journal_line_matches_json_dumps_oracle(raw):
+    q = make_query(seq=17, pos=(12, 0), bonds=0.015, cash=123456.789)
+    expected_hash = prompt_hash(render_prompt(PromptTemplate.TIMELINESS, q))
+    for state in DecisionState:
+        for latency in (None, 0, 250):
+            record = {
+                "seq": 17,
+                "prompt_hash": expected_hash,
+                "state": state.value,
+                "raw": raw,
+                "latency_ms": latency,
+            }
+            expected = json.dumps(record, ensure_ascii=False, separators=(",", ":")) + "\n"
+            line = journal_line(q, outcome_of(state, raw, latency), PromptTemplate.TIMELINESS)
+            assert line == expected
 
 
 def test_journal_append_and_read_roundtrip(tmp_path):

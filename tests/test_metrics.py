@@ -99,7 +99,7 @@ def make_result(
         initial_mm_cash=10.0,
         consumed_bonds=0.0,
         consumed_cash=0.0,
-        journal_lines=None,
+        journal=None,
         aborted=False,
         abort_reason=None,
     )
