@@ -23,12 +23,16 @@ from __future__ import annotations
 import argparse
 import json
 import shutil
+import sys
 import tempfile
 from pathlib import Path
 
 import numpy as np
 
-from bondflow import (
+REPO = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(REPO / "src"))
+
+from bondflow import (  # noqa: E402
     DecisionOutcome,
     DecisionProvider,
     DecisionState,
@@ -42,10 +46,10 @@ from bondflow import (
     sample_truncated_lognormal,
     substream,
 )
-from bondflow.decision import journal_line
-from bondflow.harness import JOURNAL_DIR
+from bondflow.decision import journal_line  # noqa: E402
+from bondflow.harness import JOURNAL_DIR  # noqa: E402
 
-FIXTURE_DIR = Path(__file__).resolve().parent.parent / "src" / "bondflow" / "data" / "fixtures"
+FIXTURE_DIR = REPO / "src" / "bondflow" / "data" / "fixtures"
 
 # Free-text replies paired with the state the normalizer must produce.
 # The five "example_*" entries are the recorded gateway outputs shipped as

@@ -34,8 +34,6 @@ from .decision import (
     ReplayProvider,
     SyntheticBurstyProvider,
     build_provider,
-    decide,
-    journal_append,
     normalize_response,
     prompt_hash,
     read_journal,
@@ -48,7 +46,6 @@ from .engine import (
     SimulationResult,
     TerminalReason,
     TradeRecord,
-    run_simulation,
 )
 from .errors import ConfigError, ProviderHardFailure
 from .harness import (
@@ -120,10 +117,8 @@ __all__ = [
     "build_provider",
     "cease_check",
     "client_base",
-    "decide",
     "init_landscape",
     "init_market_makers",
-    "journal_append",
     "load_config_file",
     "load_template",
     "normalize_response",
@@ -136,7 +131,6 @@ __all__ = [
     "resolve_config",
     "resolve_preset",
     "run_batch",
-    "run_simulation",
     "sample_truncated_lognormal",
     "simulation_seed",
     "split_journal",

@@ -146,8 +146,8 @@ def apply_costs(mm: MarketMakerState, step: int, rule: CeaseRule) -> tuple[float
     """Burn one step of business costs, then run the cease check.
 
     Returns (bonds consumed, cash consumed, ceased) - consumption is
-    min(rate, accumulation), which the engine tallies for its conservation
-    audit.
+    min(rate, accumulation), which the engine tallies so the closed-system
+    law can be checked.
     """
     consumed_b = min(mm.bond_rate, mm.bonds_acc)
     consumed_c = min(mm.cash_rate, mm.cash_acc)

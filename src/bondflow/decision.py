@@ -188,17 +188,6 @@ def journal_line(q: DesireQuery, outcome: DecisionOutcome, template: PromptTempl
     )
 
 
-def journal_append(
-    path: Path | str,
-    q: DesireQuery,
-    outcome: DecisionOutcome,
-    template: PromptTemplate = PromptTemplate.TIMELINESS,
-) -> None:
-    """Append one decision record; I/O errors propagate (journals must be complete)."""
-    with open(path, "a", encoding="utf-8", newline="") as fh:
-        fh.write(journal_line(q, outcome, template))
-
-
 def parse_journal_line(line: str) -> JournalRecord:
     obj = json.loads(line)
     latency = obj.get("latency_ms")
@@ -466,10 +455,3 @@ def build_provider(
             records = read_journal(cfg.replay_path)
         return ReplayProvider(records, cfg.prompt_template)
     return LiveLLMProvider(cfg)
-
-
-def decide(
-    provider: DecisionProvider, q: DesireQuery, rng: np.random.Generator
-) -> DecisionOutcome:
-    """Ask the provider; never mutates the query or any simulation state."""
-    return provider.decide(q, rng)

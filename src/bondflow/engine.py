@@ -120,9 +120,9 @@ class Simulation:
         *,
         max_steps: int = DEFAULT_MAX_STEPS,
         interbank_runway_steps: float = DEFAULT_INTERBANK_RUNWAY_STEPS,
-        journal_template: PromptTemplate = PromptTemplate.TIMELINESS,
-        keep_journal: bool = False,
+        journal_template: PromptTemplate | None = None,
     ) -> None:
+        """``journal_template`` is the template whose prompts the journal hashes; None keeps none."""
         self.sim_id = sim_id
         self.seed = seed
         self.provider = provider
@@ -130,7 +130,6 @@ class Simulation:
         self.interbank_runway_steps = interbank_runway_steps
         self.cease_rule: CeaseRule = agent_cfg.cease_rule
         self.journal_template = journal_template
-        self.keep_journal = keep_journal
 
         # Named substreams: provider draws never perturb landscape draws.
         self._rng_rolls = substream(seed, STREAM_STEP_ROLLS)
@@ -305,9 +304,9 @@ class Simulation:
             reason = TerminalReason.ALL_CEASED
         else:
             reason = TerminalReason.STEP_LIMIT
+        template = self.journal_template
         journal = None
-        if self.keep_journal:
-            template = self.journal_template
+        if template is not None:
             journal = "".join([journal_line(q, o, template) for q, o in self.decisions])
         return SimulationResult(
             sim_id=self.sim_id,
@@ -345,30 +344,3 @@ class Simulation:
         err_b = abs(grid_b + mm_b + self.consumed_bonds - init_b) / max(init_b, 1e-12)
         err_c = abs(grid_c + mm_c + self.consumed_cash - init_c) / max(init_c, 1e-12)
         return err_b, err_c
-
-
-def run_simulation(
-    sim_id: int,
-    seed: int,
-    landscape_cfg: LandscapeConfig,
-    agent_cfg: AgentConfig,
-    provider: DecisionProvider,
-    *,
-    max_steps: int = DEFAULT_MAX_STEPS,
-    interbank_runway_steps: float = DEFAULT_INTERBANK_RUNWAY_STEPS,
-    journal_template: PromptTemplate = PromptTemplate.TIMELINESS,
-    keep_journal: bool = False,
-) -> SimulationResult:
-    """Build and run one simulation to its terminal state."""
-    sim = Simulation(
-        sim_id,
-        seed,
-        landscape_cfg,
-        agent_cfg,
-        provider,
-        max_steps=max_steps,
-        interbank_runway_steps=interbank_runway_steps,
-        journal_template=journal_template,
-        keep_journal=keep_journal,
-    )
-    return sim.run()

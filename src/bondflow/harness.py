@@ -52,8 +52,9 @@ from .engine import (
     DEFAULT_INTERBANK_RUNWAY_STEPS,
     DEFAULT_MAX_STEPS,
     CounterpartyKind,
+    Simulation,
     SimulationResult,
-    run_simulation,
+    TerminalReason,
 )
 from .errors import ConfigError
 from .landscape import LandscapeConfig, LognormalParams
@@ -341,7 +342,7 @@ def resolve_config(source: str, overrides: Mapping[str, Any] | None = None) -> E
 _EXECUTION_FIELDS = ("parallelism", "output_dir")
 
 
-def config_to_dict(cfg: ExperimentConfig, *, include_execution: bool = False) -> dict[str, Any]:
+def config_to_dict(cfg: ExperimentConfig) -> dict[str, Any]:
     """Plain-type dict mirror of the config (enums by value), YAML/JSON-safe."""
     import enum
 
@@ -353,9 +354,8 @@ def config_to_dict(cfg: ExperimentConfig, *, include_execution: bool = False) ->
         return obj
 
     data = scrub(cfg)
-    if not include_execution:
-        for name in _EXECUTION_FIELDS:
-            data.pop(name, None)
+    for name in _EXECUTION_FIELDS:
+        del data[name]
     return data
 
 
@@ -369,38 +369,28 @@ def config_hash(cfg: ExperimentConfig) -> str:
 # Batch execution
 
 
-@dataclass(frozen=True)
-class _SimTask:
-    sim_id: int
-    seed: int
-    landscape: LandscapeConfig
-    agents: AgentConfig
-    provider: ProviderConfig
-    replay_slice: list[JournalRecord] | None
-    max_steps: int
-    interbank_runway_steps: float
-    journal_template: PromptTemplate
-    keep_journal: bool
+# One simulation of a batch: (config, sim_id, its replay slice or None).
+_Task = tuple[ExperimentConfig, int, list[JournalRecord] | None]
 
 
-def _run_one_task(task: _SimTask, provider: DecisionProvider | None = None) -> SimulationResult:
+def _run_one_task(task: _Task, provider: DecisionProvider | None = None) -> SimulationResult:
     """Worker entry point; must stay module-level and picklable.
 
     Builds the configured provider unless one is injected.
     """
+    cfg, sim_id, replay_slice = task
     if provider is None:
-        provider = build_provider(task.provider, task.replay_slice)
-    return run_simulation(
-        task.sim_id,
-        task.seed,
-        task.landscape,
-        task.agents,
+        provider = build_provider(cfg.provider, replay_slice)
+    return Simulation(
+        sim_id,
+        simulation_seed(cfg.master_seed, sim_id),
+        cfg.landscape,
+        cfg.agents,
         provider,
-        max_steps=task.max_steps,
-        interbank_runway_steps=task.interbank_runway_steps,
-        journal_template=task.journal_template,
-        keep_journal=task.keep_journal,
-    )
+        max_steps=cfg.max_steps,
+        interbank_runway_steps=cfg.interbank_runway_steps,
+        journal_template=cfg.provider.prompt_template if cfg.journal_enabled() else None,
+    ).run()
 
 
 @dataclass
@@ -452,26 +442,12 @@ def run_batch(
     if provider_factory is None and cfg.provider.kind is ProviderKind.LIVE_LLM:
         build_provider(cfg.provider)  # fail fast on missing credentials
 
-    keep_journal = cfg.journal_enabled()
-    tasks = []
+    tasks: list[_Task] = []
     for i in range(cfg.n_simulations):
         replay_slice: list[JournalRecord] | None = None
         if replay_slices is not None:
             replay_slice = replay_slices[i] if i < len(replay_slices) else []
-        tasks.append(
-            _SimTask(
-                sim_id=i,
-                seed=simulation_seed(cfg.master_seed, i),
-                landscape=cfg.landscape,
-                agents=cfg.agents,
-                provider=cfg.provider,
-                replay_slice=replay_slice,
-                max_steps=cfg.max_steps,
-                interbank_runway_steps=cfg.interbank_runway_steps,
-                journal_template=cfg.provider.prompt_template,
-                keep_journal=keep_journal,
-            )
-        )
+        tasks.append((cfg, i, replay_slice))
 
     results: list[SimulationResult] = []
     aborted: list[tuple[int, str]] = []
@@ -486,13 +462,10 @@ def run_batch(
             return False
         return True
 
-    if provider_factory is not None:
-        for task in tasks:
-            if not note(_run_one_task(task, provider_factory(task.sim_id))):
-                break
-    elif cfg.parallelism <= 1 or cfg.n_simulations == 1:
-        for task in tasks:
-            if not note(_run_one_task(task)):
+    if provider_factory is not None or cfg.parallelism <= 1 or cfg.n_simulations == 1:
+        for sim_id, task in enumerate(tasks):
+            provider = provider_factory(sim_id) if provider_factory is not None else None
+            if not note(_run_one_task(task, provider)):
                 break
     elif cfg.provider.kind is ProviderKind.LIVE_LLM:
         # Threads, not processes: the request-rate limiter must actually be
@@ -509,7 +482,7 @@ def run_batch(
                     break
 
     finished_at = _dt.datetime.now(_dt.timezone.utc)
-    skipped = [t.sim_id for t in tasks[len(results):]]
+    skipped = list(range(len(results), cfg.n_simulations))
 
     completed = [r for r in results if not r.aborted]
     summaries = [summarize_simulation(r) for r in completed]
@@ -703,31 +676,17 @@ def write_tables(
 # Rebuilding tables from a finished output tree (the `tables` command)
 
 
+# summaries.csv cell parsers, keyed by each SimulationSummary field's annotation.
+_SUMMARY_PARSERS: dict[str, Callable[[str], Any]] = {
+    "int": int,
+    "float": float,
+    "TerminalReason | None": lambda raw: TerminalReason(raw) if raw else None,
+}
+
+
 def _parse_summary_row(row: Mapping[str, str]) -> SimulationSummary:
-    def opt_reason(raw: str):
-        from .engine import TerminalReason
-
-        return TerminalReason(raw) if raw else None
-
     return SimulationSummary(
-        sim_id=int(row["sim_id"]),
-        terminal_step=int(row["terminal_step"]),
-        terminal_reason=opt_reason(row["terminal_reason"]),
-        steps_executed=int(row["steps_executed"]),
-        max_life=int(row["max_life"]),
-        mm_client_bond_pct=float(row["mm_client_bond_pct"]),
-        mm_client_cash_pct=float(row["mm_client_cash_pct"]),
-        interbank_bond_pct=float(row["interbank_bond_pct"]),
-        interbank_cash_pct=float(row["interbank_cash_pct"]),
-        contacts=int(row["contacts"]),
-        decision_requests=int(row["decision_requests"]),
-        yes_count=int(row["yes_count"]),
-        no_count=int(row["no_count"]),
-        error_count=int(row["error_count"]),
-        trade_count=int(row["trade_count"]),
-        interbank_trade_count=int(row["interbank_trade_count"]),
-        initial_client_bonds=float(row["initial_client_bonds"]),
-        initial_client_cash=float(row["initial_client_cash"]),
+        **{f.name: _SUMMARY_PARSERS[f.type](row[f.name]) for f in dataclasses.fields(SimulationSummary)}
     )
 
 

@@ -16,11 +16,9 @@ initialization; only trades (in the engine) move holdings around.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from enum import Enum
-from pathlib import Path
 
 import numpy as np
 
@@ -200,15 +198,6 @@ class Landscape:
     def totals(self) -> tuple[float, float]:
         """(total bonds, total cash), summed in a fixed order."""
         return float(self.bonds.sum()), float(self.cash.sum())
-
-    def to_csv(self, path: Path | str) -> None:
-        """Snapshot export: one row per cell, header x,y,bonds,cash."""
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["x", "y", "bonds", "cash"])
-            for y in range(self.cfg.grid_height):
-                for x in range(self.cfg.grid_width):
-                    writer.writerow([x, y, repr(float(self.bonds[y, x])), repr(float(self.cash[y, x]))])
 
 
 def init_landscape(cfg: LandscapeConfig, rng: np.random.Generator) -> Landscape:

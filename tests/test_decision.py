@@ -25,7 +25,6 @@ from bondflow import (
     ReplayProvider,
     SyntheticBurstyProvider,
     build_provider,
-    journal_append,
     load_template,
     normalize_response,
     prompt_hash,
@@ -250,6 +249,11 @@ def outcome_of(state, raw, latency=250):
     return DecisionOutcome(
         state=state, raw_text=raw, provider=ProviderKind.LIVE_LLM, latency_ms=latency
     )
+
+
+def journal_append(path, q, outcome, template=PromptTemplate.TIMELINESS):
+    with open(path, "a", encoding="utf-8", newline="") as fh:
+        fh.write(journal_line(q, outcome, template))
 
 
 def test_journal_line_format_and_parse():

@@ -15,7 +15,6 @@ from bondflow import (
     LandscapeConfig,
     Simulation,
     TerminalReason,
-    run_simulation,
     simulation_seed,
 )
 
@@ -216,10 +215,10 @@ def test_unavailable_clients_are_never_asked():
 
 def test_every_decision_comes_from_an_available_active_slot():
     landscape = LandscapeConfig(grid_width=6, grid_height=6, availability_p=0.5)
-    result = run_simulation(
+    result = Simulation(
         0, simulation_seed(21, 0), landscape, AgentConfig(), BernoulliProvider(0.5),
         max_steps=60,
-    )
+    ).run()
     ceased_at = {mm.id: mm.ceased_at_step for mm in result.mms}
     for q, outcome in result.decisions:
         stamp = ceased_at[q.mm_id]
@@ -233,10 +232,10 @@ def test_every_decision_comes_from_an_available_active_slot():
 def test_yes_obligates_a_trade_attempt():
     # Every client-leg trade pairs with a YES decision for the same
     # (mm, step, cell); every YES without a trade had nothing to move.
-    result = run_simulation(
+    result = Simulation(
         0, simulation_seed(22, 0), SMALL_LANDSCAPE, AgentConfig(), BernoulliProvider(1.0),
         max_steps=40,
-    )
+    ).run()
     yes_keys = {
         (q.mm_id, q.step, q.client_position)
         for q, o in result.decisions
@@ -268,10 +267,10 @@ def test_conservation_holds_after_every_step():
 
 def test_run_is_deterministic():
     def once():
-        return run_simulation(
+        return Simulation(
             3, simulation_seed(33, 3), SMALL_LANDSCAPE, AgentConfig(),
             BernoulliProvider(0.5), max_steps=80,
-        )
+        ).run()
 
     a, b = once(), once()
     assert a.terminal_step == b.terminal_step
@@ -286,10 +285,10 @@ def test_all_refusals_collapse_in_metabolic_time():
     # is set by metabolism alone (plus interbank shuffling).
     terminals = []
     for i in range(20):
-        result = run_simulation(
+        result = Simulation(
             i, simulation_seed(44, i), LandscapeConfig(), AgentConfig(),
             BernoulliProvider(0.0), max_steps=200,
-        )
+        ).run()
         assert result.terminal_reason is TerminalReason.ALL_CEASED
         assert all(
             t.counterparty_kind is CounterpartyKind.MARKET_MAKER for t in result.trades
@@ -300,29 +299,29 @@ def test_all_refusals_collapse_in_metabolic_time():
 
 
 def test_max_steps_zero_and_step_limit_reason():
-    result = run_simulation(
+    result = Simulation(
         0, simulation_seed(55, 0), SMALL_LANDSCAPE, AgentConfig(), BernoulliProvider(0.5),
         max_steps=0,
-    )
+    ).run()
     assert result.steps_executed == 0
     assert result.terminal_step == 0
     assert result.terminal_reason is TerminalReason.STEP_LIMIT
     assert result.trades == [] and result.decisions == []
 
-    capped = run_simulation(
+    capped = Simulation(
         0, simulation_seed(56, 0), SMALL_LANDSCAPE, AgentConfig(), BernoulliProvider(0.5),
         max_steps=5,
-    )
+    ).run()
     if capped.terminal_reason is TerminalReason.STEP_LIMIT:
         assert capped.steps_executed == 5
         assert capped.terminal_step == 4
 
 
 def test_terminal_step_is_last_executed_index():
-    result = run_simulation(
+    result = Simulation(
         0, simulation_seed(57, 0), LandscapeConfig(grid_width=4, grid_height=4),
         AgentConfig(), BernoulliProvider(0.0), max_steps=300,
-    )
+    ).run()
     assert result.terminal_reason is TerminalReason.ALL_CEASED
     last_cease = max(mm.ceased_at_step for mm in result.mms)
     assert result.terminal_step == last_cease

@@ -6,6 +6,9 @@ import csv
 import filecmp
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -208,8 +211,6 @@ def test_config_hash_tracks_experiment_not_execution():
 
     echo = config_to_dict(base)
     assert "parallelism" not in echo and "output_dir" not in echo
-    full = config_to_dict(base, include_execution=True)
-    assert full["parallelism"] == base.parallelism
 
 
 # -- batch outputs -------------------------------------------------------------
@@ -432,3 +433,21 @@ def test_journal_capture_enables_round_trip(tmp_path):
     # under exp2's template must flag every record as a prompt mismatch.
     mismatched = run_batch(replay_cfg)
     assert all(s.error_count == s.decision_requests for s in mismatched.summaries)
+
+
+def test_build_fixtures_reproduces_shipped_corpora(tmp_path):
+    # The script runs from an uninstalled checkout (-I: no PYTHONPATH, no
+    # script directory on sys.path) and rebuilds every shipped fixture byte
+    # for byte; the aversion corpus goes through run_batch(provider_factory=...).
+    repo = Path(__file__).resolve().parent.parent
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+    run = subprocess.run(
+        [sys.executable, "-I", str(repo / "scripts" / "build_fixtures.py"), "--out", str(tmp_path)],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert run.returncode == 0, run.stderr
+    shipped = repo / "src" / "bondflow" / "data" / "fixtures"
+    names = sorted(p.name for p in shipped.iterdir())
+    assert names == ["aversion_replay.jsonl", "reply_fixtures.json", "timeliness_10k.jsonl"]
+    for name in names:
+        assert (tmp_path / name).read_bytes() == (shipped / name).read_bytes(), name

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import csv
 import math
 from statistics import NormalDist
 
@@ -222,17 +221,3 @@ def test_totals_sum_everything():
     tb, tc = grid.totals()
     assert tb == pytest.approx(float(grid.bonds.sum()))
     assert tc == pytest.approx(float(grid.cash.sum()))
-
-
-def test_csv_snapshot_round_trips(tmp_path):
-    grid = init_landscape(LandscapeConfig(grid_width=4, grid_height=3), substream(15, 0))
-    path = tmp_path / "grid.csv"
-    grid.to_csv(path)
-    with open(path, encoding="utf-8", newline="") as fh:
-        rows = list(csv.DictReader(fh))
-    assert len(rows) == 12
-    assert set(rows[0]) == {"x", "y", "bonds", "cash"}
-    for row in rows:
-        x, y = int(row["x"]), int(row["y"])
-        assert float(row["bonds"]) == float(grid.bonds[y, x])
-        assert float(row["cash"]) == float(grid.cash[y, x])
