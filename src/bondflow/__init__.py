@@ -14,9 +14,11 @@ from __future__ import annotations
 from .agents import (
     AgentConfig,
     AgentStatus,
+    BaseRect,
     CeaseRule,
     MarketMakerState,
     apply_costs,
+    base_rect,
     cease_check,
     client_base,
     init_market_makers,
@@ -82,6 +84,7 @@ __version__ = "0.1.0"
 __all__ = [
     "AgentConfig",
     "AgentStatus",
+    "BaseRect",
     "BatchResult",
     "BatchSummary",
     "BernoulliProvider",
@@ -114,6 +117,7 @@ __all__ = [
     "YesRatioSeries",
     "aggregate_batch",
     "apply_costs",
+    "base_rect",
     "build_provider",
     "cease_check",
     "client_base",

@@ -115,19 +115,44 @@ def init_market_makers(
     return agents
 
 
-def client_base(mm: MarketMakerState, grid_dims: tuple[int, int]) -> list[tuple[int, int]]:
+@dataclass(frozen=True, slots=True)
+class BaseRect:
+    """An agent's client base: the grid cells from (x_lo, y_lo), width x height."""
+
+    x_lo: int
+    y_lo: int
+    width: int
+    height: int
+
+    @property
+    def size(self) -> int:
+        return self.width * self.height
+
+    def cell(self, k: int) -> tuple[int, int]:
+        """The k-th cell of the base in row-major order, 0 <= k < size."""
+        return self.x_lo + k % self.width, self.y_lo + k // self.width
+
+
+def base_rect(mm: MarketMakerState, grid_dims: tuple[int, int]) -> BaseRect:
     """Cells within Chebyshev radius floor(breadth/2) of the anchor.
 
-    Clipped to the grid, so a corner anchor serves a smaller base. Returned
-    in row-major order (deterministic); never empty. Immutable over the
-    agent's life - callers may cache it.
+    Clipped to the grid, so a corner anchor serves a smaller base; never
+    empty. Immutable over the agent's life - callers may cache it.
     """
     width, height = grid_dims
     radius = mm.breadth // 2
     ax, ay = mm.anchor
     x_lo, x_hi = max(0, ax - radius), min(width - 1, ax + radius)
     y_lo, y_hi = max(0, ay - radius), min(height - 1, ay + radius)
-    return [(x, y) for y in range(y_lo, y_hi + 1) for x in range(x_lo, x_hi + 1)]
+    return BaseRect(x_lo, y_lo, x_hi - x_lo + 1, y_hi - y_lo + 1)
+
+
+def client_base(mm: MarketMakerState, grid_dims: tuple[int, int]) -> list[tuple[int, int]]:
+    """Every cell of the agent's base (``base_rect``), in row-major order."""
+    r = base_rect(mm, grid_dims)
+    return [
+        (x, y) for y in range(r.y_lo, r.y_lo + r.height) for x in range(r.x_lo, r.x_lo + r.width)
+    ]
 
 
 def cease_check(mm: MarketMakerState, step: int, rule: CeaseRule) -> bool:

@@ -37,6 +37,7 @@ import numpy as np
 
 from .errors import ConfigError, ProviderHardFailure
 from .prompts import PromptTemplate, render_template
+from .seeding import BufferedUniforms
 
 logger = logging.getLogger(__name__)
 
@@ -225,12 +226,29 @@ def split_journal(records: list[JournalRecord]) -> list[list[JournalRecord]]:
 
 
 class DecisionProvider:
-    """Base: one provider instance serves one simulation, sequentially."""
+    """Base: one provider instance serves one simulation, sequentially.
+
+    ``decide`` receives the simulation's provider stream as a plain
+    ``np.random.Generator``, the same object on every call, and is its
+    only consumer.
+    """
 
     kind: ProviderKind
+    _uniforms: BufferedUniforms | None = None
 
     def decide(self, q: DesireQuery, rng: np.random.Generator) -> DecisionOutcome:
         raise NotImplementedError
+
+    def _uniform(self, rng: np.random.Generator) -> float:
+        """The next ``rng.random()``, read ahead in blocks.
+
+        The read-ahead is dropped, and reading starts afresh, whenever a
+        different generator is passed.
+        """
+        uniforms = self._uniforms
+        if uniforms is None or uniforms.rng is not rng:
+            uniforms = self._uniforms = BufferedUniforms(rng)
+        return uniforms.random()
 
 
 # Coin-flip and bursty providers carry no reply text or latency, so every
@@ -250,7 +268,7 @@ class BernoulliProvider(DecisionProvider):
         self.p = p
 
     def decide(self, q: DesireQuery, rng: np.random.Generator) -> DecisionOutcome:
-        return _BERNOULLI_YES if rng.random() < self.p else _BERNOULLI_NO
+        return _BERNOULLI_YES if self._uniform(rng) < self.p else _BERNOULLI_NO
 
 
 class SyntheticBurstyProvider(DecisionProvider):
@@ -280,11 +298,11 @@ class SyntheticBurstyProvider(DecisionProvider):
     def decide(self, q: DesireQuery, rng: np.random.Generator) -> DecisionOutcome:
         if self._state is None:
             self._state = (
-                DecisionState.YES if rng.random() < self.stationary_yes else DecisionState.NO
+                DecisionState.YES if self._uniform(rng) < self.stationary_yes else DecisionState.NO
             )
         emitted = self._state
         stay = self.stay_yes if emitted is DecisionState.YES else self.stay_no
-        if rng.random() >= stay:
+        if self._uniform(rng) >= stay:
             self._state = (
                 DecisionState.NO if emitted is DecisionState.YES else DecisionState.YES
             )

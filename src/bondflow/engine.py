@@ -25,6 +25,12 @@ initial totals holds at every step. The engine does not audit it while it
 runs: the tests check ``conservation_errors()`` after every step, and the
 benchmark checks each finished run's final totals.
 
+Each random stream has one consumer. The contact stream is read ahead in
+blocks and the built-in providers read theirs the same way, with every
+draw equal to the scalar numpy call (see ``seeding``); the engine hands
+the provider its own ``np.random.Generator`` and draws nothing else from
+it.
+
 A run is strictly single-threaded; batch parallelism lives in the harness.
 """
 
@@ -38,7 +44,7 @@ from .agents import (
     CeaseRule,
     MarketMakerState,
     apply_costs,
-    client_base,
+    base_rect,
     init_market_makers,
 )
 from .decision import (
@@ -57,6 +63,7 @@ from .seeding import (
     STREAM_LANDSCAPE_INIT,
     STREAM_PROVIDER,
     STREAM_STEP_ROLLS,
+    BufferedIntegers,
     substream,
 )
 
@@ -132,8 +139,9 @@ class Simulation:
         self.journal_template = journal_template
 
         # Named substreams: provider draws never perturb landscape draws.
+        # The contact pick is the contact stream's one consumer, so it reads ahead.
         self._rng_rolls = substream(seed, STREAM_STEP_ROLLS)
-        self._rng_contact = substream(seed, STREAM_CONTACT_SELECTION)
+        self._contact_draws = BufferedIntegers(substream(seed, STREAM_CONTACT_SELECTION))
         self._rng_provider = substream(seed, STREAM_PROVIDER)
 
         self.grid: Landscape = init_landscape(landscape_cfg, substream(seed, STREAM_LANDSCAPE_INIT))
@@ -142,7 +150,7 @@ class Simulation:
             agent_cfg, dims, substream(seed, STREAM_AGENT_INIT)
         )
         # Bases are immutable; compute once.
-        self._bases: list[list[tuple[int, int]]] = [client_base(mm, dims) for mm in self.mms]
+        self._bases = [base_rect(mm, dims) for mm in self.mms]
 
         self.step_no = 0
         self.seq = 0
@@ -185,7 +193,7 @@ class Simulation:
     def _contact_client(self, mm: MarketMakerState) -> None:
         """One call: pick a client, maybe ask, maybe trade."""
         base = self._bases[mm.id]
-        x, y = base[int(self._rng_contact.integers(len(base)))]
+        x, y = base.cell(self._contact_draws.integers(base.size))
         if not self.grid.is_available(x, y):
             return
         query = DesireQuery(
@@ -263,8 +271,11 @@ class Simulation:
             runway = mm.cash_acc / mm.cash_rate
             if runway >= self.interbank_runway_steps:
                 continue
-            partners = [p for p in active if p.id != mm.id]
-            buyer = max(partners, key=lambda p: (p.cash_acc, -p.id))
+            # Richest peer; ``active`` is in id order, so ties go to the lowest id.
+            buyer = None
+            for p in active:
+                if p is not mm and (buyer is None or p.cash_acc > buyer.cash_acc):
+                    buyer = p
             need = self.interbank_runway_steps * mm.cash_rate - mm.cash_acc
             qty = min(mm.bonds_acc, buyer.cash_acc, need)
             if qty <= 0.0:

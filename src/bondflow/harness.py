@@ -27,6 +27,7 @@ import concurrent.futures
 import dataclasses
 import datetime as _dt
 import hashlib
+import itertools
 import json
 import logging
 import shutil
@@ -57,7 +58,7 @@ from .engine import (
     TerminalReason,
 )
 from .errors import ConfigError
-from .landscape import LandscapeConfig, LognormalParams
+from .landscape import Direction, LandscapeConfig, LognormalParams
 from .metrics import (
     DEFAULT_ROLLING_WINDOW,
     BatchSummary,
@@ -338,12 +339,19 @@ def resolve_config(source: str, overrides: Mapping[str, Any] | None = None) -> E
 
 # Fields that affect how a batch executes but not a single numeric output.
 # They live in the manifest, not the config echo, so output trees stay
-# byte-identical across parallelism degrees and directory choices.
+# byte-identical across parallelism degrees and directory choices. The
+# replay corpus is one of them by location only: the echo names it by the
+# sha256 of its bytes (``provider.replay_sha256``) instead of its path.
 _EXECUTION_FIELDS = ("parallelism", "output_dir")
 
 
 def config_to_dict(cfg: ExperimentConfig) -> dict[str, Any]:
-    """Plain-type dict mirror of the config (enums by value), YAML/JSON-safe."""
+    """Plain-type dict mirror of the config (enums by value), YAML/JSON-safe.
+
+    Execution fields are left out; a set ``provider.replay_path`` becomes
+    ``provider.replay_sha256``, which reads the corpus (ConfigError if it
+    cannot be read).
+    """
     import enum
 
     def scrub(obj: Any) -> Any:
@@ -356,7 +364,22 @@ def config_to_dict(cfg: ExperimentConfig) -> dict[str, Any]:
     data = scrub(cfg)
     for name in _EXECUTION_FIELDS:
         del data[name]
+    provider = data["provider"]
+    if provider["replay_path"] is not None:
+        provider["replay_sha256"] = _file_sha256(provider.pop("replay_path"))
     return data
+
+
+def _file_sha256(path: str) -> str:
+    """sha256 of a file, read in chunks: the echo is written at peak memory."""
+    digest = hashlib.sha256()
+    try:
+        with open(path, "rb") as fh:
+            while chunk := fh.read(1 << 16):
+                digest.update(chunk)
+    except OSError as exc:
+        raise ConfigError(f"cannot read replay corpus: {exc}") from exc
+    return digest.hexdigest()
 
 
 def config_hash(cfg: ExperimentConfig) -> str:
@@ -424,6 +447,8 @@ def run_batch(
     every other contract (journaling, seeding, outputs) intact.
     """
     cfg.validate()
+    if cfg.output_dir is not None:
+        config_hash(cfg)  # reads any replay corpus the echo names: fail before the sims
 
     replay_slices: list[list[JournalRecord]] | None = None
     if provider_factory is None and cfg.provider.kind is ProviderKind.REPLAY:
@@ -548,34 +573,30 @@ def write_outputs(
     for name in stale:
         (out / name).unlink(missing_ok=True)
 
+    # trades, decisions and the series are the bulk of the tree. Their rows
+    # are f-strings streamed to the file one at a time, so memory stays flat.
+    # Every float formatted with !r is a Python float, whose repr is what
+    # str(float(x)) gives; no field can need csv quoting.
+    value = {e: e.value for enum_cls in (Direction, DecisionState, ProviderKind) for e in enum_cls}
     with open(out / TRADES_CSV, "w", encoding="utf-8", newline="") as fh:
-        w = _csv_writer(fh)
-        w.writerow(
-            ["sim_id", "step", "mm_id", "counterparty_kind", "counterparty", "direction", "bond_qty", "cash_qty"]
-        )
+        fh.write("sim_id,step,mm_id,counterparty_kind,counterparty,direction,bond_qty,cash_qty\n")
         for r in batch.results:
-            for t in r.trades:
-                if t.counterparty_kind is CounterpartyKind.CLIENT:
-                    cp = f"{t.counterparty[0]}:{t.counterparty[1]}"
-                else:
-                    cp = str(t.counterparty)
-                direction = t.client_direction.value if t.client_direction else ""
-                w.writerow(
-                    [r.sim_id, t.step, t.mm_id, t.counterparty_kind.value, cp, direction,
-                     _fmt_float(t.bond_qty), _fmt_float(t.cash_qty)]
-                )
+            fh.writelines(
+                f"{r.sim_id},{t.step},{t.mm_id},client,{t.counterparty[0]}:{t.counterparty[1]},"
+                f"{value[t.client_direction]},{t.bond_qty!r},{t.cash_qty!r}\n"
+                if t.counterparty_kind is CounterpartyKind.CLIENT
+                else f"{r.sim_id},{t.step},{t.mm_id},mm,{t.counterparty},,{t.bond_qty!r},{t.cash_qty!r}\n"
+                for t in r.trades
+            )
 
     with open(out / DECISIONS_CSV, "w", encoding="utf-8", newline="") as fh:
-        w = _csv_writer(fh)
-        w.writerow(["sim_id", "seq", "step", "mm_id", "x", "y", "state", "provider"])
-        states = {s: s.value for s in DecisionState}
-        providers = {k: k.value for k in ProviderKind}
-        w.writerows(
-            (q.sim_id, q.sequence_no, q.step, q.mm_id, *q.client_position,
-             states[o.state], providers[o.provider])
-            for r in batch.results
-            for q, o in r.decisions
-        )
+        fh.write("sim_id,seq,step,mm_id,x,y,state,provider\n")
+        for r in batch.results:
+            fh.writelines(
+                f"{q.sim_id},{q.sequence_no},{q.step},{q.mm_id},{q.client_position[0]},"
+                f"{q.client_position[1]},{value[o.state]},{value[o.provider]}\n"
+                for q, o in r.decisions
+            )
 
     with open(out / LIFECYCLE_CSV, "w", encoding="utf-8", newline="") as fh:
         w = _csv_writer(fh)
@@ -605,17 +626,12 @@ def write_outputs(
 
     if batch.series is not None:
         series = batch.series
+        rows = zip(series.positions, series.cumulative)
         with open(out / SERIES_CSV, "w", encoding="utf-8", newline="") as fh:
-            w = _csv_writer(fh)
-            w.writerow(["seq", "cumulative", "rolling"])
-            for i, pos in enumerate(series.positions):
-                roll_idx = i - (series.window - 1)
-                rolling = (
-                    _fmt_float(series.rolling[roll_idx])
-                    if 0 <= roll_idx < len(series.rolling)
-                    else ""
-                )
-                w.writerow([pos, _fmt_float(series.cumulative[i]), rolling])
+            fh.write("seq,cumulative,rolling\n")
+            # The rows before the first full window have no rolling ratio.
+            fh.writelines(f"{pos},{c!r},\n" for pos, c in itertools.islice(rows, series.window - 1))
+            fh.writelines(f"{pos},{c!r},{r!r}\n" for (pos, c), r in zip(rows, series.rolling))
 
     write_tables(out, batch.batch, batch.series)
 
@@ -641,6 +657,7 @@ def write_outputs(
         "n_simulations": cfg.n_simulations,
         "parallelism": cfg.parallelism,
         "output_dir": str(out),
+        "replay_path": cfg.provider.replay_path,
         "completed": len(batch.summaries),
         "aborted": [{"sim_id": sid, "reason": reason} for sid, reason in batch.aborted],
         "skipped": batch.skipped,

@@ -5,6 +5,14 @@ per-simulation seed, which is itself derived from the batch master seed and
 the simulation index by a stable cryptographic hash. Nothing depends on
 process count, wall clock, or Python's hash randomization, so a batch
 replays bit-identically on any platform numpy supports.
+
+Hot streams are read ahead in blocks (``BufferedIntegers``,
+``BufferedUniforms``): each draw equals the scalar numpy call it replaces,
+bit for bit, but the generator itself runs ahead of what has been handed
+out. That is invisible only under the one-consumer contract: a buffered
+generator is read through its buffer alone, by one consumer, for its whole
+life. Drawing from it directly, or through a second buffer, gets values
+the scalar sequence would have handed out later.
 """
 
 from __future__ import annotations
@@ -43,3 +51,71 @@ def simulation_seed(master_seed: int, sim_id: int) -> int:
 def substream(seed: int, stream: int) -> np.random.Generator:
     """A PCG64 generator for one named substream of *seed*."""
     return np.random.default_rng(np.random.SeedSequence([seed, stream]))
+
+
+_WORD_MASK = 0xFFFFFFFF
+BLOCK = 256  # 64-bit outputs read per refill
+
+
+class BufferedIntegers:
+    """Scalar ``rng.integers(n)`` for ``1 <= n <= 2**32``, read ahead in blocks.
+
+    numpy draws a bounded integer below ``2**32`` from the bit generator's
+    32-bit output, which splits each 64-bit PCG64 output into its low half,
+    then its high half. It applies Lemire's multiply-shift (D. Lemire,
+    "Fast Random Integer Generation in an Interval", ACM TOMACS 2019):
+    ``(u32 * n) >> 32``, rejecting while the low word of the product is
+    below ``(2**32 - n) % n``; ``n == 1`` reads nothing. This decodes the
+    same halves from ``random_raw`` blocks, so every value and every
+    rejection matches the scalar call on a fresh generator. One consumer
+    only (see the module docstring).
+    """
+
+    __slots__ = ("_bitgen", "_words", "_pos")
+
+    def __init__(self, rng: np.random.Generator) -> None:
+        self._bitgen = rng.bit_generator
+        self._words: list[int] = []
+        self._pos = 0
+
+    def integers(self, n: int) -> int:
+        if n == 1:
+            return 0
+        if not 1 < n <= 1 << 32:
+            raise ValueError(f"bound {n} outside [1, 2**32]")
+        words, pos = self._words, self._pos
+        while True:
+            if pos == len(words):
+                raw = self._bitgen.random_raw(BLOCK)
+                words = self._words = np.stack((raw & _WORD_MASK, raw >> 32), axis=1).ravel().tolist()
+                pos = 0
+            m = words[pos] * n
+            pos += 1
+            low = m & _WORD_MASK
+            # Only a low word below n can fall under the threshold.
+            if low >= n or low >= ((1 << 32) - n) % n:
+                self._pos = pos
+                return m >> 32
+
+
+class BufferedUniforms:
+    """Scalar ``rng.random()`` read ahead in blocks.
+
+    ``rng.random(k)`` hands out exactly the values of k scalar calls, so
+    each block continues the scalar sequence. One consumer only (see the
+    module docstring); ``rng`` is kept so a caller can tell which
+    generator the buffer reads.
+    """
+
+    __slots__ = ("rng", "_next")
+
+    def __init__(self, rng: np.random.Generator) -> None:
+        self.rng = rng
+        self._next = iter(()).__next__
+
+    def random(self) -> float:
+        try:
+            return self._next()
+        except StopIteration:
+            self._next = iter(self.rng.random(BLOCK).tolist()).__next__
+            return self._next()

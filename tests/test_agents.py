@@ -13,6 +13,7 @@ from bondflow import (
     ConfigError,
     MarketMakerState,
     apply_costs,
+    base_rect,
     cease_check,
     client_base,
     init_market_makers,
@@ -104,6 +105,20 @@ def test_base_even_breadth_radius():
     base4 = client_base(mm(1, 1, breadth=4, anchor=(10, 20)), (50, 50))
     base5 = client_base(mm(1, 1, breadth=5, anchor=(10, 20)), (50, 50))
     assert base4 == base5
+
+
+@pytest.mark.parametrize("breadth", [1, 4, 5, 50])
+@pytest.mark.parametrize(
+    "anchor", [(0, 0), (49, 0), (49, 29), (0, 29), (25, 0), (0, 14), (49, 14), (25, 29), (25, 14)]
+)
+def test_rect_pick_matches_client_base(anchor, breadth):
+    """Corner, edge and interior anchors: the k-th pick is the k-th base cell."""
+    agent = mm(1, 1, breadth=breadth, anchor=anchor)
+    dims = (50, 30)
+    rect = base_rect(agent, dims)
+    base = client_base(agent, dims)
+    assert rect.size == len(base)
+    assert [rect.cell(k) for k in range(rect.size)] == base
 
 
 # -- metabolism and cease rules ----------------------------------------

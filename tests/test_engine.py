@@ -162,6 +162,20 @@ def test_interbank_picks_richest_buyer_lowest_id_tie():
     assert records[0].counterparty == 2  # richest; tie broken to the lower id
 
 
+def test_interbank_needy_richest_sells_to_next_richest():
+    # MM 2 holds the most cash but burns it fastest (runway 9 / 4 < 3), so it
+    # sells to the richest of the others; MMs 1 and 3 tie, and 1 wins.
+    sim = make_sim(agents=AgentConfig(n_agents=4))
+    arm_mms(sim, [(0.0, 2.0, 0.3), (0.0, 6.0, 0.3), (5.0, 9.0, 4.0), (0.0, 6.0, 0.3)])
+    records = sim._interbank_rebalance()
+    assert len(records) == 1
+    rec = records[0]
+    assert (rec.mm_id, rec.counterparty) == (2, 1)
+    assert rec.bond_qty == pytest.approx(3.0)  # need 3 * 4 - 9
+    assert sim.mms[1].cash_acc == pytest.approx(3.0)
+    assert sim.mms[3].cash_acc == 6.0
+
+
 def test_interbank_caps_at_buyer_cash_and_seller_bonds():
     sim = make_sim(agents=AgentConfig(n_agents=2))
     arm_mms(sim, [(10.0, 0.0, 1.0), (0.0, 1.2, 0.2)])  # need 3.0, buyer holds 1.2

@@ -435,6 +435,44 @@ def test_journal_capture_enables_round_trip(tmp_path):
     assert all(s.error_count == s.decision_requests for s in mismatched.summaries)
 
 
+def test_replay_tree_does_not_depend_on_the_corpus_location(tmp_path):
+    # The echo names the corpus by its sha256; its path is an execution
+    # field, kept in the manifest only.
+    corpus = Path(shipped_aversion_corpus()).read_bytes()
+    trees = []
+    for where in ("a", "b/deeper"):
+        path = tmp_path / where / "corpus.jsonl"
+        path.parent.mkdir(parents=True)
+        path.write_bytes(corpus)
+        out = tmp_path / where / "out"
+        run_batch(resolve_preset(
+            "exp2",
+            {"n_simulations": 3, "provider.replay_path": str(path), "output_dir": str(out)},
+        ))
+        manifest = json.loads((out / MANIFEST_JSON).read_text("utf-8"))
+        assert manifest["replay_path"] == str(path)
+        trees.append({
+            p.relative_to(out).as_posix(): p.read_bytes()
+            for p in out.rglob("*")
+            if p.is_file() and p.name != MANIFEST_JSON
+        })
+    assert trees[0] == trees[1]
+    provider = yaml.safe_load(trees[0][CONFIG_ECHO])["provider"]
+    assert "replay_path" not in provider
+    assert provider["replay_sha256"] == hashlib.sha256(corpus).hexdigest()
+
+
+def test_unreadable_replay_path_fails_before_the_sims(tmp_path):
+    # Even a provider that never replays names its corpus in the echo.
+    cfg = resolve_preset(
+        "exp3",
+        {"provider.replay_path": str(tmp_path / "missing.jsonl"), "output_dir": str(tmp_path / "out")},
+    )
+    with pytest.raises(ConfigError, match="replay corpus"):
+        run_batch(cfg)
+    assert not (tmp_path / "out").exists()
+
+
 def test_build_fixtures_reproduces_shipped_corpora(tmp_path):
     # The script runs from an uninstalled checkout (-I: no PYTHONPATH, no
     # script directory on sys.path) and rebuilds every shipped fixture byte
