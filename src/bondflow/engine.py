@@ -223,10 +223,8 @@ class Simulation:
         cash it can, capped at par value. Buy: par swap capped by both the
         client's cash and the MM's bond inventory.
         """
-        bonds = float(self.grid.bonds[y, x])
-        cash = float(self.grid.cash[y, x])
         if direction is Direction.SELL:
-            bond_qty = bonds
+            bond_qty = float(self.grid.bonds[y, x])
             cash_qty = min(mm.cash_acc, bond_qty)
             if bond_qty <= 0.0 and cash_qty <= 0.0:
                 return None
@@ -234,7 +232,7 @@ class Simulation:
             mm.bonds_acc += bond_qty
             mm.cash_acc -= cash_qty
         else:
-            qty = min(cash, mm.bonds_acc)
+            qty = min(float(self.grid.cash[y, x]), mm.bonds_acc)
             if qty <= 0.0:
                 return None
             bond_qty = cash_qty = qty

@@ -69,7 +69,6 @@ from .metrics import (
     render_full_stats_table,
     render_yes_ratio_table,
     summarize_simulation,
-    summary_field_names,
     yes_ratio_series,
 )
 from .prompts import PromptTemplate
@@ -539,14 +538,16 @@ def run_batch(
 # Output assembly
 
 
-def _csv_writer(fh):
-    import csv
-
-    return csv.writer(fh, lineterminator="\n")
-
-
-def _fmt_float(x: float) -> str:
-    return str(float(x))
+# summaries.csv cell (format, parse), keyed by each SimulationSummary field's
+# annotation. Summary floats are Python floats, so repr is their shortest form.
+_SUMMARY_CELLS: dict[str, tuple[Callable[[Any], str], Callable[[str], Any]]] = {
+    "int": (str, int),
+    "float": (repr, float),
+    "TerminalReason | None": (
+        lambda reason: reason.value if reason else "",
+        lambda raw: TerminalReason(raw) if raw else None,
+    ),
+}
 
 
 def write_outputs(
@@ -599,30 +600,20 @@ def write_outputs(
             )
 
     with open(out / LIFECYCLE_CSV, "w", encoding="utf-8", newline="") as fh:
-        w = _csv_writer(fh)
-        w.writerow(["sim_id", "mm_id", "ceased_at_step", "breadth", "bond_rate", "cash_rate"])
+        fh.write("sim_id,mm_id,ceased_at_step,breadth,bond_rate,cash_rate\n")
         for r in batch.results:
-            for mm in r.mms:
-                ceased = "" if mm.ceased_at_step is None else mm.ceased_at_step
-                w.writerow(
-                    [r.sim_id, mm.id, ceased, mm.breadth, _fmt_float(mm.bond_rate), _fmt_float(mm.cash_rate)]
-                )
+            fh.writelines(
+                f"{r.sim_id},{mm.id},{'' if mm.ceased_at_step is None else mm.ceased_at_step},"
+                f"{mm.breadth},{mm.bond_rate!r},{mm.cash_rate!r}\n"
+                for mm in r.mms
+            )
 
+    cells = [(f.name, _SUMMARY_CELLS[f.type][0]) for f in dataclasses.fields(SimulationSummary)]
     with open(out / SUMMARIES_CSV, "w", encoding="utf-8", newline="") as fh:
-        w = _csv_writer(fh)
-        names = summary_field_names()
-        w.writerow(names)
-        for s in batch.summaries:
-            row = []
-            for name in names:
-                value = getattr(s, name)
-                if name == "terminal_reason":
-                    row.append(value.value if value else "")
-                elif isinstance(value, float):
-                    row.append(_fmt_float(value))
-                else:
-                    row.append(value)
-            w.writerow(row)
+        fh.write(",".join(name for name, _ in cells) + "\n")
+        fh.writelines(
+            ",".join(fmt(getattr(s, name)) for name, fmt in cells) + "\n" for s in batch.summaries
+        )
 
     if batch.series is not None:
         series = batch.series
@@ -693,17 +684,9 @@ def write_tables(
 # Rebuilding tables from a finished output tree (the `tables` command)
 
 
-# summaries.csv cell parsers, keyed by each SimulationSummary field's annotation.
-_SUMMARY_PARSERS: dict[str, Callable[[str], Any]] = {
-    "int": int,
-    "float": float,
-    "TerminalReason | None": lambda raw: TerminalReason(raw) if raw else None,
-}
-
-
 def _parse_summary_row(row: Mapping[str, str]) -> SimulationSummary:
     return SimulationSummary(
-        **{f.name: _SUMMARY_PARSERS[f.type](row[f.name]) for f in dataclasses.fields(SimulationSummary)}
+        **{f.name: _SUMMARY_CELLS[f.type][1](row[f.name]) for f in dataclasses.fields(SimulationSummary)}
     )
 
 
@@ -725,14 +708,21 @@ def load_output_dir(out: Path | str) -> tuple[list[SimulationSummary], list[Deci
     return summaries, states
 
 
-def rebuild_tables(out: Path | str, window: int = DEFAULT_ROLLING_WINDOW) -> dict[str, str]:
+def rebuild_tables(out: Path | str, window: int | None = None) -> dict[str, str]:
     """Recompute and rewrite the stats tables from a run's CSV logs.
 
-    Returns the pretty text of each table keyed by table kind.
+    ``window`` defaults to the run's own rolling window, read from its
+    config echo. Returns the pretty text of each table keyed by table kind.
     """
     out = Path(out)
     summaries, states = load_output_dir(out)
     if not summaries:
         raise ConfigError(f"{out} holds no completed simulations to tabulate")
+    if window is None:
+        echo = out / CONFIG_ECHO
+        try:
+            window = int(yaml.safe_load(echo.read_text(encoding="utf-8"))["rolling_window"])
+        except (OSError, yaml.YAMLError, TypeError, KeyError, ValueError) as exc:
+            raise ConfigError(f"cannot read the rolling window from {echo}: {exc}") from exc
     series = yes_ratio_series(states, window) if states else None
     return write_tables(out, aggregate_batch(summaries), series)

@@ -3,9 +3,12 @@
 Everything here is a pure function over logs. Two properties matter:
 
 - Recount equivalence: every summary field is recomputable from the raw
-  CSV logs, and the recount matches the in-memory summary EXACTLY (same
-  float values), because both paths sum the same numbers in the same
-  order and CSV floats round-trip through shortest-repr formatting.
+  CSV logs. ``summarize_simulation`` (the in-memory result) and
+  ``recount_simulation`` (parsed CSV rows) feed one tally the same trade
+  legs and decision states in the same order, and CSV floats round-trip
+  through shortest-repr formatting, so the recount matches the summary
+  EXACTLY. Since the tally is shared, the recount's exact-equality test
+  checks that the logs carry every input it needs.
 - Ratio arithmetic: rolling-window yes ratios are integer window counts
   divided once, so an all-yes window is exactly 1.0 and an all-no window
   exactly 0.0 (float convolution would give 0.9999999999999999).
@@ -16,9 +19,10 @@ semantics) and tallied separately.
 
 from __future__ import annotations
 
-import io
 import csv
-from dataclasses import dataclass, fields
+import io
+from collections import Counter
+from dataclasses import astuple, dataclass
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -47,7 +51,8 @@ CLIENT_TABLE_COLUMNS = [
     "MM-to-Client Cash Trading (%)",
 ]
 CLIENT_TABLE_ROWS = ["Mean", "Std", "25%", "50%", "75%", "Max"]
-YES_RATIO_TABLE_COLUMNS = ["Statistic", "Yes/No Ratio (%)", "Rolling 10 Requests (%)"]
+# At the default window; render_yes_ratio_table names the series' own window.
+YES_RATIO_TABLE_COLUMNS = ["Statistic", "Yes/No Ratio (%)", f"Rolling {DEFAULT_ROLLING_WINDOW} Requests (%)"]
 YES_RATIO_TABLE_ROWS = ["Mean", "Std Dev", "Min", "Max"]
 
 
@@ -127,55 +132,77 @@ def _share_pct(part: float, total: float) -> float:
     return 100.0 * part / total
 
 
-def summarize_simulation(result: SimulationResult) -> SimulationSummary:
-    """All per-run metrics from the final state bundle."""
+def _tally(
+    legs: Iterable[tuple[bool, float, float]],
+    states: Iterable[DecisionState],
+    cease_steps: Sequence[int | None],
+    *,
+    sim_id: int,
+    terminal_step: int,
+    terminal_reason: TerminalReason | None,
+    steps_executed: int,
+    contacts: int,
+    initial_client_bonds: float,
+    initial_client_cash: float,
+) -> SimulationSummary:
+    """The summary count both the in-memory and the recount path use.
+
+    Trade legs are (is_client, bond_qty, cash_qty) and, like the decision
+    states, come in log order; a cease step is None for an MM still alive.
+    The keyword fields are echoed into the summary.
+    """
     client_bond_vol = client_cash_vol = 0.0
     ib_bond_vol = ib_cash_vol = 0.0
     trade_count = interbank_trade_count = 0
-    for trade in result.trades:
-        if trade.counterparty_kind is CounterpartyKind.CLIENT:
-            client_bond_vol += trade.bond_qty
-            client_cash_vol += trade.cash_qty
+    for is_client, bond_qty, cash_qty in legs:
+        if is_client:
+            client_bond_vol += bond_qty
+            client_cash_vol += cash_qty
             trade_count += 1
         else:
-            ib_bond_vol += trade.bond_qty
-            ib_cash_vol += trade.cash_qty
+            ib_bond_vol += bond_qty
+            ib_cash_vol += cash_qty
             interbank_trade_count += 1
-
-    yes = no = err = 0
-    for _, outcome in result.decisions:
-        if outcome.state is DecisionState.YES:
-            yes += 1
-        elif outcome.state is DecisionState.NO:
-            no += 1
-        else:
-            err += 1
-
-    if result.steps_executed == 0:
-        max_life = 0
-    else:
-        max_life = max(
-            mm.ceased_at_step if mm.ceased_at_step is not None else result.terminal_step
-            for mm in result.mms
-        )
-
+    counts = Counter(states)
+    requests = sum(counts.values())
+    yes, no = counts[DecisionState.YES], counts[DecisionState.NO]
+    max_life = 0
+    if steps_executed and cease_steps:
+        max_life = max(terminal_step if c is None else c for c in cease_steps)
     return SimulationSummary(
+        sim_id=sim_id,
+        terminal_step=terminal_step,
+        terminal_reason=terminal_reason,
+        steps_executed=steps_executed,
+        max_life=max_life,
+        mm_client_bond_pct=_client_pct(client_bond_vol, initial_client_bonds),
+        mm_client_cash_pct=_client_pct(client_cash_vol, initial_client_cash),
+        interbank_bond_pct=_share_pct(ib_bond_vol, client_bond_vol + ib_bond_vol),
+        interbank_cash_pct=_share_pct(ib_cash_vol, client_cash_vol + ib_cash_vol),
+        contacts=contacts,
+        decision_requests=requests,
+        yes_count=yes,
+        no_count=no,
+        error_count=requests - yes - no,
+        trade_count=trade_count,
+        interbank_trade_count=interbank_trade_count,
+        initial_client_bonds=initial_client_bonds,
+        initial_client_cash=initial_client_cash,
+    )
+
+
+def summarize_simulation(result: SimulationResult) -> SimulationSummary:
+    """All per-run metrics from the final state bundle."""
+    client = CounterpartyKind.CLIENT
+    return _tally(
+        ((t.counterparty_kind is client, t.bond_qty, t.cash_qty) for t in result.trades),
+        (outcome.state for _, outcome in result.decisions),
+        [mm.ceased_at_step for mm in result.mms],
         sim_id=result.sim_id,
         terminal_step=result.terminal_step,
         terminal_reason=result.terminal_reason,
         steps_executed=result.steps_executed,
-        max_life=max_life,
-        mm_client_bond_pct=_client_pct(client_bond_vol, result.initial_client_bonds),
-        mm_client_cash_pct=_client_pct(client_cash_vol, result.initial_client_cash),
-        interbank_bond_pct=_share_pct(ib_bond_vol, client_bond_vol + ib_bond_vol),
-        interbank_cash_pct=_share_pct(ib_cash_vol, client_cash_vol + ib_cash_vol),
         contacts=result.contacts,
-        decision_requests=len(result.decisions),
-        yes_count=yes,
-        no_count=no,
-        error_count=err,
-        trade_count=trade_count,
-        interbank_trade_count=interbank_trade_count,
         initial_client_bonds=result.initial_client_bonds,
         initial_client_cash=result.initial_client_cash,
     )
@@ -273,69 +300,32 @@ def recount_simulation(
     Row iterables must be in file order (which is append order) so that
     float summation reproduces the original exactly. The scalar run facts
     (terminal step/reason, denominators) are echoed inputs from the
-    summaries log; everything else is recounted.
+    summaries log; everything else is recounted. Contacts are one per
+    active MM per executed step.
     """
-    client_bond_vol = client_cash_vol = 0.0
-    ib_bond_vol = ib_cash_vol = 0.0
-    trade_count = interbank_trade_count = 0
-    for row in trade_rows:
-        if int(row["sim_id"]) != sim_id:
-            continue
-        if row["counterparty_kind"] == CounterpartyKind.CLIENT.value:
-            client_bond_vol += float(row["bond_qty"])
-            client_cash_vol += float(row["cash_qty"])
-            trade_count += 1
-        else:
-            ib_bond_vol += float(row["bond_qty"])
-            ib_cash_vol += float(row["cash_qty"])
-            interbank_trade_count += 1
 
-    yes = no = err = requests = 0
-    for row in decision_rows:
-        if int(row["sim_id"]) != sim_id:
-            continue
-        requests += 1
-        state = DecisionState(row["state"])
-        if state is DecisionState.YES:
-            yes += 1
-        elif state is DecisionState.NO:
-            no += 1
-        else:
-            err += 1
+    def own(rows: Iterable[Mapping[str, str]]) -> Iterable[Mapping[str, str]]:
+        return (row for row in rows if int(row["sim_id"]) == sim_id)
 
-    cease_steps: list[int | None] = []
-    for row in lifecycle_rows:
-        if int(row["sim_id"]) != sim_id:
-            continue
-        raw = row["ceased_at_step"].strip()
-        cease_steps.append(int(raw) if raw else None)
-
-    if steps_executed == 0 or not cease_steps:
-        max_life = 0
-        contacts = 0
-    else:
-        max_life = max(terminal_step if c is None else c for c in cease_steps)
-        contacts = sum(
-            sum(1 for c in cease_steps if c is None or c >= s) for s in range(steps_executed)
-        )
-
-    return SimulationSummary(
+    client = CounterpartyKind.CLIENT.value
+    cease_steps = [
+        int(raw) if (raw := row["ceased_at_step"].strip()) else None for row in own(lifecycle_rows)
+    ]
+    contacts = sum(
+        sum(1 for c in cease_steps if c is None or c >= s) for s in range(steps_executed)
+    )
+    return _tally(
+        (
+            (row["counterparty_kind"] == client, float(row["bond_qty"]), float(row["cash_qty"]))
+            for row in own(trade_rows)
+        ),
+        (DecisionState(row["state"]) for row in own(decision_rows)),
+        cease_steps,
         sim_id=sim_id,
         terminal_step=terminal_step,
         terminal_reason=terminal_reason,
         steps_executed=steps_executed,
-        max_life=max_life,
-        mm_client_bond_pct=_client_pct(client_bond_vol, initial_client_bonds),
-        mm_client_cash_pct=_client_pct(client_cash_vol, initial_client_cash),
-        interbank_bond_pct=_share_pct(ib_bond_vol, client_bond_vol + ib_bond_vol),
-        interbank_cash_pct=_share_pct(ib_cash_vol, client_cash_vol + ib_cash_vol),
         contacts=contacts,
-        decision_requests=requests,
-        yes_count=yes,
-        no_count=no,
-        error_count=err,
-        trade_count=trade_count,
-        interbank_trade_count=interbank_trade_count,
         initial_client_bonds=initial_client_bonds,
         initial_client_cash=initial_client_cash,
     )
@@ -372,57 +362,34 @@ def _render_pretty(columns: Sequence[str], rows: Sequence[Sequence[str]]) -> str
     return "\n".join(lines) + "\n"
 
 
-def _stat_cell(stat: StatRow, row_label: str) -> float:
-    key = {
-        "mean": "mean",
-        "std": "std",
-        "std dev": "std",
-        "25%": "p25",
-        "50%": "p50",
-        "75%": "p75",
-        "max": "max",
-    }[row_label.lower()]
-    return getattr(stat, key)
+def _render_table(
+    columns: Sequence[str],
+    row_labels: Sequence[str],
+    stats: Sequence[StatRow | SeriesStats],
+    scale: float = 1.0,
+) -> tuple[str, str]:
+    """One column per stats record, one row per field in field order (csv, pretty)."""
+    rows = [
+        [label, *(_format_value(scale * v) for v in values)]
+        for label, values in zip(row_labels, zip(*map(astuple, stats)), strict=True)
+    ]
+    return _render_csv(columns, rows), _render_pretty(columns, rows)
 
 
 def render_full_stats_table(batch: BatchSummary) -> tuple[str, str]:
     """Table of MaxLife plus client and interbank volume shares (csv, pretty)."""
-    metric_order = BATCH_METRIC_FIELDS
-    rows = []
-    for label in FULL_TABLE_ROWS:
-        rows.append(
-            [label] + [_format_value(_stat_cell(batch.metrics[m], label)) for m in metric_order]
-        )
-    return _render_csv(FULL_TABLE_COLUMNS, rows), _render_pretty(FULL_TABLE_COLUMNS, rows)
+    stats = [batch.metrics[m] for m in BATCH_METRIC_FIELDS]
+    return _render_table(FULL_TABLE_COLUMNS, FULL_TABLE_ROWS, stats)
 
 
 def render_client_stats_table(batch: BatchSummary) -> tuple[str, str]:
     """Table of MaxLife plus client volume shares only (csv, pretty)."""
-    metric_order = ("max_life", "mm_client_bond_pct", "mm_client_cash_pct")
-    rows = []
-    for label in CLIENT_TABLE_ROWS:
-        rows.append(
-            [label] + [_format_value(_stat_cell(batch.metrics[m], label)) for m in metric_order]
-        )
-    return _render_csv(CLIENT_TABLE_COLUMNS, rows), _render_pretty(CLIENT_TABLE_COLUMNS, rows)
+    stats = [batch.metrics[m] for m in ("max_life", "mm_client_bond_pct", "mm_client_cash_pct")]
+    return _render_table(CLIENT_TABLE_COLUMNS, CLIENT_TABLE_ROWS, stats)
 
 
 def render_yes_ratio_table(series: YesRatioSeries) -> tuple[str, str]:
     """Table of cumulative vs rolling ratio statistics, in percent (csv, pretty)."""
-    cum = series_stats(series.cumulative)
-    roll = series_stats(series.rolling)
-    cells = {
-        "Mean": (cum.mean, roll.mean),
-        "Std Dev": (cum.std, roll.std),
-        "Min": (cum.min, roll.min),
-        "Max": (cum.max, roll.max),
-    }
-    rows = []
-    for label in YES_RATIO_TABLE_ROWS:
-        c, r = cells[label]
-        rows.append([label, _format_value(100.0 * c), _format_value(100.0 * r)])
-    return _render_csv(YES_RATIO_TABLE_COLUMNS, rows), _render_pretty(YES_RATIO_TABLE_COLUMNS, rows)
-
-
-def summary_field_names() -> list[str]:
-    return [f.name for f in fields(SimulationSummary)]
+    columns = [*YES_RATIO_TABLE_COLUMNS[:2], f"Rolling {series.window} Requests (%)"]
+    stats = [series_stats(series.cumulative), series_stats(series.rolling)]
+    return _render_table(columns, YES_RATIO_TABLE_ROWS, stats, scale=100.0)

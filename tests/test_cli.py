@@ -13,7 +13,7 @@ from bondflow.cli import (
     EXIT_PROVIDER_FAILURE,
     main,
 )
-from bondflow.harness import JOURNAL_DIR, MANIFEST_JSON, SUMMARIES_CSV
+from bondflow.harness import CONFIG_ECHO, JOURNAL_DIR, MANIFEST_JSON, SUMMARIES_CSV, TABLE_FILES
 
 
 def test_run_preset_writes_outputs(tmp_path, capsys):
@@ -64,6 +64,23 @@ def test_tables_command_reprints_tables(tmp_path, capsys):
     stdout = capsys.readouterr().out
     assert "MaxLife" in stdout
     assert "Yes/No Ratio (%)" in stdout
+
+
+def test_tables_command_keeps_the_runs_rolling_window(tmp_path):
+    cfg_path = tmp_path / "w5.yaml"
+    cfg_path.write_text(
+        "preset: exp3\nn_simulations: 3\nmax_steps: 60\nrolling_window: 5\n", encoding="utf-8"
+    )
+    out = tmp_path / "run"
+    assert main(["run", str(cfg_path), "--out", str(out)]) == EXIT_OK
+    names = [name for pair in TABLE_FILES.values() for name in pair]
+    before = {name: (out / name).read_bytes() for name in names}
+    assert b"Rolling 5 Requests (%)" in before["stats_yes_ratio.csv"]
+    assert main(["tables", str(out)]) == EXIT_OK
+    assert {name: (out / name).read_bytes() for name in names} == before
+    # Without its config echo a tree does not say which window it used.
+    (out / CONFIG_ECHO).unlink()
+    assert main(["tables", str(out)]) == EXIT_CONFIG_ERROR
 
 
 def test_tables_on_missing_dir_is_config_error(tmp_path):

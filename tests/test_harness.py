@@ -248,6 +248,12 @@ def test_batch_csv_schemas(mini_batch):
     ]
     with open(out / LIFECYCLE_CSV, encoding="utf-8", newline="") as fh:
         assert sum(1 for _ in csv.DictReader(fh)) == 4 * 4  # sims x agents
+    assert header(SUMMARIES_CSV) == [
+        "sim_id", "terminal_step", "terminal_reason", "steps_executed", "max_life",
+        "mm_client_bond_pct", "mm_client_cash_pct", "interbank_bond_pct", "interbank_cash_pct",
+        "contacts", "decision_requests", "yes_count", "no_count", "error_count",
+        "trade_count", "interbank_trade_count", "initial_client_bonds", "initial_client_cash",
+    ]
 
 
 def test_manifest_contents(mini_batch):
@@ -354,6 +360,58 @@ def tree_bytes(root: Path) -> dict[str, bytes]:
         for p in root.rglob("*")
         if p.is_file() and p.name != MANIFEST_JSON
     }
+
+
+# sha256 of every file but the manifest for a small journaled exp3 batch and a
+# small exp2 replay batch, recorded before the summary tally, the table
+# renderer and the lifecycle/summaries writers were each merged into one. A
+# mismatch means an output byte changed.
+PINNED_TREES = {
+    "exp3-journal": ("exp3", {"n_simulations": 3, "max_steps": 80, "master_seed": 42}),
+    "exp2-replay": ("exp2", {"n_simulations": 3}),
+}
+PINNED_TREE_SHA256 = {
+    "exp3-journal": {
+        "decisions.csv": "44421cbbb33f55a1e948264112c9f0f6ada03129dc9ef41f854724cf11e0145a",
+        "journals/sim_0000.jsonl": "2e6ce4ab829a8c3034ebe96898a4cef82bc1061bf7538ee0c90fdbde48a88971",
+        "journals/sim_0001.jsonl": "adac55c861d14394281291f3ca9e0029cd348d826d079faefa741a4e7b3e8f42",
+        "journals/sim_0002.jsonl": "cbaad61725622f4208d433cb5308f5eaba237717ef94b9a96576c311d575c760",
+        "lifecycle.csv": "828b9cd9f8a896775ca7458e66803bf48fdcfe7d066d4e0d40f595123eeeccd7",
+        "resolved_config.yaml": "929aca4e250c64bf755429941eedf4193841ea92111a4ee1b3316edc826b1d5b",
+        "stats_client.csv": "f8e54d6a06c7f14f825d50388f9f202f46ef3e83d5fdbb5eabf81535cd7aa653",
+        "stats_client.txt": "d6866fa3ea087c10dcdb4dbd731cce85f1dc261dcfb5ecc41b7fd274eccc1c2c",
+        "stats_full.csv": "2b8247ad408f09b5bddca8fe0cc9b679341a6ce5d7841692d3928529a59b08c7",
+        "stats_full.txt": "0d8640ef61230bd82ec49ed7531b739cc348c07f32de98484b675445650cf7c2",
+        "stats_yes_ratio.csv": "3ce4b5efac9e9e8591948eb4678b4ccfd8cd0c2bb9c63132ee31ddf10210dca6",
+        "stats_yes_ratio.txt": "14703291b03e6d7fd32d906150a7d434b8f91e49a1c964400733a2159f716441",
+        "summaries.csv": "ee9f89e18aec1837ebe9b964021e5ba8832758560d623bf7847f7bdb67b00905",
+        "trades.csv": "b6d99141948645046b75a731801e7279314245edde3c9df231af8017df61f826",
+        "yes_ratio_series.csv": "e350e3a09235e7e5a60d29d4e591cec4892a367aff4c5ce5a1e0b4aca2dcf045",
+    },
+    "exp2-replay": {
+        "decisions.csv": "acb2eac996dfef600298650060844fb81e32ea2714527bb700dbc8aba6250553",
+        "lifecycle.csv": "a6ce42f15196573c20c138db086a37fd6f27dafebae29f1943093008f01956f9",
+        "resolved_config.yaml": "8791abbff10d0f7bbe8862644334c68ac01238b275a8ec2e97f56e5775b8df43",
+        "stats_client.csv": "bdd5948b1ad1278406316bd4731347a542c16970b703900e860b6fcbe1091a24",
+        "stats_client.txt": "e514371bfe0dc60dde76e16fd5da2f38cf2e71d616ba1f5e8c7a8559b4fe20a1",
+        "stats_full.csv": "17ba4cd72eb31d568bc5f0fc30affea52f29ce2ac22fef83c0d2eb8c22741ef1",
+        "stats_full.txt": "8905dcba69fb2ee518535cab19cc5ae93529e38d4a55ca46ebb750f465957d04",
+        "stats_yes_ratio.csv": "3965dffae4fa4e56b98e61350527a96dfb388c5c9b99752165df4996b8b417a8",
+        "stats_yes_ratio.txt": "08578b3a73c750b1ec0b3b42d8922b3f7665bb2d1c0c14676ad1234881e14aa8",
+        "summaries.csv": "b4903f304a4576bc33af786de68941e401a2720e0c694db4afd82164cf66bedc",
+        "trades.csv": "2b6ff1ad76cc2ab37b8f9561129d91346080d0d192ad4cc6c12a5d771bd3db25",
+        "yes_ratio_series.csv": "205ef6494d6536c0428f39e692d9c26bac1fe48bce8d953c0913151d5cd8a132",
+    },
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_TREES))
+def test_whole_tree_bytes_pinned(tmp_path, name):
+    preset, overrides = PINNED_TREES[name]
+    out = tmp_path / name
+    run_batch(resolve_preset(preset, {**overrides, "output_dir": str(out)}))
+    digests = {path: hashlib.sha256(data).hexdigest() for path, data in tree_bytes(out).items()}
+    assert digests == PINNED_TREE_SHA256[name]
 
 
 @pytest.mark.parametrize(

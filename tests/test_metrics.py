@@ -34,7 +34,6 @@ from bondflow.metrics import (
     render_full_stats_table,
     render_yes_ratio_table,
     series_stats,
-    summary_field_names,
 )
 
 Y, N, E = DecisionState.YES, DecisionState.NO, DecisionState.ERROR
@@ -308,12 +307,6 @@ def test_recount_matches_summaries_exactly(mini_batch):
         assert rebuilt == original  # exact equality, floats included
 
 
-def test_summary_field_names_cover_dataclass():
-    names = summary_field_names()
-    assert names[0] == "sim_id"
-    assert "max_life" in names and "interbank_cash_pct" in names
-
-
 # -- table rendering -------------------------------------------------------
 
 
@@ -348,6 +341,15 @@ def test_yes_ratio_table_schema_and_values():
     mean_pct = float(lines[1].split(",")[1])
     assert mean_pct == pytest.approx(100 * sum(series.cumulative) / len(series.cumulative), abs=0.01)
     assert "Rolling 10 Requests (%)" in pretty
+
+
+def test_yes_ratio_table_names_its_window():
+    series = yes_ratio_series([Y, N, Y, Y, N, N, Y], window=5)
+    csv_text, pretty = render_yes_ratio_table(series)
+    assert csv_text.splitlines()[0] == "Statistic,Yes/No Ratio (%),Rolling 5 Requests (%)"
+    assert "Rolling 5 Requests (%)" in pretty.splitlines()[0]
+    # Rolling stats over the three full windows: 3/5, 2/5, 3/5.
+    assert csv_text.splitlines()[1].split(",")[2] == "53.3333"
 
 
 def test_full_table_statistic_values_trace_to_batch():
