@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import csv
+import dataclasses
 from pathlib import Path
 
 import numpy as np
@@ -16,6 +17,7 @@ from bondflow import (
     MarketMakerState,
     ProviderKind,
     SimulationResult,
+    SimulationSummary,
     TerminalReason,
     TradeRecord,
     aggregate_batch,
@@ -305,6 +307,17 @@ def test_recount_matches_summaries_exactly(mini_batch):
             initial_client_cash=float(row["initial_client_cash"]),
         )
         assert rebuilt == original  # exact equality, floats included
+
+
+def test_summary_field_names_cover_dataclass():
+    from bondflow.harness import _SUMMARY_CELLS
+
+    fields = dataclasses.fields(SimulationSummary)
+    names = [f.name for f in fields]
+    assert names[0] == "sim_id"
+    assert "max_life" in names and "interbank_cash_pct" in names
+    # Every field has a writer and a parser, so summaries.csv covers the whole dataclass.
+    assert all(f.type in _SUMMARY_CELLS for f in fields)
 
 
 # -- table rendering -------------------------------------------------------
