@@ -135,7 +135,7 @@ def _cmd_replay(args: argparse.Namespace) -> int:
         overrides["parallelism"] = args.parallel
     cfg = resolve_config(args.config, overrides)
     # The replay command's semantics ARE replay, so the provider swap here
-    # is not an override contradiction - it bypasses preset kind locks.
+    # is not an override contradiction - it bypasses the preset's pins.
     cfg = replace(cfg, provider=replace(cfg.provider, kind=ProviderKind.REPLAY, replay_path=args.journal))
     if cfg.output_dir is None:
         cfg = replace(cfg, output_dir=_default_out_name(args.config) + "-replay")

@@ -9,10 +9,14 @@ Three presets mirror the study this package reproduces:
 - exp3: a timeliness-prompt society, availability 0.40, 150 runs. Offline
   by default via the calibrated bursty provider; live is opt-in.
 
-Config precedence: CLI flags > config file > preset. A preset also locks
-the fields that define it (exp1 IS the coin-flip experiment, so overriding
-its prompt template or bernoulli probability elsewhere is a contradiction,
-not an override).
+Config precedence: CLI flags > config file > preset. A preset also pins
+the values of the fields that define it (exp1 IS the coin-flip experiment,
+so another prompt template is a contradiction, not an override). Pins are
+checked on the resolved values, so restating a pinned field at its preset's
+value is fine, and a run's own ``resolved_config.yaml`` loads back. The
+preset itself comes only from the preset name or a config file's
+``preset:`` key; it cannot be overridden. Every value is checked against
+its field's type, and None fits only a field whose default is None.
 
 Batches are deterministic: per-sim seeds derive from the master seed, all
 output files are written in sim order with fixed formatting, and the
@@ -26,6 +30,8 @@ from __future__ import annotations
 import concurrent.futures
 import dataclasses
 import datetime as _dt
+import enum
+import functools
 import hashlib
 import itertools
 import json
@@ -34,11 +40,11 @@ import shutil
 from dataclasses import dataclass, field, replace
 from importlib import resources
 from pathlib import Path
-from typing import Any, Callable, Mapping
+from typing import Any, Callable, Mapping, get_args, get_type_hints
 
 import yaml
 
-from .agents import AgentConfig, CeaseRule
+from .agents import AgentConfig
 from .decision import (
     DecisionProvider,
     DecisionState,
@@ -58,7 +64,7 @@ from .engine import (
     TerminalReason,
 )
 from .errors import ConfigError
-from .landscape import Direction, LandscapeConfig, LognormalParams
+from .landscape import Direction, LandscapeConfig
 from .metrics import (
     DEFAULT_ROLLING_WINDOW,
     BatchSummary,
@@ -75,8 +81,6 @@ from .prompts import PromptTemplate
 from .seeding import simulation_seed
 
 logger = logging.getLogger(__name__)
-
-PRESET_NAMES = ("exp1", "exp2", "exp3")
 
 TRADES_CSV = "trades.csv"
 DECISIONS_CSV = "decisions.csv"
@@ -143,161 +147,150 @@ class ExperimentConfig:
 # Presets and config resolution
 
 
-def _build_preset(name: str) -> ExperimentConfig:
-    if name == "exp1":
-        return ExperimentConfig(
-            landscape=LandscapeConfig(availability_p=0.20),
-            provider=ProviderConfig(kind=ProviderKind.BERNOULLI, bernoulli_p=0.5),
-            n_simulations=200,
-            preset="exp1",
-        )
-    if name == "exp2":
-        return ExperimentConfig(
-            landscape=LandscapeConfig(availability_p=0.20),
-            provider=ProviderConfig(
-                kind=ProviderKind.REPLAY,
-                replay_path=shipped_aversion_corpus(),
-                prompt_template=PromptTemplate.AVERSION2,
-            ),
-            n_simulations=200,
-            preset="exp2",
-        )
-    if name == "exp3":
-        return ExperimentConfig(
-            landscape=LandscapeConfig(availability_p=0.40),
-            provider=ProviderConfig(
-                kind=ProviderKind.SYNTHETIC_BURSTY,
-                prompt_template=PromptTemplate.TIMELINESS,
-            ),
-            n_simulations=150,
-            preset="exp3",
-        )
-    raise ConfigError(f"unknown preset {name!r} (expected one of {', '.join(PRESET_NAMES)})")
-
-
-# Fields a preset pins. Overriding one of these is a contradiction.
-_PRESET_PROVIDER_KINDS: dict[str, set[ProviderKind]] = {
-    "exp1": {ProviderKind.BERNOULLI},
-    "exp2": {ProviderKind.REPLAY, ProviderKind.LIVE_LLM},
-    "exp3": {ProviderKind.SYNTHETIC_BURSTY, ProviderKind.REPLAY, ProviderKind.LIVE_LLM},
+# Each preset: its values over the config defaults, as dotted keys, and its
+# pins: the values each pinned field may take. A pin is checked on the
+# resolved value, so restating a pinned field at the preset's value is fine.
+_PRESETS: dict[str, tuple[dict[str, Any], dict[str, set[Any]]]] = {
+    "exp1": (
+        {
+            "landscape.availability_p": 0.20,
+            "provider.kind": ProviderKind.BERNOULLI,
+            "provider.bernoulli_p": 0.5,
+            "n_simulations": 200,
+        },
+        {
+            "provider.kind": {ProviderKind.BERNOULLI},
+            "provider.prompt_template": {PromptTemplate.TIMELINESS},
+            "provider.replay_path": {None},
+            "provider.burst_stay_yes": {ProviderConfig.burst_stay_yes},
+            "provider.burst_stay_no": {ProviderConfig.burst_stay_no},
+        },
+    ),
+    "exp2": (
+        {
+            "landscape.availability_p": 0.20,
+            "provider.kind": ProviderKind.REPLAY,
+            "provider.replay_path": shipped_aversion_corpus(),
+            "provider.prompt_template": PromptTemplate.AVERSION2,
+            "n_simulations": 200,
+        },
+        {
+            "provider.kind": {ProviderKind.REPLAY, ProviderKind.LIVE_LLM},
+            "provider.prompt_template": {
+                PromptTemplate.AVERSION1, PromptTemplate.AVERSION2, PromptTemplate.AVERSION3,
+            },
+            "provider.bernoulli_p": {ProviderConfig.bernoulli_p},
+            "provider.burst_stay_yes": {ProviderConfig.burst_stay_yes},
+            "provider.burst_stay_no": {ProviderConfig.burst_stay_no},
+        },
+    ),
+    "exp3": (
+        {
+            "landscape.availability_p": 0.40,
+            "provider.kind": ProviderKind.SYNTHETIC_BURSTY,
+            "provider.prompt_template": PromptTemplate.TIMELINESS,
+            "n_simulations": 150,
+        },
+        {
+            "provider.kind": {
+                ProviderKind.SYNTHETIC_BURSTY, ProviderKind.REPLAY, ProviderKind.LIVE_LLM,
+            },
+            "provider.prompt_template": {PromptTemplate.TIMELINESS},
+            "provider.bernoulli_p": {ProviderConfig.bernoulli_p},
+        },
+    ),
 }
-_PRESET_LOCKED_KEYS: dict[str, set[str]] = {
-    "exp1": {
-        "provider.prompt_template",
-        "provider.replay_path",
-        "provider.burst_stay_yes",
-        "provider.burst_stay_no",
-    },
-    "exp2": {"provider.bernoulli_p", "provider.burst_stay_yes", "provider.burst_stay_no"},
-    "exp3": {"provider.bernoulli_p"},
-}
-_PRESET_TEMPLATES: dict[str, set[PromptTemplate]] = {
-    "exp2": {PromptTemplate.AVERSION1, PromptTemplate.AVERSION2, PromptTemplate.AVERSION3},
-    "exp3": {PromptTemplate.TIMELINESS},
-}
+PRESET_NAMES = tuple(_PRESETS)
 
-_ENUM_FIELDS: dict[str, Callable[[str], Any]] = {
-    "landscape.lognormal_params": LognormalParams,
-    "agents.cease_rule": CeaseRule,
-    "provider.kind": ProviderKind,
-    "provider.prompt_template": PromptTemplate,
-}
-
-_SECTION_TYPES = {"landscape": LandscapeConfig, "agents": AgentConfig, "provider": ProviderConfig}
+_SECTIONS = ("landscape", "agents", "provider")
 
 
-def _coerce(path: str, value: Any) -> Any:
-    if path in _ENUM_FIELDS and isinstance(value, str):
-        enum_cls = _ENUM_FIELDS[path]
-        try:
-            return enum_cls(value)
-        except ValueError as exc:
-            raise ConfigError(f"invalid value {value!r} for {path}") from exc
-    return value
-
-
-def _apply_updates(
-    cfg: ExperimentConfig, updates: Mapping[str, Any]
-) -> tuple[ExperimentConfig, set[str]]:
-    """Apply dotted-key updates; returns (new config, touched key paths)."""
-    touched: set[str] = set()
-    section_updates: dict[str, dict[str, Any]] = {}
-    top_updates: dict[str, Any] = {}
-    top_fields = {f.name for f in dataclasses.fields(ExperimentConfig)}
-    for key, value in updates.items():
-        if value is None and key not in ("journal", "output_dir"):
-            continue
-        if "." in key:
-            section, _, leaf = key.partition(".")
-        elif key in _SECTION_TYPES:
-            # whole-section dict from a config file
-            if not isinstance(value, Mapping):
-                raise ConfigError(f"config section {key!r} must be a mapping")
-            for leaf, leaf_value in value.items():
-                _check_section_field(key, leaf)
-                path = f"{key}.{leaf}"
-                section_updates.setdefault(key, {})[leaf] = _coerce(path, leaf_value)
-                touched.add(path)
-            continue
+def _field_types(cls: type, prefix: str = "") -> dict[str, tuple[type, ...]]:
+    """The types each config field may hold, by dotted key."""
+    types: dict[str, tuple[type, ...]] = {}
+    for name, hint in get_type_hints(cls).items():
+        if dataclasses.is_dataclass(hint):
+            types.update(_field_types(hint, f"{name}."))
         else:
-            section, leaf = "", key
-        if section:
-            _check_section_field(section, leaf)
-            path = f"{section}.{leaf}"
-            section_updates.setdefault(section, {})[leaf] = _coerce(path, value)
-            touched.add(path)
-        else:
-            if leaf not in top_fields or leaf in _SECTION_TYPES:
-                raise ConfigError(f"unknown config key {leaf!r}")
-            top_updates[leaf] = _coerce(leaf, value)
-            touched.add(leaf)
-    for section, section_vals in section_updates.items():
-        current = getattr(cfg, section)
-        cfg = replace(cfg, **{section: replace(current, **section_vals)})
-    if top_updates:
-        cfg = replace(cfg, **top_updates)
-    return cfg, touched
+            types[prefix + name] = get_args(hint) or (hint,)
+    return types
 
 
-def _check_section_field(section: str, leaf: str) -> None:
-    if section not in _SECTION_TYPES:
-        raise ConfigError(f"unknown config section {section!r}")
-    names = {f.name for f in dataclasses.fields(_SECTION_TYPES[section])}
-    if leaf not in names:
-        raise ConfigError(f"unknown config key {section}.{leaf!r}")
+_FIELD_TYPES = _field_types(ExperimentConfig)
 
 
-def _check_preset_locks(preset: str, cfg: ExperimentConfig, touched: set[str]) -> None:
-    locked = _PRESET_LOCKED_KEYS.get(preset, set())
-    clash = sorted(touched & locked)
-    if clash:
-        raise ConfigError(
-            f"preset {preset} pins {', '.join(clash)}; overriding contradicts the preset"
-        )
-    allowed_kinds = _PRESET_PROVIDER_KINDS.get(preset)
-    if allowed_kinds and cfg.provider.kind not in allowed_kinds:
-        names = ", ".join(sorted(k.value for k in allowed_kinds))
-        raise ConfigError(
-            f"preset {preset} requires a provider kind in {{{names}}}, got {cfg.provider.kind.value}"
-        )
-    allowed_templates = _PRESET_TEMPLATES.get(preset)
-    if allowed_templates and cfg.provider.prompt_template not in allowed_templates:
-        names = ", ".join(sorted(t.value for t in allowed_templates))
-        raise ConfigError(
-            f"preset {preset} requires a prompt template in {{{names}}}, "
-            f"got {cfg.provider.prompt_template.value}"
-        )
+def _coerce(key: str, value: Any) -> Any:
+    """``value`` checked against the field's type.
+
+    An enum field takes a member or its value. A float field takes an int,
+    kept unconverted so an echo keeps its bytes; a bool is not an int. None
+    fits only a field whose default is None.
+    """
+    if key not in _FIELD_TYPES:
+        raise ConfigError(f"unknown config key {key!r}")
+    for t in _FIELD_TYPES[key]:
+        if type(value) is t or (t is float and type(value) is int):
+            return value
+        if issubclass(t, enum.Enum) and isinstance(value, str):
+            try:
+                return t(value)
+            except ValueError:
+                raise ConfigError(f"invalid value {value!r} for {key}") from None
+    expected = " or ".join("null" if t is type(None) else t.__name__ for t in _FIELD_TYPES[key])
+    raise ConfigError(f"{key} must be {expected}, got {value!r}")
+
+
+def _apply_updates(cfg: ExperimentConfig, *layers: Mapping[str, Any]) -> ExperimentConfig:
+    """Apply layers of updates in order, a later layer winning.
+
+    A key is dotted (``provider.kind``) or names a whole section with a
+    mapping, as a config file writes it.
+    """
+    flat: dict[str, Any] = {}
+    for layer in layers:
+        for key, value in layer.items():
+            if key == "preset":
+                raise ConfigError("preset cannot be overridden; name it as the source or in a config file")
+            if key in _SECTIONS:
+                if not isinstance(value, Mapping):
+                    raise ConfigError(f"config section {key!r} must be a mapping")
+                flat.update((f"{key}.{leaf}", leaf_value) for leaf, leaf_value in value.items())
+            else:
+                flat[key] = value
+    updates: dict[str, dict[str, Any]] = {}
+    for key, value in flat.items():
+        value = _coerce(key, value)
+        section, _, leaf = key.rpartition(".")
+        updates.setdefault(section, {})[leaf] = value
+    top = updates.pop("", {})
+    for section, values in updates.items():
+        top[section] = replace(getattr(cfg, section), **values)
+    return replace(cfg, **top)
+
+
+def _resolve(preset: str | None, *layers: Mapping[str, Any]) -> ExperimentConfig:
+    """Defaults, then the preset's values, then each layer; pins checked."""
+    if preset is not None and preset not in PRESET_NAMES:
+        raise ConfigError(f"unknown preset {preset!r} (expected one of {', '.join(PRESET_NAMES)})")
+    values, pins = _PRESETS[preset] if preset else ({}, {})
+    cfg = _apply_updates(ExperimentConfig(preset=preset), values, *layers)
+    for key, allowed in pins.items():
+        value = functools.reduce(getattr, key.split("."), cfg)
+        if value not in allowed:
+            shown = ", ".join(sorted(str(getattr(v, "value", v)) for v in allowed))
+            raise ConfigError(
+                f"preset {preset} pins {key} to {{{shown}}}; "
+                f"{getattr(value, 'value', value)!r} contradicts the preset"
+            )
+    cfg.validate()
+    return cfg
 
 
 def resolve_preset(
     name: str, overrides: Mapping[str, Any] | None = None
 ) -> ExperimentConfig:
-    """Preset base plus explicit dotted-key overrides, contradiction-checked."""
-    cfg = _build_preset(name)
-    cfg, touched = _apply_updates(cfg, overrides or {})
-    _check_preset_locks(name, cfg, touched)
-    cfg.validate()
-    return cfg
+    """Preset base plus explicit dotted-key overrides, pin-checked."""
+    return _resolve(name, overrides or {})
 
 
 def load_config_file(path: Path | str, overrides: Mapping[str, Any] | None = None) -> ExperimentConfig:
@@ -315,16 +308,7 @@ def load_config_file(path: Path | str, overrides: Mapping[str, Any] | None = Non
         raise ConfigError(f"invalid YAML in {path}: {exc}") from exc
     if not isinstance(data, dict):
         raise ConfigError(f"config file {path} must contain a mapping")
-    preset = data.pop("preset", None)
-    if preset is not None and preset not in PRESET_NAMES:
-        raise ConfigError(f"unknown preset {preset!r} in config file")
-    cfg = _build_preset(preset) if preset else ExperimentConfig()
-    cfg, touched_file = _apply_updates(cfg, data)
-    cfg, touched_cli = _apply_updates(cfg, overrides or {})
-    if preset:
-        _check_preset_locks(preset, cfg, touched_file | touched_cli)
-    cfg.validate()
-    return cfg
+    return _resolve(data.pop("preset", None), data, overrides or {})
 
 
 def resolve_config(source: str, overrides: Mapping[str, Any] | None = None) -> ExperimentConfig:
@@ -351,7 +335,6 @@ def config_to_dict(cfg: ExperimentConfig) -> dict[str, Any]:
     ``provider.replay_sha256``, which reads the corpus (ConfigError if it
     cannot be read).
     """
-    import enum
 
     def scrub(obj: Any) -> Any:
         if dataclasses.is_dataclass(obj) and not isinstance(obj, type):

@@ -7,13 +7,25 @@ from pathlib import Path
 
 import pytest
 
+import yaml
+
+from bondflow import load_config_file, resolve_preset, run_batch
 from bondflow.cli import (
     EXIT_CONFIG_ERROR,
     EXIT_OK,
+    EXIT_PARTIAL_BATCH,
     EXIT_PROVIDER_FAILURE,
     main,
 )
-from bondflow.harness import CONFIG_ECHO, JOURNAL_DIR, MANIFEST_JSON, SUMMARIES_CSV, TABLE_FILES
+from bondflow.harness import (
+    CONFIG_ECHO,
+    JOURNAL_DIR,
+    MANIFEST_JSON,
+    SUMMARIES_CSV,
+    TABLE_FILES,
+    config_hash,
+)
+from gateway import GatewayStub
 
 
 def test_run_preset_writes_outputs(tmp_path, capsys):
@@ -47,6 +59,43 @@ def test_run_live_without_token_is_provider_failure(tmp_path, monkeypatch):
         ["run", "exp2", "--live", "--sims", "1", "--out", str(tmp_path / "x")]
     )
     assert rc == EXIT_PROVIDER_FAILURE
+
+
+def test_live_rejection_mid_batch_is_partial(tmp_path, monkeypatch):
+    # The gateway refuses the first request: sim 0 aborts, sim 1 is skipped.
+    monkeypatch.setenv("TEST_GATEWAY_TOKEN", "tok")
+    with GatewayStub([(401, {})]) as stub:
+        path = tmp_path / "live.yaml"
+        path.write_text(
+            yaml.safe_dump({
+                "preset": "exp2",
+                "n_simulations": 2,
+                "max_steps": 40,
+                "provider": {
+                    "endpoint_url": stub.url,
+                    "token_env": "TEST_GATEWAY_TOKEN",
+                    "max_retries": 0,
+                    "rate_limit_rps": 10_000.0,
+                },
+            }),
+            encoding="utf-8",
+        )
+        out = tmp_path / "x"
+        rc = main(["run", str(path), "--live", "--out", str(out)])
+    assert rc == EXIT_PARTIAL_BATCH
+    assert len(stub.requests) == 1
+    manifest = json.loads((out / MANIFEST_JSON).read_text(encoding="utf-8"))
+    assert manifest["status"] == "partial" and manifest["skipped"] == [1]
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["n_simulations: ten\n", "landscape: {grid_width: null}\n", "n_simulations: null\n"],
+)
+def test_wrongly_typed_config_file_is_config_error(tmp_path, text):
+    path = tmp_path / "bad.yaml"
+    path.write_text(text, encoding="utf-8")
+    assert main(["run", str(path), "--out", str(tmp_path / "x")]) == EXIT_CONFIG_ERROR
 
 
 def test_live_flag_conflicts_with_locked_preset(tmp_path):
@@ -88,8 +137,6 @@ def test_tables_on_missing_dir_is_config_error(tmp_path):
 
 
 def replay_config_file(tmp_path, sims, seed):
-    import yaml
-
     path = tmp_path / "replay-config.yaml"
     path.write_text(
         yaml.safe_dump({"preset": "exp1", "n_simulations": sims, "master_seed": seed}),
@@ -139,3 +186,23 @@ def test_replay_pads_short_corpus_with_error_journals(tmp_path):
 def test_missing_required_args_exit_nonzero():
     with pytest.raises(SystemExit):
         main(["run"])  # argparse exits on missing source
+
+
+@pytest.mark.parametrize("preset", ["exp1", "exp3"])
+def test_config_echo_loads_back(tmp_path, preset):
+    # A run's resolved_config.yaml is a config for run and replay: it
+    # restates every pinned field at its preset's value.
+    out = tmp_path / "run"
+    cfg = resolve_preset(preset, {"n_simulations": 2, "max_steps": 60, "output_dir": str(out)})
+    run_batch(cfg)
+    echo = out / CONFIG_ECHO
+    assert config_hash(load_config_file(echo)) == config_hash(cfg)
+
+    corpus = tmp_path / "corpus.jsonl"
+    corpus.write_text(
+        "".join(p.read_text(encoding="utf-8") for p in sorted((out / JOURNAL_DIR).glob("*.jsonl"))),
+        encoding="utf-8",
+    )
+    replay_out = tmp_path / "replayed"
+    assert main(["replay", str(corpus), str(echo), "--out", str(replay_out)]) == EXIT_OK
+    assert (replay_out / SUMMARIES_CSV).read_bytes() == (out / SUMMARIES_CSV).read_bytes()

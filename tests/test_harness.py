@@ -15,10 +15,12 @@ import pytest
 import yaml
 
 from bondflow import (
+    BernoulliProvider,
     CeaseRule,
     ConfigError,
     DecisionState,
     PromptTemplate,
+    ProviderHardFailure,
     ProviderKind,
     load_config_file,
     rebuild_tables,
@@ -144,6 +146,52 @@ def test_unknown_override_key_rejected():
         resolve_preset("exp1", {"landscape.gravity": 9.8})
     with pytest.raises(ConfigError):
         resolve_preset("exp1", {"wormholes": True})
+
+
+def test_preset_cannot_be_overridden(tmp_path):
+    # A preset comes from the preset name or a config file's preset: key only.
+    with pytest.raises(ConfigError, match="preset"):
+        resolve_preset("exp1", {"preset": "exp3"})
+    path = tmp_path / "c.yaml"
+    path.write_text(yaml.safe_dump({"preset": "exp1"}), encoding="utf-8")
+    with pytest.raises(ConfigError, match="preset"):
+        load_config_file(path, {"preset": "exp3"})
+
+
+def test_pins_hold_on_values_not_on_keys():
+    # Restating a pinned field at the preset's own value is no contradiction.
+    cfg = resolve_preset(
+        "exp1",
+        {"provider.prompt_template": "timeliness", "provider.replay_path": None,
+         "provider.burst_stay_yes": 0.656, "provider.kind": "bernoulli"},
+    )
+    assert cfg == resolve_preset("exp1")
+    assert resolve_preset("exp3", {"provider.bernoulli_p": 0.5}) == resolve_preset("exp3")
+
+
+@pytest.mark.parametrize(
+    "overrides",
+    [
+        {"n_simulations": "ten"},
+        {"n_simulations": None},
+        {"master_seed": True},  # a bool is not an int
+        {"journal": 1},
+        {"landscape.grid_width": None},
+        {"landscape.availability_p": "0.3"},
+        {"provider.kind": 3},
+        {"landscape": None},
+    ],
+)
+def test_wrongly_typed_values_rejected(overrides):
+    with pytest.raises(ConfigError):
+        resolve_preset("exp1", overrides)
+
+
+def test_int_for_float_field_kept_unconverted():
+    # Converting would change the bytes of an echo that holds the int.
+    cfg = resolve_preset("exp1", {"interbank_runway_steps": 2, "journal": None})
+    assert type(cfg.interbank_runway_steps) is int
+    assert cfg.journal is None
 
 
 # -- config files -------------------------------------------------------------
@@ -430,6 +478,39 @@ def test_rerun_into_same_dir_leaves_no_stale_files(tmp_path, second_run):
     run_batch(exp3(2, reused, second_run))
     run_batch(exp3(2, fresh, second_run))
     assert tree_bytes(reused) == tree_bytes(fresh)
+
+
+class FailsOnDecision(BernoulliProvider):
+    """A coin flip that fails hard on its ``n``-th decision (0-based)."""
+
+    def __init__(self, n):
+        super().__init__(0.5)
+        self.left = n
+
+    def decide(self, q, rng):
+        if self.left == 0:
+            raise ProviderHardFailure("gateway gone")
+        self.left -= 1
+        return super().decide(q, rng)
+
+
+def test_aborted_batch_keeps_what_ran(tmp_path):
+    out = tmp_path / "partial"
+    result = run_batch(
+        mini_config(out),
+        provider_factory=lambda sim_id: FailsOnDecision(5) if sim_id == 1 else BernoulliProvider(0.5),
+    )
+    assert result.aborted == [(1, "gateway gone")]
+    assert result.skipped == [2, 3]
+    assert not result.ok
+    manifest = json.loads((out / MANIFEST_JSON).read_text("utf-8"))
+    assert manifest["status"] == "partial"
+    assert manifest["aborted"] == [{"sim_id": 1, "reason": "gateway gone"}]
+    with open(out / SUMMARIES_CSV, encoding="utf-8", newline="") as fh:
+        assert [row["sim_id"] for row in csv.DictReader(fh)] == ["0"]
+    with open(out / DECISIONS_CSV, encoding="utf-8", newline="") as fh:
+        sim1 = [row["seq"] for row in csv.DictReader(fh) if row["sim_id"] == "1"]
+    assert sim1 == ["0", "1", "2", "3", "4"]  # the decisions made before the failure
 
 
 def test_exp2_preset_runs_trade_free(tmp_path):
