@@ -48,7 +48,7 @@ class AgentConfig:
     breadth_max: int = 50
     cease_rule: CeaseRule = CeaseRule.BOTH_EXHAUSTED
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if self.n_agents < 1:
             raise ConfigError("n_agents must be >= 1")
         ranges = [
@@ -91,7 +91,6 @@ def init_market_makers(
     Per-agent draw order is fixed (bonds, cash, bond rate, cash rate,
     breadth, anchor x, anchor y) so seeds reproduce exactly.
     """
-    cfg.validate()
     width, height = grid_dims
     agents: list[MarketMakerState] = []
     for i in range(cfg.n_agents):

@@ -139,7 +139,6 @@ def _cmd_replay(args: argparse.Namespace) -> int:
     cfg = replace(cfg, provider=replace(cfg.provider, kind=ProviderKind.REPLAY, replay_path=args.journal))
     if cfg.output_dir is None:
         cfg = replace(cfg, output_dir=_default_out_name(args.config) + "-replay")
-    cfg.validate()
     result = run_batch(cfg)
     return _report_batch(result)
 

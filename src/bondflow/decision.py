@@ -99,7 +99,7 @@ class ProviderConfig:
     timeout_s: float = 30.0
     rate_limit_rps: float = 4.0
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if self.kind is ProviderKind.BERNOULLI:
             if not 0.0 <= self.bernoulli_p <= 1.0:
                 raise ConfigError("bernoulli_p must lie in [0, 1]")
@@ -386,7 +386,6 @@ class LiveLLMProvider(DecisionProvider):
 
         import requests
 
-        cfg.validate()
         token = os.environ.get(cfg.token_env, "")
         if not token:
             raise ProviderHardFailure(
@@ -457,19 +456,16 @@ def build_provider(
 ) -> DecisionProvider:
     """Instantiate the provider for one simulation.
 
-    For replay, the caller passes this simulation's slice of the recorded
-    corpus (the harness splits a concatenated corpus across simulations);
-    if omitted, the whole file at replay_path is used.
+    A replay provider needs ``replay_records``, this simulation's slice of
+    the recorded corpus (the harness splits a concatenated corpus across
+    simulations).
     """
-    cfg.validate()
     if cfg.kind is ProviderKind.BERNOULLI:
         return BernoulliProvider(cfg.bernoulli_p)
     if cfg.kind is ProviderKind.SYNTHETIC_BURSTY:
         return SyntheticBurstyProvider(cfg.burst_stay_yes, cfg.burst_stay_no)
     if cfg.kind is ProviderKind.REPLAY:
-        records = replay_records
-        if records is None:
-            assert cfg.replay_path is not None
-            records = read_journal(cfg.replay_path)
-        return ReplayProvider(records, cfg.prompt_template)
+        if replay_records is None:
+            raise ConfigError("a replay provider needs its simulation's journal records")
+        return ReplayProvider(replay_records, cfg.prompt_template)
     return LiveLLMProvider(cfg)

@@ -153,7 +153,6 @@ class Simulation:
         self._bases = [base_rect(mm, dims) for mm in self.mms]
 
         self.step_no = 0
-        self.seq = 0
         self.contacts = 0
         self.trades: list[TradeRecord] = []
         self.decisions: list[tuple[DesireQuery, DecisionOutcome]] = []
@@ -203,9 +202,8 @@ class Simulation:
             client_position=(x, y),
             client_bonds=float(self.grid.bonds[y, x]),
             client_cash=float(self.grid.cash[y, x]),
-            sequence_no=self.seq,
+            sequence_no=len(self.decisions),
         )
-        self.seq += 1
         outcome = self.provider.decide(query, self._rng_provider)
         self.decisions.append((query, outcome))
         if outcome.state is not DecisionState.YES:
@@ -249,22 +247,17 @@ class Simulation:
             cash_qty=cash_qty,
         )
 
-    def _interbank_rebalance(
-        self, active: list[MarketMakerState] | None = None
-    ) -> list[TradeRecord]:
+    def _interbank_rebalance(self, active: list[MarketMakerState]) -> None:
         """Cash-poor MMs sell bonds at par to the richest-cash peer.
 
         Needy = cash runway (cash / cash rate) below the configured
         threshold. Processed in id order; the buyer is re-picked per needy
         MM (ties to the lowest id); at most one trade per needy MM per
         step; zero-quantity outcomes are skipped. ``active`` is the step's
-        list of Active MMs, computed here when not given.
+        list of Active MMs, in id order. Trades are appended to ``trades``.
         """
-        records: list[TradeRecord] = []
-        if active is None:
-            active = [mm for mm in self.mms if mm.active]
         if len(active) < 2:
-            return records
+            return
         for mm in active:
             runway = mm.cash_acc / mm.cash_rate
             if runway >= self.interbank_runway_steps:
@@ -291,9 +284,7 @@ class Simulation:
                 bond_qty=qty,
                 cash_qty=qty,
             )
-            records.append(record)
             self.trades.append(record)
-        return records
 
     # -- whole-run API -------------------------------------------------
 

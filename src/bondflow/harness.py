@@ -16,18 +16,21 @@ checked on the resolved values, so restating a pinned field at its preset's
 value is fine, and a run's own ``resolved_config.yaml`` loads back. The
 preset itself comes only from the preset name or a config file's
 ``preset:`` key; it cannot be overridden. Every value is checked against
-its field's type, and None fits only a field whose default is None.
+its field's type, and None fits only a field whose default is None. Each
+config checks its own values when it is built.
 
 Batches are deterministic: per-sim seeds derive from the master seed, all
 output files are written in sim order with fixed formatting, and the
 parallelism degree never changes a byte of output. The manifest is the
 single file carrying wall-clock data, so determinism checks compare trees
-excluding it.
+excluding it. A batch builds its config echo once, before the sims, and the
+manifest's ``config_sha256`` is that echo's hash.
 """
 
 from __future__ import annotations
 
 import concurrent.futures
+import contextlib
 import dataclasses
 import datetime as _dt
 import enum
@@ -122,10 +125,7 @@ class ExperimentConfig:
     journal: bool | None = None  # None = journal unless replaying
     preset: str | None = None
 
-    def validate(self) -> None:
-        self.landscape.validate()
-        self.agents.validate()
-        self.provider.validate()
+    def __post_init__(self) -> None:
         if self.n_simulations < 1:
             raise ConfigError("n_simulations must be >= 1")
         if self.parallelism < 1:
@@ -244,7 +244,9 @@ def _apply_updates(cfg: ExperimentConfig, *layers: Mapping[str, Any]) -> Experim
     """Apply layers of updates in order, a later layer winning.
 
     A key is dotted (``provider.kind``) or names a whole section with a
-    mapping, as a config file writes it.
+    mapping, as a config file writes it. ``provider.replay_sha256``, which
+    an echo writes in place of the corpus path, is accepted only when it is
+    the sha256 of the resolved ``provider.replay_path``, and then dropped.
     """
     flat: dict[str, Any] = {}
     for layer in layers:
@@ -257,6 +259,7 @@ def _apply_updates(cfg: ExperimentConfig, *layers: Mapping[str, Any]) -> Experim
                 flat.update((f"{key}.{leaf}", leaf_value) for leaf, leaf_value in value.items())
             else:
                 flat[key] = value
+    replay_sha256 = flat.pop("provider.replay_sha256", None)
     updates: dict[str, dict[str, Any]] = {}
     for key, value in flat.items():
         value = _coerce(key, value)
@@ -265,7 +268,12 @@ def _apply_updates(cfg: ExperimentConfig, *layers: Mapping[str, Any]) -> Experim
     top = updates.pop("", {})
     for section, values in updates.items():
         top[section] = replace(getattr(cfg, section), **values)
-    return replace(cfg, **top)
+    cfg = replace(cfg, **top)
+    if replay_sha256 is not None:
+        path = cfg.provider.replay_path
+        if path is None or _file_sha256(path) != replay_sha256:
+            raise ConfigError(f"provider.replay_sha256 is not the sha256 of the replay corpus ({path})")
+    return cfg
 
 
 def _resolve(preset: str | None, *layers: Mapping[str, Any]) -> ExperimentConfig:
@@ -282,7 +290,6 @@ def _resolve(preset: str | None, *layers: Mapping[str, Any]) -> ExperimentConfig
                 f"preset {preset} pins {key} to {{{shown}}}; "
                 f"{getattr(value, 'value', value)!r} contradicts the preset"
             )
-    cfg.validate()
     return cfg
 
 
@@ -364,10 +371,15 @@ def _file_sha256(path: str) -> str:
     return digest.hexdigest()
 
 
+def _echo_hash(echo: Mapping[str, Any]) -> str:
+    """sha256 of a config echo's canonical JSON."""
+    canon = json.dumps(echo, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(canon.encode("utf-8")).hexdigest()
+
+
 def config_hash(cfg: ExperimentConfig) -> str:
     """Content hash of the resolved config; changes iff any field changes."""
-    canon = json.dumps(config_to_dict(cfg), sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(canon.encode("utf-8")).hexdigest()
+    return _echo_hash(config_to_dict(cfg))
 
 
 # --------------------------------------------------------------------------
@@ -424,17 +436,18 @@ def run_batch(
 ) -> BatchResult:
     """Run the whole batch and (if output_dir is set) write the artifact tree.
 
+    The config echo is built once, before the sims, so an unreadable
+    replay corpus fails the batch before any sim runs.
+
     provider_factory injects a custom provider per sim_id (testing and
     fixture capture); it bypasses the configured provider kind but keeps
     every other contract (journaling, seeding, outputs) intact.
     """
-    cfg.validate()
-    if cfg.output_dir is not None:
-        config_hash(cfg)  # reads any replay corpus the echo names: fail before the sims
+    out_dir = Path(cfg.output_dir) if cfg.output_dir else None
+    echo = config_to_dict(cfg) if out_dir is not None else None
 
     replay_slices: list[list[JournalRecord]] | None = None
     if provider_factory is None and cfg.provider.kind is ProviderKind.REPLAY:
-        assert cfg.provider.replay_path is not None
         try:
             corpus = read_journal(cfg.provider.replay_path)
         except OSError as exc:
@@ -459,35 +472,30 @@ def run_batch(
     results: list[SimulationResult] = []
     aborted: list[tuple[int, str]] = []
     started_at = _dt.datetime.now(_dt.timezone.utc)
-
-    def note(result: SimulationResult) -> bool:
-        """Collect one result; returns False once the batch should stop."""
-        results.append(result)
-        if result.aborted:
-            aborted.append((result.sim_id, result.abort_reason or "unknown"))
-            logger.error("simulation %d aborted: %s", result.sim_id, result.abort_reason)
-            return False
-        return True
-
-    if provider_factory is not None or cfg.parallelism <= 1 or cfg.n_simulations == 1:
-        for sim_id, task in enumerate(tasks):
-            provider = provider_factory(sim_id) if provider_factory is not None else None
-            if not note(_run_one_task(task, provider)):
+    with contextlib.ExitStack() as stack:
+        if provider_factory is not None or cfg.parallelism <= 1 or cfg.n_simulations == 1:
+            runs = (
+                _run_one_task(task, provider_factory(task[1]) if provider_factory is not None else None)
+                for task in tasks
+            )
+        else:
+            # Threads for live runs, so the request-rate limiter is really
+            # shared across concurrent sims; processes otherwise. Threads
+            # ignore chunksize.
+            executor = (
+                concurrent.futures.ThreadPoolExecutor
+                if cfg.provider.kind is ProviderKind.LIVE_LLM
+                else concurrent.futures.ProcessPoolExecutor
+            )
+            pool = stack.enter_context(executor(max_workers=cfg.parallelism))
+            chunk = max(1, cfg.n_simulations // (cfg.parallelism * 4))
+            runs = pool.map(_run_one_task, tasks, chunksize=chunk)
+        for result in runs:
+            results.append(result)
+            if result.aborted:
+                aborted.append((result.sim_id, result.abort_reason or "unknown"))
+                logger.error("simulation %d aborted: %s", result.sim_id, result.abort_reason)
                 break
-    elif cfg.provider.kind is ProviderKind.LIVE_LLM:
-        # Threads, not processes: the request-rate limiter must actually be
-        # shared process-wide across concurrent simulations.
-        with concurrent.futures.ThreadPoolExecutor(max_workers=cfg.parallelism) as pool:
-            for result in pool.map(_run_one_task, tasks):
-                if not note(result):
-                    break
-    else:
-        chunk = max(1, cfg.n_simulations // (cfg.parallelism * 4))
-        with concurrent.futures.ProcessPoolExecutor(max_workers=cfg.parallelism) as pool:
-            for result in pool.map(_run_one_task, tasks, chunksize=chunk):
-                if not note(result):
-                    break
-
     finished_at = _dt.datetime.now(_dt.timezone.utc)
     skipped = list(range(len(results), cfg.n_simulations))
 
@@ -501,7 +509,6 @@ def run_batch(
         pooled_states.extend(outcome.state for _, outcome in r.decisions)
     series = yes_ratio_series(pooled_states, cfg.rolling_window) if pooled_states else None
 
-    out_dir = Path(cfg.output_dir) if cfg.output_dir else None
     batch_result = BatchResult(
         config=cfg,
         results=results,
@@ -513,7 +520,7 @@ def run_batch(
         output_dir=out_dir,
     )
     if out_dir is not None:
-        write_outputs(batch_result, started_at=started_at, finished_at=finished_at)
+        write_outputs(batch_result, echo, started_at, finished_at)
     return batch_result
 
 
@@ -535,11 +542,15 @@ _SUMMARY_CELLS: dict[str, tuple[Callable[[Any], str], Callable[[str], Any]]] = {
 
 def write_outputs(
     batch: BatchResult,
-    *,
-    started_at: _dt.datetime | None = None,
-    finished_at: _dt.datetime | None = None,
+    echo: dict[str, Any],
+    started_at: _dt.datetime,
+    finished_at: _dt.datetime,
 ) -> None:
-    """Write the full artifact tree for a finished batch."""
+    """Write the full artifact tree for a finished batch.
+
+    ``echo`` is ``config_to_dict(batch.config)``, written as the config echo
+    and hashed for the manifest's ``config_sha256``.
+    """
     assert batch.output_dir is not None
     out = batch.output_dir
     out.mkdir(parents=True, exist_ok=True)
@@ -610,7 +621,7 @@ def write_outputs(
     write_tables(out, batch.batch, batch.series)
 
     with open(out / CONFIG_ECHO, "w", encoding="utf-8", newline="") as fh:
-        yaml.safe_dump(config_to_dict(cfg), fh, sort_keys=True, default_flow_style=False)
+        yaml.safe_dump(echo, fh, sort_keys=True, default_flow_style=False)
 
     if cfg.journal_enabled():
         jdir = out / JOURNAL_DIR
@@ -623,8 +634,8 @@ def write_outputs(
 
     manifest = {
         "schema_version": 1,
-        "started_at": started_at.isoformat() if started_at else None,
-        "finished_at": finished_at.isoformat() if finished_at else None,
+        "started_at": started_at.isoformat(),
+        "finished_at": finished_at.isoformat(),
         "master_seed": cfg.master_seed,
         "provider_kind": cfg.provider.kind.value,
         "preset": cfg.preset,
@@ -635,7 +646,7 @@ def write_outputs(
         "completed": len(batch.summaries),
         "aborted": [{"sim_id": sid, "reason": reason} for sid, reason in batch.aborted],
         "skipped": batch.skipped,
-        "config_sha256": config_hash(cfg),
+        "config_sha256": _echo_hash(echo),
         "status": "ok" if batch.ok else "partial",
     }
     with open(out / MANIFEST_JSON, "w", encoding="utf-8", newline="") as fh:

@@ -53,7 +53,7 @@ class LandscapeConfig:
     direction_p: float = 0.5
     lognormal_params: LognormalParams = LognormalParams.UNDERLYING
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if self.grid_width < 1 or self.grid_height < 1:
             raise ConfigError("grid dimensions must be positive integers")
         if self.bond_sigma <= 0 or self.cash_sigma <= 0:
@@ -91,13 +91,12 @@ def sample_truncated_lognormal(
     sigma: float,
     cap: float,
     rng: np.random.Generator,
-    size: int | None = None,
-):
-    """Draw exp(Normal(mu, sigma^2)) conditioned on the result being <= cap.
+    size: int,
+) -> np.ndarray:
+    """``size`` draws of exp(Normal(mu, sigma^2)) conditioned on being <= cap.
 
     Rejection re-draw, never clamping, so the density has no atom at the
     cap. Refuses configurations where acceptance is practically impossible.
-    Returns a float when size is None, else a 1-D float array.
     """
     if sigma <= 0:
         raise ConfigError("sigma must be > 0")
@@ -108,16 +107,13 @@ def sample_truncated_lognormal(
             f"cap {cap} is below exp(mu - 6*sigma) = {math.exp(mu - 6.0 * sigma):.6g}; "
             "rejection sampling would practically never terminate"
         )
-    n = 1 if size is None else int(size)
-    out = np.empty(n, dtype=np.float64)
-    pending = np.arange(n)
+    out = np.empty(size, dtype=np.float64)
+    pending = np.arange(size)
     while pending.size:
         draws = np.exp(rng.normal(mu, sigma, size=pending.size))
         ok = draws <= cap
         out[pending[ok]] = draws[ok]
         pending = pending[~ok]
-    if size is None:
-        return float(out[0])
     return out
 
 
@@ -138,7 +134,6 @@ class Landscape:
     """
 
     def __init__(self, cfg: LandscapeConfig, rng: np.random.Generator) -> None:
-        cfg.validate()
         self.cfg = cfg
         h, w = cfg.grid_height, cfg.grid_width
         n = h * w

@@ -67,13 +67,13 @@ def test_init_deterministic():
 
 def test_config_validation():
     with pytest.raises(ConfigError):
-        AgentConfig(n_agents=0).validate()
+        AgentConfig(n_agents=0)
     with pytest.raises(ConfigError):
-        AgentConfig(cost_min=0.5, cost_max=0.1).validate()
+        AgentConfig(cost_min=0.5, cost_max=0.1)
     with pytest.raises(ConfigError):
-        AgentConfig(cost_min=0.0).validate()
+        AgentConfig(cost_min=0.0)
     with pytest.raises(ConfigError):
-        AgentConfig(breadth_min=0, breadth_max=3).validate()
+        AgentConfig(breadth_min=0, breadth_max=3)
 
 
 # -- client bases ------------------------------------------------------

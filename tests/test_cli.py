@@ -188,21 +188,47 @@ def test_missing_required_args_exit_nonzero():
         main(["run"])  # argparse exits on missing source
 
 
-@pytest.mark.parametrize("preset", ["exp1", "exp3"])
+@pytest.mark.parametrize("preset", ["exp1", "exp2", "exp3"])
 def test_config_echo_loads_back(tmp_path, preset):
     # A run's resolved_config.yaml is a config for run and replay: it
-    # restates every pinned field at its preset's value.
+    # restates every pinned field at its preset's value, and exp2's names
+    # its replay corpus by sha256.
     out = tmp_path / "run"
     cfg = resolve_preset(preset, {"n_simulations": 2, "max_steps": 60, "output_dir": str(out)})
     run_batch(cfg)
     echo = out / CONFIG_ECHO
     assert config_hash(load_config_file(echo)) == config_hash(cfg)
 
+    rerun_out = tmp_path / "rerun"
+    assert main(["run", str(echo), "--out", str(rerun_out)]) == EXIT_OK
+    assert (rerun_out / SUMMARIES_CSV).read_bytes() == (out / SUMMARIES_CSV).read_bytes()
+
     corpus = tmp_path / "corpus.jsonl"
-    corpus.write_text(
-        "".join(p.read_text(encoding="utf-8") for p in sorted((out / JOURNAL_DIR).glob("*.jsonl"))),
-        encoding="utf-8",
-    )
+    if cfg.journal_enabled():
+        corpus.write_text(
+            "".join(p.read_text(encoding="utf-8") for p in sorted((out / JOURNAL_DIR).glob("*.jsonl"))),
+            encoding="utf-8",
+        )
+    else:  # a replay run journals nothing: replay its own corpus
+        corpus = Path(cfg.provider.replay_path)
     replay_out = tmp_path / "replayed"
     assert main(["replay", str(corpus), str(echo), "--out", str(replay_out)]) == EXIT_OK
     assert (replay_out / SUMMARIES_CSV).read_bytes() == (out / SUMMARIES_CSV).read_bytes()
+
+
+def test_echo_replay_sha256_must_match_the_corpus(tmp_path):
+    out = tmp_path / "run"
+    run_batch(resolve_preset("exp2", {"n_simulations": 1, "max_steps": 20, "output_dir": str(out)}))
+    echo = yaml.safe_load((out / CONFIG_ECHO).read_text(encoding="utf-8"))
+    sha = echo["provider"]["replay_sha256"]
+
+    echo["provider"]["replay_sha256"] = sha[::-1]
+    tampered = tmp_path / "tampered.yaml"
+    tampered.write_text(yaml.safe_dump(echo), encoding="utf-8")
+    assert main(["run", str(tampered), "--out", str(tmp_path / "x")]) == EXIT_CONFIG_ERROR
+
+    # A sha256 with no corpus path to check it against is rejected too.
+    pathless = tmp_path / "pathless.yaml"
+    pathless.write_text(yaml.safe_dump({"provider": {"replay_sha256": sha}}), encoding="utf-8")
+    assert main(["run", str(pathless), "--out", str(tmp_path / "y")]) == EXIT_CONFIG_ERROR
+    assert not (tmp_path / "x").exists() and not (tmp_path / "y").exists()

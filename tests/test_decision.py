@@ -12,6 +12,7 @@ import pytest
 
 from bondflow import (
     BernoulliProvider,
+    ConfigError,
     DecisionOutcome,
     DecisionState,
     DesireQuery,
@@ -192,8 +193,8 @@ def test_bernoulli_extremes_and_frequency():
 
 
 def test_bernoulli_rejects_bad_p():
-    with pytest.raises(Exception):
-        ProviderConfig(kind=ProviderKind.BERNOULLI, bernoulli_p=1.5).validate()
+    with pytest.raises(ConfigError):
+        ProviderConfig(kind=ProviderKind.BERNOULLI, bernoulli_p=1.5)
 
 
 def test_bursty_stationary_distribution():
@@ -365,6 +366,8 @@ def test_build_provider_dispatch(tmp_path):
         replay_records=read_journal(path),
     )
     assert isinstance(replay, ReplayProvider)
+    with pytest.raises(ConfigError):  # a replay provider needs its records
+        build_provider(ProviderConfig(kind=ProviderKind.REPLAY, replay_path=str(path)))
 
 
 # -- live gateway ------------------------------------------------------

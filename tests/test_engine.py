@@ -133,11 +133,18 @@ def arm_mms(sim, rows):
         mm.bonds_acc, mm.cash_acc, mm.cash_rate = bonds, cash, cash_rate
 
 
+def rebalance(sim):
+    """One interbank phase over the Active MMs; returns the trades it made."""
+    before = len(sim.trades)
+    sim._interbank_rebalance([mm for mm in sim.mms if mm.active])
+    return sim.trades[before:]
+
+
 def test_interbank_tops_up_to_runway():
     sim = make_sim(agents=AgentConfig(n_agents=2))
     arm_mms(sim, [(10.0, 0.1, 0.3), (1.0, 8.0, 0.2)])
 
-    records = sim._interbank_rebalance()
+    records = rebalance(sim)
 
     assert len(records) == 1
     rec = records[0]
@@ -157,7 +164,7 @@ def test_interbank_tops_up_to_runway():
 def test_interbank_picks_richest_buyer_lowest_id_tie():
     sim = make_sim(agents=AgentConfig(n_agents=4))
     arm_mms(sim, [(5.0, 0.0, 0.3), (0.0, 4.0, 0.3), (0.0, 6.0, 0.3), (0.0, 6.0, 0.3)])
-    records = sim._interbank_rebalance()
+    records = rebalance(sim)
     assert len(records) == 1
     assert records[0].counterparty == 2  # richest; tie broken to the lower id
 
@@ -167,7 +174,7 @@ def test_interbank_needy_richest_sells_to_next_richest():
     # sells to the richest of the others; MMs 1 and 3 tie, and 1 wins.
     sim = make_sim(agents=AgentConfig(n_agents=4))
     arm_mms(sim, [(0.0, 2.0, 0.3), (0.0, 6.0, 0.3), (5.0, 9.0, 4.0), (0.0, 6.0, 0.3)])
-    records = sim._interbank_rebalance()
+    records = rebalance(sim)
     assert len(records) == 1
     rec = records[0]
     assert (rec.mm_id, rec.counterparty) == (2, 1)
@@ -179,23 +186,23 @@ def test_interbank_needy_richest_sells_to_next_richest():
 def test_interbank_caps_at_buyer_cash_and_seller_bonds():
     sim = make_sim(agents=AgentConfig(n_agents=2))
     arm_mms(sim, [(10.0, 0.0, 1.0), (0.0, 1.2, 0.2)])  # need 3.0, buyer holds 1.2
-    records = sim._interbank_rebalance()
+    records = rebalance(sim)
     assert records[0].cash_qty == pytest.approx(1.2)
 
     sim = make_sim(agents=AgentConfig(n_agents=2))
     arm_mms(sim, [(0.4, 0.0, 1.0), (0.0, 9.0, 0.2)])  # need 3.0, seller holds 0.4 bonds
-    records = sim._interbank_rebalance()
+    records = rebalance(sim)
     assert records[0].bond_qty == pytest.approx(0.4)
 
 
 def test_interbank_skips_untriggered_and_bondless():
     sim = make_sim(agents=AgentConfig(n_agents=2))
     arm_mms(sim, [(10.0, 5.0, 0.3), (10.0, 5.0, 0.3)])  # runways comfortably above 3
-    assert sim._interbank_rebalance() == []
+    assert rebalance(sim) == []
 
     sim = make_sim(agents=AgentConfig(n_agents=2))
     arm_mms(sim, [(0.0, 0.1, 0.3), (1.0, 8.0, 0.2)])  # needy but nothing to sell
-    assert sim._interbank_rebalance() == []
+    assert rebalance(sim) == []
 
 
 def test_interbank_needs_two_active_mms():
@@ -205,7 +212,7 @@ def test_interbank_needs_two_active_mms():
 
     sim.mms[1].status = AgentStatus.CEASED
     sim.mms[1].ceased_at_step = 0
-    assert sim._interbank_rebalance() == []
+    assert rebalance(sim) == []
 
 
 # -- step-level behavior ------------------------------------------------

@@ -3,23 +3,29 @@
 from __future__ import annotations
 
 import csv
+import dataclasses
 import filecmp
 import hashlib
 import json
 import os
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import pytest
 import yaml
 
 from bondflow import (
+    AgentConfig,
     BernoulliProvider,
     CeaseRule,
     ConfigError,
     DecisionState,
+    ExperimentConfig,
+    LandscapeConfig,
     PromptTemplate,
+    ProviderConfig,
     ProviderHardFailure,
     ProviderKind,
     load_config_file,
@@ -44,6 +50,8 @@ from bondflow.harness import (
     shipped_aversion_corpus,
     shipped_timeliness_fixture,
 )
+from bondflow import harness
+from gateway import GatewayStub
 from util import mini_config, run_mini
 
 # -- presets ---------------------------------------------------------------
@@ -261,6 +269,22 @@ def test_config_hash_tracks_experiment_not_execution():
     assert "parallelism" not in echo and "output_dir" not in echo
 
 
+@pytest.mark.parametrize(
+    ("valid", "bad"),
+    [
+        (LandscapeConfig(), {"availability_p": 1.5}),
+        (AgentConfig(), {"breadth_min": 0}),
+        (ProviderConfig(), {"bernoulli_p": -0.1}),
+        (ExperimentConfig(), {"n_simulations": 0}),
+    ],
+    ids=["landscape", "agents", "provider", "experiment"],
+)
+def test_configs_check_themselves_on_construction(valid, bad):
+    # A config that exists is valid, including one made by replace.
+    with pytest.raises(ConfigError):
+        dataclasses.replace(valid, **bad)
+
+
 # -- batch outputs -------------------------------------------------------------
 
 
@@ -372,6 +396,40 @@ def test_parallel_batches_are_byte_identical(tmp_path):
         if name == MANIFEST_JSON:  # timestamps and worker count differ by design
             continue
         assert filecmp.cmp(serial_dir / name, pooled_dir / name, shallow=False), name
+
+
+def test_live_thread_pool_batch_matches_serial(tmp_path, monkeypatch):
+    # A live batch at parallelism 2 runs its sims on a thread pool. Every
+    # reply is Yes, so its logs must equal the serial batch's. Journals
+    # carry wall-clock latency and are left out.
+    monkeypatch.setenv("TEST_GATEWAY_TOKEN", "tok")
+    threads = set()
+    run_one = harness._run_one_task
+
+    def traced(task, provider=None):
+        threads.add(threading.current_thread().name)
+        return run_one(task, provider)
+
+    monkeypatch.setattr(harness, "_run_one_task", traced)
+    logs = []
+    with GatewayStub([]) as stub:
+        for parallelism in (1, 2):
+            out = tmp_path / f"p{parallelism}"
+            result = run_batch(resolve_preset("exp3", {
+                "n_simulations": 3,
+                "max_steps": 30,
+                "parallelism": parallelism,
+                "output_dir": str(out),
+                "provider.kind": "llm",
+                "provider.endpoint_url": stub.url,
+                "provider.token_env": "TEST_GATEWAY_TOKEN",
+                "provider.rate_limit_rps": 10_000.0,
+            }))
+            assert result.ok
+            logs.append({name: (out / name).read_bytes() for name in (SUMMARIES_CSV, TRADES_CSV, DECISIONS_CSV)})
+    assert stub.requests
+    assert threading.current_thread().name in threads and len(threads) > 1
+    assert logs[0] == logs[1]
 
 
 # sha256 of decisions.csv then trades.csv for exp1 on a 200x200 grid (2 sims,
@@ -610,6 +668,25 @@ def test_unreadable_replay_path_fails_before_the_sims(tmp_path):
     with pytest.raises(ConfigError, match="replay corpus"):
         run_batch(cfg)
     assert not (tmp_path / "out").exists()
+
+
+def test_exp2_batch_opens_its_corpus_twice(tmp_path):
+    # Once for the config echo's sha256, once to read the journal.
+    corpus = shipped_aversion_corpus()
+    cfg = resolve_preset("exp2", {"n_simulations": 3, "output_dir": str(tmp_path / "out")})
+    opens = []
+    counting = [True]
+
+    def hook(event, args):
+        if counting[0] and event == "open" and args[0] == corpus:
+            opens.append(args[1])
+
+    sys.addaudithook(hook)  # an audit hook cannot be removed; it goes idle below
+    try:
+        run_batch(cfg)
+    finally:
+        counting[0] = False
+    assert len(opens) == 2
 
 
 def test_build_fixtures_reproduces_shipped_corpora(tmp_path):

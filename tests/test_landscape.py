@@ -58,22 +58,15 @@ def test_sampler_no_atom_at_cap_and_correct_tail_mass():
     assert observed == pytest.approx(expected, abs=0.004)
 
 
-def test_sampler_scalar_mode():
-    rng = substream(4, 0)
-    val = sample_truncated_lognormal(1.0, 0.5, 5.0, rng)
-    assert isinstance(val, float)
-    assert 0.0 < val <= 5.0
-
-
 def test_sampler_rejects_impossible_cap():
     rng = substream(5, 0)
     # exp(mu - 6 sigma) = exp(-3.5) ~ 0.0302; a cap below that must refuse.
     with pytest.raises(ConfigError):
-        sample_truncated_lognormal(2.5, 1.0, 0.02, rng)
+        sample_truncated_lognormal(2.5, 1.0, 0.02, rng, size=1)
     with pytest.raises(ConfigError):
-        sample_truncated_lognormal(1.0, -1.0, 5.0, rng)
+        sample_truncated_lognormal(1.0, -1.0, 5.0, rng, size=1)
     with pytest.raises(ConfigError):
-        sample_truncated_lognormal(1.0, 0.5, 0.0, rng)
+        sample_truncated_lognormal(1.0, 0.5, 0.0, rng, size=1)
 
 
 def test_arithmetic_parameterization_conversion():
@@ -125,13 +118,13 @@ def test_one_by_one_grid():
 
 def test_config_validation_errors():
     with pytest.raises(ConfigError):
-        LandscapeConfig(grid_width=0).validate()
+        LandscapeConfig(grid_width=0)
     with pytest.raises(ConfigError):
-        LandscapeConfig(availability_p=1.5).validate()
+        LandscapeConfig(availability_p=1.5)
     with pytest.raises(ConfigError):
-        LandscapeConfig(max_bonds=0.0).validate()
+        LandscapeConfig(max_bonds=0.0)
     with pytest.raises(ConfigError):
-        LandscapeConfig(bond_sigma=0.0).validate()
+        LandscapeConfig(bond_sigma=0.0)
 
 
 def all_cells(grid):
