@@ -39,15 +39,17 @@ from bondflow import (  # noqa: E402
     DesireQuery,
     ProviderKind,
     PromptTemplate,
-    SyntheticBurstyProvider,
-    normalize_response,
     resolve_preset,
     run_batch,
-    sample_truncated_lognormal,
-    substream,
 )
-from bondflow.decision import journal_line  # noqa: E402
+from bondflow.decision import (  # noqa: E402
+    SyntheticBurstyProvider,
+    journal_line,
+    normalize_response,
+)
 from bondflow.harness import JOURNAL_DIR  # noqa: E402
+from bondflow.landscape import sample_truncated_lognormal  # noqa: E402
+from bondflow.seeding import substream  # noqa: E402
 
 FIXTURE_DIR = REPO / "src" / "bondflow" / "data" / "fixtures"
 

@@ -3,7 +3,9 @@
 A market maker holds two resource accumulations (bonds and cash), burns a
 fixed amount of each per step as business cost, serves a square
 neighborhood of clients around a random anchor, and ceases operations when
-its resources run out. The cease rule is configurable:
+its resources run out. An agent is live while its ``ceased_at_step`` is
+None; the cease rule sets it to the step the agent ceased at. The rule is
+configurable:
 
 - EITHER_EXHAUSTED: dead as soon as one resource hits zero.
 - BOTH_EXHAUSTED (default): dead only when both are zero.
@@ -28,11 +30,6 @@ from .errors import ConfigError
 class CeaseRule(Enum):
     EITHER_EXHAUSTED = "either_exhausted"
     BOTH_EXHAUSTED = "both_exhausted"
-
-
-class AgentStatus(Enum):
-    ACTIVE = "active"
-    CEASED = "ceased"
 
 
 @dataclass(frozen=True)
@@ -75,18 +72,13 @@ class MarketMakerState:
     cash_rate: float
     breadth: int
     anchor: tuple[int, int]
-    status: AgentStatus = AgentStatus.ACTIVE
-    ceased_at_step: int | None = None
-
-    @property
-    def active(self) -> bool:
-        return self.status is AgentStatus.ACTIVE
+    ceased_at_step: int | None = None  # None while the agent is live
 
 
 def init_market_makers(
     cfg: AgentConfig, grid_dims: tuple[int, int], rng: np.random.Generator
 ) -> list[MarketMakerState]:
-    """Draw n_agents fresh Active agents.
+    """Draw n_agents fresh, live agents.
 
     Per-agent draw order is fixed (bonds, cash, bond rate, cash rate,
     breadth, anchor x, anchor y) so seeds reproduce exactly.
@@ -146,36 +138,21 @@ def base_rect(mm: MarketMakerState, grid_dims: tuple[int, int]) -> BaseRect:
     return BaseRect(x_lo, y_lo, x_hi - x_lo + 1, y_hi - y_lo + 1)
 
 
-def client_base(mm: MarketMakerState, grid_dims: tuple[int, int]) -> list[tuple[int, int]]:
-    """Every cell of the agent's base (``base_rect``), in row-major order."""
-    r = base_rect(mm, grid_dims)
-    return [
-        (x, y) for y in range(r.y_lo, r.y_lo + r.height) for x in range(r.x_lo, r.x_lo + r.width)
-    ]
+def apply_costs(mm: MarketMakerState, step: int, rule: CeaseRule) -> tuple[float, float]:
+    """Burn one step of business costs, then apply the cease rule.
 
-
-def cease_check(mm: MarketMakerState, step: int, rule: CeaseRule) -> bool:
-    """Apply the cease rule; on cease, stamp status and step. Returns whether ceased."""
-    if rule is CeaseRule.EITHER_EXHAUSTED:
-        dead = mm.bonds_acc <= 0.0 or mm.cash_acc <= 0.0
-    else:
-        dead = mm.bonds_acc <= 0.0 and mm.cash_acc <= 0.0
-    if dead:
-        mm.status = AgentStatus.CEASED
-        mm.ceased_at_step = step
-    return dead
-
-
-def apply_costs(mm: MarketMakerState, step: int, rule: CeaseRule) -> tuple[float, float, bool]:
-    """Burn one step of business costs, then run the cease check.
-
-    Returns (bonds consumed, cash consumed, ceased) - consumption is
+    Returns (bonds consumed, cash consumed) - consumption is
     min(rate, accumulation), which the engine tallies so the closed-system
-    law can be checked.
+    law can be checked. An agent the rule kills gets ``ceased_at_step = step``.
     """
     consumed_b = min(mm.bond_rate, mm.bonds_acc)
     consumed_c = min(mm.cash_rate, mm.cash_acc)
     mm.bonds_acc = max(0.0, mm.bonds_acc - mm.bond_rate)
     mm.cash_acc = max(0.0, mm.cash_acc - mm.cash_rate)
-    ceased = cease_check(mm, step, rule)
-    return consumed_b, consumed_c, ceased
+    if rule is CeaseRule.EITHER_EXHAUSTED:
+        dead = mm.bonds_acc <= 0.0 or mm.cash_acc <= 0.0
+    else:
+        dead = mm.bonds_acc <= 0.0 and mm.cash_acc <= 0.0
+    if dead:
+        mm.ceased_at_step = step
+    return consumed_b, consumed_c

@@ -95,8 +95,7 @@ def _report_batch(result) -> int:
     if result.output_dir is not None:
         print(f"outputs written to {result.output_dir}")
     if not result.ok:
-        for sim_id, reason in result.aborted:
-            logger.error("simulation %d aborted: %s", sim_id, reason)
+        # run_batch has logged each aborted sim already.
         if result.skipped:
             logger.error("%d simulations skipped after abort", len(result.skipped))
         return EXIT_PARTIAL_BATCH
@@ -133,10 +132,9 @@ def _cmd_replay(args: argparse.Namespace) -> int:
         overrides["output_dir"] = args.out
     if args.parallel is not None:
         overrides["parallelism"] = args.parallel
-    cfg = resolve_config(args.config, overrides)
-    # The replay command's semantics ARE replay, so the provider swap here
-    # is not an override contradiction - it bypasses the preset's pins.
-    cfg = replace(cfg, provider=replace(cfg.provider, kind=ProviderKind.REPLAY, replay_path=args.journal))
+    # The replay command's semantics ARE replay, so the provider swap is not
+    # an override contradiction - it bypasses the preset's pins.
+    cfg = resolve_config(args.config, overrides, replay_path=args.journal)
     if cfg.output_dir is None:
         cfg = replace(cfg, output_dir=_default_out_name(args.config) + "-replay")
     result = run_batch(cfg)

@@ -80,6 +80,20 @@ class DecisionOutcome:
     latency_ms: int | None = None
 
 
+# The range rules of the scripted providers, shared by ProviderConfig and
+# the provider constructors, which library code may call directly.
+def _check_bernoulli_p(p: float) -> None:
+    if not 0.0 <= p <= 1.0:
+        raise ConfigError("bernoulli_p must lie in [0, 1]")
+
+
+def _check_burst_stay(stay_yes: float, stay_no: float) -> None:
+    # A stay probability of 1 would hold the chain in one state forever.
+    for name, p in (("burst_stay_yes", stay_yes), ("burst_stay_no", stay_no)):
+        if not 0.0 < p < 1.0:
+            raise ConfigError(f"{name} must lie in (0, 1)")
+
+
 @dataclass(frozen=True)
 class ProviderConfig:
     kind: ProviderKind = ProviderKind.BERNOULLI
@@ -101,12 +115,9 @@ class ProviderConfig:
 
     def __post_init__(self) -> None:
         if self.kind is ProviderKind.BERNOULLI:
-            if not 0.0 <= self.bernoulli_p <= 1.0:
-                raise ConfigError("bernoulli_p must lie in [0, 1]")
+            _check_bernoulli_p(self.bernoulli_p)
         elif self.kind is ProviderKind.SYNTHETIC_BURSTY:
-            for name, p in (("burst_stay_yes", self.burst_stay_yes), ("burst_stay_no", self.burst_stay_no)):
-                if not 0.0 < p < 1.0:
-                    raise ConfigError(f"{name} must lie in (0, 1)")
+            _check_burst_stay(self.burst_stay_yes, self.burst_stay_no)
         elif self.kind is ProviderKind.REPLAY:
             if not self.replay_path:
                 raise ConfigError("replay provider requires replay_path")
@@ -263,8 +274,7 @@ class BernoulliProvider(DecisionProvider):
     kind = ProviderKind.BERNOULLI
 
     def __init__(self, p: float) -> None:
-        if not 0.0 <= p <= 1.0:
-            raise ConfigError("bernoulli_p must lie in [0, 1]")
+        _check_bernoulli_p(p)
         self.p = p
 
     def decide(self, q: DesireQuery, rng: np.random.Generator) -> DecisionOutcome:
@@ -282,9 +292,7 @@ class SyntheticBurstyProvider(DecisionProvider):
     kind = ProviderKind.SYNTHETIC_BURSTY
 
     def __init__(self, stay_yes: float, stay_no: float) -> None:
-        for name, p in (("burst_stay_yes", stay_yes), ("burst_stay_no", stay_no)):
-            if not 0.0 < p < 1.0:
-                raise ConfigError(f"{name} must lie in (0, 1)")
+        _check_burst_stay(stay_yes, stay_no)
         self.stay_yes = stay_yes
         self.stay_no = stay_no
         self._state: DecisionState | None = None

@@ -5,18 +5,18 @@ Fixed per-step order, documented and load-bearing for replayability:
 1. Open the step's block of the step-rolls stream (see ``Landscape``):
    every client's availability and direction for this step, drawn only
    for the clients that are phoned.
-2. Each Active market maker, in id order, phones exactly one uniformly
-   chosen client from its base. Unavailable client: contact ends, no
-   decision. Available: one desire query to the provider, kept as one
-   (query, outcome) record. Yes: the MM MUST trade (servicing
-   obligation), sized by the client's direction. Nothing is encoded here:
-   a journaled run encodes its journal from the records once, when the
-   run ends.
+2. Each live market maker (``ceased_at_step`` None), in id order, phones
+   exactly one uniformly chosen client from its base. Unavailable client:
+   contact ends, no decision. Available: one desire query to the
+   provider, kept as one (query, outcome) record. Yes: the MM MUST trade
+   (servicing obligation), sized by the client's direction. Nothing is
+   encoded here: a journaled run encodes its journal from the records
+   once, when the run ends.
 3. Interbank rebalancing: cash-poor MMs sell bonds at par to the
    richest-cash peer, at most one trade per needy MM per step.
-4. Business costs burn each Active MM's resources; the cease rule runs.
-   This is the only phase that changes an MM's status, so the list of
-   Active MMs taken when the step opens serves phases 2 to 4.
+4. Business costs burn each live MM's resources; the cease rule runs.
+   This is the only phase that ceases an MM, so the list of live MMs
+   taken when the step opens serves phases 2 to 4.
 5. The step counter increments.
 
 Trades never create or destroy value: the engine tracks exactly how much
@@ -166,11 +166,11 @@ class Simulation:
     # -- step phases --------------------------------------------------
 
     def any_active(self) -> bool:
-        return any(mm.active for mm in self.mms)
+        return any(mm.ceased_at_step is None for mm in self.mms)
 
     def step(self) -> None:
         """Execute one full round; see the module docstring for the order."""
-        active = [mm for mm in self.mms if mm.active]
+        active = [mm for mm in self.mms if mm.ceased_at_step is None]
         assert active, "step() on a fully ceased society"
         assert self.step_no < self.max_steps, "step() past max_steps"
 
@@ -183,7 +183,7 @@ class Simulation:
         self._interbank_rebalance(active)
 
         for mm in active:
-            consumed_b, consumed_c, _ = apply_costs(mm, self.step_no, self.cease_rule)
+            consumed_b, consumed_c = apply_costs(mm, self.step_no, self.cease_rule)
             self.consumed_bonds += consumed_b
             self.consumed_cash += consumed_c
 
@@ -254,7 +254,7 @@ class Simulation:
         threshold. Processed in id order; the buyer is re-picked per needy
         MM (ties to the lowest id); at most one trade per needy MM per
         step; zero-quantity outcomes are skipped. ``active`` is the step's
-        list of Active MMs, in id order. Trades are appended to ``trades``.
+        list of live MMs, in id order. Trades are appended to ``trades``.
         """
         if len(active) < 2:
             return

@@ -240,13 +240,15 @@ def _coerce(key: str, value: Any) -> Any:
     raise ConfigError(f"{key} must be {expected}, got {value!r}")
 
 
-def _apply_updates(cfg: ExperimentConfig, *layers: Mapping[str, Any]) -> ExperimentConfig:
+def _apply_updates(
+    cfg: ExperimentConfig, *layers: Mapping[str, Any]
+) -> tuple[ExperimentConfig, str | None]:
     """Apply layers of updates in order, a later layer winning.
 
     A key is dotted (``provider.kind``) or names a whole section with a
     mapping, as a config file writes it. ``provider.replay_sha256``, which
-    an echo writes in place of the corpus path, is accepted only when it is
-    the sha256 of the resolved ``provider.replay_path``, and then dropped.
+    an echo writes in place of the corpus path, is returned beside the
+    config, for ``_resolve`` to check.
     """
     flat: dict[str, Any] = {}
     for layer in layers:
@@ -268,20 +270,24 @@ def _apply_updates(cfg: ExperimentConfig, *layers: Mapping[str, Any]) -> Experim
     top = updates.pop("", {})
     for section, values in updates.items():
         top[section] = replace(getattr(cfg, section), **values)
-    cfg = replace(cfg, **top)
-    if replay_sha256 is not None:
-        path = cfg.provider.replay_path
-        if path is None or _file_sha256(path) != replay_sha256:
-            raise ConfigError(f"provider.replay_sha256 is not the sha256 of the replay corpus ({path})")
-    return cfg
+    return replace(cfg, **top), replay_sha256
 
 
-def _resolve(preset: str | None, *layers: Mapping[str, Any]) -> ExperimentConfig:
-    """Defaults, then the preset's values, then each layer; pins checked."""
+def _resolve(
+    preset: str | None, *layers: Mapping[str, Any], replay_path: str | None = None
+) -> ExperimentConfig:
+    """Defaults, then the preset's values, then each layer; pins checked.
+
+    A ``replay_path`` then makes the config replay that corpus, past the
+    pins. An echo's ``provider.replay_sha256`` names the corpus its run
+    read: it must be the sha256 of the resolved ``provider.replay_path``
+    or of the ``replay_path`` given. So a run's echo replays the corpus
+    that run read, and any journal it recorded.
+    """
     if preset is not None and preset not in PRESET_NAMES:
         raise ConfigError(f"unknown preset {preset!r} (expected one of {', '.join(PRESET_NAMES)})")
     values, pins = _PRESETS[preset] if preset else ({}, {})
-    cfg = _apply_updates(ExperimentConfig(preset=preset), values, *layers)
+    cfg, replay_sha256 = _apply_updates(ExperimentConfig(preset=preset), values, *layers)
     for key, allowed in pins.items():
         value = functools.reduce(getattr, key.split("."), cfg)
         if value not in allowed:
@@ -290,6 +296,12 @@ def _resolve(preset: str | None, *layers: Mapping[str, Any]) -> ExperimentConfig
                 f"preset {preset} pins {key} to {{{shown}}}; "
                 f"{getattr(value, 'value', value)!r} contradicts the preset"
             )
+    corpora = [path for path in (replay_path, cfg.provider.replay_path) if path is not None]
+    if replay_sha256 is not None and not any(_file_sha256(path) == replay_sha256 for path in corpora):
+        shown = " or ".join(corpora) or "none given"
+        raise ConfigError(f"provider.replay_sha256 is not the sha256 of the replay corpus ({shown})")
+    if replay_path is not None:
+        cfg = replace(cfg, provider=replace(cfg.provider, kind=ProviderKind.REPLAY, replay_path=replay_path))
     return cfg
 
 
@@ -305,6 +317,12 @@ def load_config_file(path: Path | str, overrides: Mapping[str, Any] | None = Non
 
     Precedence: overrides (CLI) > file values > preset values.
     """
+    return _resolve_file(path, overrides or {})
+
+
+def _resolve_file(
+    path: Path | str, overrides: Mapping[str, Any], replay_path: str | None = None
+) -> ExperimentConfig:
     try:
         raw = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
@@ -315,15 +333,21 @@ def load_config_file(path: Path | str, overrides: Mapping[str, Any] | None = Non
         raise ConfigError(f"invalid YAML in {path}: {exc}") from exc
     if not isinstance(data, dict):
         raise ConfigError(f"config file {path} must contain a mapping")
-    return _resolve(data.pop("preset", None), data, overrides or {})
+    return _resolve(data.pop("preset", None), data, overrides, replay_path=replay_path)
 
 
-def resolve_config(source: str, overrides: Mapping[str, Any] | None = None) -> ExperimentConfig:
-    """Resolve a CLI source argument: a preset name or a config-file path."""
+def resolve_config(
+    source: str, overrides: Mapping[str, Any] | None = None, *, replay_path: str | None = None
+) -> ExperimentConfig:
+    """Resolve a CLI source argument: a preset name or a config-file path.
+
+    ``replay_path`` is the replay command's corpus: the config replays it,
+    whatever the preset pins.
+    """
     if source in PRESET_NAMES:
-        return resolve_preset(source, overrides)
+        return _resolve(source, overrides or {}, replay_path=replay_path)
     if Path(source).exists():
-        return load_config_file(source, overrides)
+        return _resolve_file(source, overrides or {}, replay_path)
     raise ConfigError(f"{source!r} is neither a preset ({', '.join(PRESET_NAMES)}) nor a config file")
 
 
@@ -488,6 +512,8 @@ def run_batch(
                 else concurrent.futures.ProcessPoolExecutor
             )
             pool = stack.enter_context(executor(max_workers=cfg.parallelism))
+            # Leaving early (an abort) cancels the sims no worker has started.
+            stack.callback(pool.shutdown, cancel_futures=True)
             chunk = max(1, cfg.n_simulations // (cfg.parallelism * 4))
             runs = pool.map(_run_one_task, tasks, chunksize=chunk)
         for result in runs:

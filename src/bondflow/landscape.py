@@ -56,14 +56,12 @@ class LandscapeConfig:
     def __post_init__(self) -> None:
         if self.grid_width < 1 or self.grid_height < 1:
             raise ConfigError("grid dimensions must be positive integers")
-        if self.bond_sigma <= 0 or self.cash_sigma <= 0:
-            raise ConfigError("log-normal sigmas must be > 0")
-        if self.max_bonds <= 0 or self.max_cash <= 0:
-            raise ConfigError("truncation caps must be > 0")
         if not 0.0 <= self.availability_p <= 1.0:
             raise ConfigError("availability_p must lie in [0, 1]")
         if not 0.0 <= self.direction_p <= 1.0:
             raise ConfigError("direction_p must lie in [0, 1]")
+        check_truncation(*self.bond_normal_params(), self.max_bonds)
+        check_truncation(*self.cash_normal_params(), self.max_cash)
 
     def bond_normal_params(self) -> tuple[float, float]:
         return self._resolve(self.bond_mu, self.bond_sigma)
@@ -86,6 +84,23 @@ def arithmetic_to_underlying(mean: float, std: float) -> tuple[float, float]:
     return mu, math.sqrt(sigma_sq)
 
 
+def check_truncation(mu: float, sigma: float, cap: float) -> None:
+    """Refuse an exp(Normal(mu, sigma^2)) truncated at ``cap`` that cannot be sampled.
+
+    sigma and cap must be > 0, and the cap at least exp(mu - 6*sigma):
+    below that, rejection sampling would practically never accept a draw.
+    """
+    if sigma <= 0:
+        raise ConfigError("log-normal sigma must be > 0")
+    if cap <= 0:
+        raise ConfigError("truncation cap must be > 0")
+    if cap < math.exp(mu - 6.0 * sigma):
+        raise ConfigError(
+            f"truncation cap {cap} is below exp(mu - 6*sigma) = {math.exp(mu - 6.0 * sigma):.6g}; "
+            "rejection sampling would practically never terminate"
+        )
+
+
 def sample_truncated_lognormal(
     mu: float,
     sigma: float,
@@ -96,17 +111,10 @@ def sample_truncated_lognormal(
     """``size`` draws of exp(Normal(mu, sigma^2)) conditioned on being <= cap.
 
     Rejection re-draw, never clamping, so the density has no atom at the
-    cap. Refuses configurations where acceptance is practically impossible.
+    cap. Refuses configurations where acceptance is practically impossible
+    (``check_truncation``).
     """
-    if sigma <= 0:
-        raise ConfigError("sigma must be > 0")
-    if cap <= 0:
-        raise ConfigError("cap must be > 0")
-    if cap < math.exp(mu - 6.0 * sigma):
-        raise ConfigError(
-            f"cap {cap} is below exp(mu - 6*sigma) = {math.exp(mu - 6.0 * sigma):.6g}; "
-            "rejection sampling would practically never terminate"
-        )
+    check_truncation(mu, sigma, cap)
     out = np.empty(size, dtype=np.float64)
     pending = np.arange(size)
     while pending.size:

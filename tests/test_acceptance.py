@@ -27,27 +27,25 @@ import numpy as np
 import pytest
 
 from bondflow import (
-    AgentConfig,
     BatchResult,
-    CeaseRule,
     DecisionState,
-    Direction,
     ExperimentConfig,
     ProviderKind,
-    SyntheticBurstyProvider,
-    TerminalReason,
-    normalize_response,
     read_journal,
     resolve_preset,
     run_batch,
     yes_ratio_series,
 )
+from bondflow.agents import AgentConfig, CeaseRule
+from bondflow.decision import SyntheticBurstyProvider, normalize_response
+from bondflow.engine import TerminalReason
 from bondflow.harness import (
     MANIFEST_JSON,
     TABLE_FILES,
     shipped_aversion_corpus,
     shipped_timeliness_fixture,
 )
+from bondflow.landscape import Direction
 from bondflow.metrics import (
     CLIENT_TABLE_COLUMNS,
     FULL_TABLE_COLUMNS,
@@ -239,12 +237,9 @@ def test_criterion_4_bursty_fixture_ratio_statistics():
 
 
 def test_criterion_5_conservation_across_random_configs():
-    from bondflow import (
-        BernoulliProvider,
-        LandscapeConfig,
-        Simulation,
-        simulation_seed,
-    )
+    from bondflow import Simulation, simulation_seed
+    from bondflow.decision import BernoulliProvider
+    from bondflow.landscape import LandscapeConfig
 
     def run_suite():
         rng = np.random.default_rng(777)

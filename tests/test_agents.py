@@ -6,19 +6,16 @@ import math
 
 import pytest
 
-from bondflow import (
+from bondflow import ConfigError
+from bondflow.agents import (
     AgentConfig,
-    AgentStatus,
     CeaseRule,
-    ConfigError,
     MarketMakerState,
     apply_costs,
     base_rect,
-    cease_check,
-    client_base,
     init_market_makers,
-    substream,
 )
+from bondflow.seeding import substream
 
 
 def mm(bonds, cash, bond_rate=0.3, cash_rate=0.3, breadth=1, anchor=(0, 0), mm_id=0):
@@ -31,6 +28,18 @@ def mm(bonds, cash, bond_rate=0.3, cash_rate=0.3, breadth=1, anchor=(0, 0), mm_i
         breadth=breadth,
         anchor=anchor,
     )
+
+
+def client_base(agent, grid_dims):
+    """Oracle: every grid cell within Chebyshev radius floor(breadth/2) of the anchor, row-major."""
+    width, height = grid_dims
+    radius = agent.breadth // 2
+    ax, ay = agent.anchor
+    return [
+        (x, y)
+        for y in range(max(0, ay - radius), min(height - 1, ay + radius) + 1)
+        for x in range(max(0, ax - radius), min(width - 1, ax + radius) + 1)
+    ]
 
 
 # -- initialization ----------------------------------------------------
@@ -47,7 +56,6 @@ def test_init_respects_config_ranges():
         assert cfg.cost_min <= a.cash_rate <= cfg.cost_max
         assert cfg.breadth_min <= a.breadth <= cfg.breadth_max
         assert 0 <= a.anchor[0] < 50 and 0 <= a.anchor[1] < 50
-        assert a.status is AgentStatus.ACTIVE
         assert a.ceased_at_step is None
 
 
@@ -126,50 +134,48 @@ def test_rect_pick_matches_client_base(anchor, breadth):
 
 def test_apply_costs_normal_consumption():
     agent = mm(5.0, 5.0)
-    consumed_b, consumed_c, ceased = apply_costs(agent, 0, CeaseRule.EITHER_EXHAUSTED)
+    consumed_b, consumed_c = apply_costs(agent, 0, CeaseRule.EITHER_EXHAUSTED)
     assert (consumed_b, consumed_c) == (0.3, 0.3)
-    assert not ceased
     assert agent.bonds_acc == pytest.approx(4.7)
     assert agent.cash_acc == pytest.approx(4.7)
-    assert agent.active
+    assert agent.ceased_at_step is None
 
 
 def test_apply_costs_floor_and_either_rule():
     agent = mm(0.2, 4.0)
-    consumed_b, consumed_c, ceased = apply_costs(agent, 6, CeaseRule.EITHER_EXHAUSTED)
+    consumed_b, consumed_c = apply_costs(agent, 6, CeaseRule.EITHER_EXHAUSTED)
     assert consumed_b == pytest.approx(0.2)  # only what was left
     assert consumed_c == pytest.approx(0.3)
     assert agent.bonds_acc == 0.0
-    assert ceased
-    assert agent.status is AgentStatus.CEASED
     assert agent.ceased_at_step == 6
 
 
 def test_apply_costs_floor_and_both_rule():
     agent = mm(0.2, 4.0)
-    _, _, ceased = apply_costs(agent, 6, CeaseRule.BOTH_EXHAUSTED)
+    apply_costs(agent, 6, CeaseRule.BOTH_EXHAUSTED)
     assert agent.bonds_acc == 0.0
-    assert not ceased
-    assert agent.active
+    assert agent.ceased_at_step is None
 
 
 def test_cease_check_semantics():
+    # Zero cost rates: apply_costs burns nothing and only applies the rule.
     either, both = CeaseRule.EITHER_EXHAUSTED, CeaseRule.BOTH_EXHAUSTED
 
-    agent = mm(0.0, 3.2)
-    assert cease_check(agent, 4, either)
+    agent = mm(0.0, 3.2, bond_rate=0.0, cash_rate=0.0)
+    apply_costs(agent, 4, either)
     assert agent.ceased_at_step == 4
 
-    agent = mm(0.0, 3.2)
-    assert not cease_check(agent, 4, both)
-    assert agent.active
+    agent = mm(0.0, 3.2, bond_rate=0.0, cash_rate=0.0)
+    apply_costs(agent, 4, both)
+    assert agent.ceased_at_step is None
 
-    agent = mm(0.0, 0.0)
-    assert cease_check(agent, 9, both)
+    agent = mm(0.0, 0.0, bond_rate=0.0, cash_rate=0.0)
+    apply_costs(agent, 9, both)
     assert agent.ceased_at_step == 9
 
-    agent = mm(0.1, 5.0)
-    assert not cease_check(agent, 0, either)
+    agent = mm(0.1, 5.0, bond_rate=0.0, cash_rate=0.0)
+    apply_costs(agent, 0, either)
+    assert agent.ceased_at_step is None
 
 
 def test_scalar_lifetime_matches_ceiling_formula():
@@ -189,7 +195,7 @@ def test_scalar_lifetime_matches_ceiling_formula():
         ):
             agent = mm(b0, c0, rb, rc)
             steps = 0
-            while agent.active:
+            while agent.ceased_at_step is None:
                 apply_costs(agent, steps, rule)
                 steps += 1
                 assert steps < 1000

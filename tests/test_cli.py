@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import logging
 from pathlib import Path
 
 import pytest
@@ -24,6 +25,7 @@ from bondflow.harness import (
     SUMMARIES_CSV,
     TABLE_FILES,
     config_hash,
+    shipped_aversion_corpus,
 )
 from gateway import GatewayStub
 
@@ -61,7 +63,7 @@ def test_run_live_without_token_is_provider_failure(tmp_path, monkeypatch):
     assert rc == EXIT_PROVIDER_FAILURE
 
 
-def test_live_rejection_mid_batch_is_partial(tmp_path, monkeypatch):
+def test_live_rejection_mid_batch_is_partial(tmp_path, monkeypatch, caplog):
     # The gateway refuses the first request: sim 0 aborts, sim 1 is skipped.
     monkeypatch.setenv("TEST_GATEWAY_TOKEN", "tok")
     with GatewayStub([(401, {})]) as stub:
@@ -86,6 +88,9 @@ def test_live_rejection_mid_batch_is_partial(tmp_path, monkeypatch):
     assert len(stub.requests) == 1
     manifest = json.loads((out / MANIFEST_JSON).read_text(encoding="utf-8"))
     assert manifest["status"] == "partial" and manifest["skipped"] == [1]
+    # The aborted sim is logged once, by the harness, not again by the CLI.
+    aborts = [r for r in caplog.records if r.levelno == logging.ERROR and " aborted: " in r.getMessage()]
+    assert [r.getMessage().split(":")[0] for r in aborts] == ["simulation 0 aborted"]
 
 
 @pytest.mark.parametrize(
@@ -216,6 +221,32 @@ def test_config_echo_loads_back(tmp_path, preset):
     assert (replay_out / SUMMARIES_CSV).read_bytes() == (out / SUMMARIES_CSV).read_bytes()
 
 
+@pytest.mark.parametrize("live", [True, False], ids=["live", "journaled-replay"])
+def test_recorded_journal_replays_with_its_echo(tmp_path, monkeypatch, live):
+    # An exp2 echo names the corpus its run read (the preset's), not the
+    # journal the run wrote: replaying that journal with the echo works.
+    monkeypatch.setenv("TEST_GATEWAY_TOKEN", "tok")
+    with GatewayStub([]) as stub:
+        config = {"preset": "exp2", "n_simulations": 1, "max_steps": 40}
+        if live:
+            config["provider"] = {
+                "endpoint_url": stub.url,
+                "token_env": "TEST_GATEWAY_TOKEN",
+                "rate_limit_rps": 10_000.0,
+            }
+        else:
+            config["journal"] = True
+        path = tmp_path / "recorded.yaml"
+        path.write_text(yaml.safe_dump(config), encoding="utf-8")
+        out = tmp_path / "run"
+        assert main(["run", str(path), *(["--live"] if live else []), "--out", str(out)]) == EXIT_OK
+    assert bool(stub.requests) is live
+    journal = out / JOURNAL_DIR / "sim_0000.jsonl"
+    replayed = tmp_path / "replayed"
+    assert main(["replay", str(journal), str(out / CONFIG_ECHO), "--out", str(replayed)]) == EXIT_OK
+    assert (replayed / SUMMARIES_CSV).read_bytes() == (out / SUMMARIES_CSV).read_bytes()
+
+
 def test_echo_replay_sha256_must_match_the_corpus(tmp_path):
     out = tmp_path / "run"
     run_batch(resolve_preset("exp2", {"n_simulations": 1, "max_steps": 20, "output_dir": str(out)}))
@@ -232,3 +263,20 @@ def test_echo_replay_sha256_must_match_the_corpus(tmp_path):
     pathless.write_text(yaml.safe_dump({"provider": {"replay_sha256": sha}}), encoding="utf-8")
     assert main(["run", str(pathless), "--out", str(tmp_path / "y")]) == EXIT_CONFIG_ERROR
     assert not (tmp_path / "x").exists() and not (tmp_path / "y").exists()
+
+    # Replay also checks the echo's sha256 against the corpus it is given:
+    # an exp2 run on a copy of the corpus with one more trailing newline
+    # replays from its echo and that copy.
+    copy = tmp_path / "copy.jsonl"
+    copy.write_bytes(Path(shipped_aversion_corpus()).read_bytes() + b"\n")
+    copy_out = tmp_path / "copy-run"
+    run_batch(resolve_preset("exp2", {
+        "n_simulations": 1, "max_steps": 20, "provider.replay_path": str(copy), "output_dir": str(copy_out),
+    }))
+    copy_echo = str(copy_out / CONFIG_ECHO)
+    replayed = tmp_path / "copy-replayed"
+    assert main(["replay", str(copy), copy_echo, "--out", str(replayed)]) == EXIT_OK
+    assert (replayed / SUMMARIES_CSV).read_bytes() == (copy_out / SUMMARIES_CSV).read_bytes()
+    # The shipped corpus, also the preset's, does not have this echo's sha256.
+    assert main(["replay", shipped_aversion_corpus(), copy_echo, "--out", str(tmp_path / "z")]) == EXIT_CONFIG_ERROR
+    assert not (tmp_path / "z").exists()

@@ -11,29 +11,31 @@ import numpy as np
 import pytest
 
 from bondflow import (
-    BernoulliProvider,
     ConfigError,
     DecisionOutcome,
     DecisionState,
     DesireQuery,
-    LiveLLMProvider,
     PromptTemplate,
-    ProviderConfig,
     ProviderHardFailure,
     ProviderKind,
+    build_provider,
+    read_journal,
+    split_journal,
+)
+from bondflow.decision import (
+    BernoulliProvider,
+    LiveLLMProvider,
+    ProviderConfig,
     ReplayProvider,
     SyntheticBurstyProvider,
-    build_provider,
-    load_template,
+    journal_line,
     normalize_response,
+    parse_journal_line,
     prompt_hash,
-    read_journal,
     render_prompt,
-    split_journal,
-    substream,
 )
-from bondflow.decision import journal_line, parse_journal_line
-from bondflow.prompts import compile_template
+from bondflow.prompts import compile_template, load_template
+from bondflow.seeding import substream
 from gateway import YES_PAYLOAD, GatewayStub
 
 
@@ -195,6 +197,14 @@ def test_bernoulli_extremes_and_frequency():
 def test_bernoulli_rejects_bad_p():
     with pytest.raises(ConfigError):
         ProviderConfig(kind=ProviderKind.BERNOULLI, bernoulli_p=1.5)
+
+
+def test_scripted_providers_check_ranges_when_built_directly():
+    # Library code may build a provider without a ProviderConfig.
+    with pytest.raises(ConfigError, match="bernoulli_p"):
+        BernoulliProvider(1.5)
+    with pytest.raises(ConfigError, match="burst_stay_yes"):
+        SyntheticBurstyProvider(1.0, 0.5)
 
 
 def test_bursty_stationary_distribution():

@@ -5,18 +5,11 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from bondflow import (
-    AgentConfig,
-    BernoulliProvider,
-    CeaseRule,
-    CounterpartyKind,
-    DecisionState,
-    Direction,
-    LandscapeConfig,
-    Simulation,
-    TerminalReason,
-    simulation_seed,
-)
+from bondflow import DecisionState, Simulation, simulation_seed
+from bondflow.agents import AgentConfig, CeaseRule
+from bondflow.decision import BernoulliProvider
+from bondflow.engine import CounterpartyKind, TerminalReason
+from bondflow.landscape import Direction, LandscapeConfig
 
 SMALL_LANDSCAPE = LandscapeConfig(grid_width=6, grid_height=6)
 
@@ -136,7 +129,7 @@ def arm_mms(sim, rows):
 def rebalance(sim):
     """One interbank phase over the Active MMs; returns the trades it made."""
     before = len(sim.trades)
-    sim._interbank_rebalance([mm for mm in sim.mms if mm.active])
+    sim._interbank_rebalance([mm for mm in sim.mms if mm.ceased_at_step is None])
     return sim.trades[before:]
 
 
@@ -208,9 +201,6 @@ def test_interbank_skips_untriggered_and_bondless():
 def test_interbank_needs_two_active_mms():
     sim = make_sim(agents=AgentConfig(n_agents=2))
     arm_mms(sim, [(10.0, 0.0, 0.3), (1.0, 8.0, 0.2)])
-    from bondflow import AgentStatus
-
-    sim.mms[1].status = AgentStatus.CEASED
     sim.mms[1].ceased_at_step = 0
     assert rebalance(sim) == []
 

@@ -17,15 +17,10 @@ import pytest
 import yaml
 
 from bondflow import (
-    AgentConfig,
-    BernoulliProvider,
-    CeaseRule,
     ConfigError,
     DecisionState,
     ExperimentConfig,
-    LandscapeConfig,
     PromptTemplate,
-    ProviderConfig,
     ProviderHardFailure,
     ProviderKind,
     load_config_file,
@@ -34,6 +29,8 @@ from bondflow import (
     resolve_preset,
     run_batch,
 )
+from bondflow.agents import AgentConfig, CeaseRule
+from bondflow.decision import BernoulliProvider, ProviderConfig
 from bondflow.harness import (
     CONFIG_ECHO,
     DECISIONS_CSV,
@@ -51,6 +48,7 @@ from bondflow.harness import (
     shipped_timeliness_fixture,
 )
 from bondflow import harness
+from bondflow.landscape import LandscapeConfig
 from gateway import GatewayStub
 from util import mini_config, run_mini
 
@@ -430,6 +428,26 @@ def test_live_thread_pool_batch_matches_serial(tmp_path, monkeypatch):
     assert stub.requests
     assert threading.current_thread().name in threads and len(threads) > 1
     assert logs[0] == logs[1]
+
+
+def test_abort_starts_no_more_sims(monkeypatch):
+    # The gateway refuses every request: sim 0 aborts, and the pool cancels
+    # the sims no worker has started instead of running and dropping them.
+    monkeypatch.setenv("TEST_GATEWAY_TOKEN", "tok")
+    with GatewayStub([(401, {})] * 40) as stub:
+        result = run_batch(resolve_preset("exp3", {
+            "n_simulations": 40,
+            "max_steps": 30,
+            "parallelism": 2,
+            "provider.kind": "llm",
+            "provider.endpoint_url": stub.url,
+            "provider.token_env": "TEST_GATEWAY_TOKEN",
+            "provider.max_retries": 0,
+            "provider.rate_limit_rps": 10_000.0,
+        }))
+    assert [sim_id for sim_id, _ in result.aborted] == [0]
+    assert result.skipped == list(range(1, 40))
+    assert len(stub.requests) < 10
 
 
 # sha256 of decisions.csv then trades.csv for exp1 on a 200x200 grid (2 sims,

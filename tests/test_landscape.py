@@ -8,16 +8,16 @@ from statistics import NormalDist
 import numpy as np
 import pytest
 
-from bondflow import (
-    ConfigError,
+from bondflow import ConfigError, resolve_preset
+from bondflow.landscape import (
     Direction,
     LandscapeConfig,
     LognormalParams,
+    arithmetic_to_underlying,
     init_landscape,
     sample_truncated_lognormal,
-    substream,
 )
-from bondflow.landscape import arithmetic_to_underlying
+from bondflow.seeding import substream
 
 _ND = NormalDist()
 
@@ -125,6 +125,14 @@ def test_config_validation_errors():
         LandscapeConfig(max_bonds=0.0)
     with pytest.raises(ConfigError):
         LandscapeConfig(bond_sigma=0.0)
+
+
+def test_infeasible_truncation_is_rejected_when_the_config_is_built():
+    # exp(cash_mu - 6*cash_sigma) = exp(-2) ~ 0.135: a 0.01 cash cap could never be sampled.
+    with pytest.raises(ConfigError, match="truncation cap"):
+        resolve_preset("exp1", {"landscape.max_cash": 0.01})
+    with pytest.raises(ConfigError):  # an arithmetic mean must be > 0
+        LandscapeConfig(bond_mu=-1.0, lognormal_params=LognormalParams.ARITHMETIC)
 
 
 def all_cells(grid):

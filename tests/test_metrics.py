@@ -10,21 +10,15 @@ import numpy as np
 import pytest
 
 from bondflow import (
-    CounterpartyKind,
     DecisionOutcome,
     DecisionState,
-    Direction,
-    MarketMakerState,
     ProviderKind,
     SimulationResult,
-    SimulationSummary,
-    TerminalReason,
-    TradeRecord,
-    aggregate_batch,
-    recount_simulation,
-    summarize_simulation,
     yes_ratio_series,
 )
+from bondflow.agents import MarketMakerState
+from bondflow.engine import CounterpartyKind, TerminalReason, TradeRecord
+from bondflow.landscape import Direction
 from bondflow.metrics import (
     CLIENT_TABLE_COLUMNS,
     CLIENT_TABLE_ROWS,
@@ -32,26 +26,24 @@ from bondflow.metrics import (
     FULL_TABLE_ROWS,
     YES_RATIO_TABLE_COLUMNS,
     YES_RATIO_TABLE_ROWS,
+    SimulationSummary,
+    aggregate_batch,
+    recount_simulation,
     render_client_stats_table,
     render_full_stats_table,
     render_yes_ratio_table,
     series_stats,
+    summarize_simulation,
 )
 
 Y, N, E = DecisionState.YES, DecisionState.NO, DecisionState.ERROR
 
 
 def _mk_mm(mm_id, ceased_at):
-    from bondflow import AgentStatus
-
-    mm = MarketMakerState(
+    return MarketMakerState(
         id=mm_id, bonds_acc=1.0, cash_acc=1.0, bond_rate=0.2, cash_rate=0.2,
-        breadth=3, anchor=(0, 0),
+        breadth=3, anchor=(0, 0), ceased_at_step=ceased_at,
     )
-    if ceased_at is not None:
-        mm.status = AgentStatus.CEASED
-        mm.ceased_at_step = ceased_at
-    return mm
 
 
 def client_trade(step, bond_qty, cash_qty, mm_id=0, direction=Direction.SELL):

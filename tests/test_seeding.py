@@ -5,14 +5,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from bondflow import (
-    BernoulliProvider,
-    DesireQuery,
-    SyntheticBurstyProvider,
-    simulation_seed,
-    stable_hash64,
-    substream,
-)
+from bondflow import DesireQuery, simulation_seed
+from bondflow.decision import BernoulliProvider, SyntheticBurstyProvider
 from bondflow.seeding import (
     BLOCK,
     STREAM_AGENT_INIT,
@@ -22,6 +16,8 @@ from bondflow.seeding import (
     STREAM_STEP_ROLLS,
     BufferedIntegers,
     BufferedUniforms,
+    stable_hash64,
+    substream,
 )
 
 
