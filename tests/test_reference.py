@@ -1,0 +1,104 @@
+"""Differential test: ``run_batch`` against the naive engine in ``reference.py``.
+
+A seeded generator (criterion 5's, with its ranges widened to the edges)
+draws a few hundred configs; for each, the trades, decisions and lifecycle
+logs that ``run_batch`` writes must equal the reference engine's byte for
+byte. A failure names the first config and log line that differ, so the
+case can be rerun and shrunk by hand.
+"""
+
+from __future__ import annotations
+
+import time
+from dataclasses import replace
+
+import numpy as np
+
+from bondflow.agents import AgentConfig, CeaseRule
+from bondflow.decision import ProviderConfig, ProviderKind
+from bondflow.harness import ExperimentConfig, run_batch
+from bondflow.landscape import LandscapeConfig
+from reference import reference_tables
+
+N_CONFIGS = 300
+TIME_BUDGET_S = 10.0
+
+
+def _edge_or_uniform(rng, edges, lo, hi):
+    """One of ``edges`` half the time, else uniform in [lo, hi)."""
+    if rng.random() < 0.5:
+        return float(edges[int(rng.integers(len(edges)))])
+    return float(rng.uniform(lo, hi))
+
+
+def random_config(rng: np.random.Generator, case: int) -> ExperimentConfig:
+    width = int(rng.choice([1, 60, int(rng.integers(1, 61))]))
+    height = int(rng.choice([1, 40, int(rng.integers(1, 41))]))
+    breadth_max = int(rng.integers(1, max(width, height) + 1))
+    landscape = LandscapeConfig(
+        grid_width=width,
+        grid_height=height,
+        availability_p=_edge_or_uniform(rng, [0.0, 1.0], 0.0, 1.0),
+        direction_p=_edge_or_uniform(rng, [0.0, 1.0], 0.0, 1.0),
+    )
+
+    regime = case % 3
+    if regime == 0:  # the default metabolism, at random rates
+        cost_min = float(rng.uniform(0.05, 0.5))
+        costs = dict(cost_min=cost_min, cost_max=cost_min + float(rng.uniform(0.0, 0.5)))
+    elif regime == 1:  # costs that burn the largest endowment within 3 steps
+        cost = float(rng.uniform(5.0 / 3.0, 6.0))
+        costs = dict(cost_min=cost, cost_max=cost)
+    else:  # equal endowments and rates, so interbank buyers tie on cash
+        cost = float(rng.uniform(0.1, 0.5))
+        cash = float(rng.uniform(1.0, 5.0))
+        costs = dict(cost_min=cost, cost_max=cost, init_cash_min=cash, init_cash_max=cash)
+    agents = AgentConfig(
+        n_agents=int(rng.integers(1, 10)),
+        breadth_min=int(rng.integers(1, breadth_max + 1)),
+        breadth_max=breadth_max,
+        cease_rule=CeaseRule.BOTH_EXHAUSTED if case % 2 else CeaseRule.EITHER_EXHAUSTED,
+        **costs,
+    )
+
+    if rng.random() < 0.5:
+        provider = ProviderConfig(
+            kind=ProviderKind.BERNOULLI, bernoulli_p=_edge_or_uniform(rng, [0.0, 1.0], 0.0, 1.0)
+        )
+    else:
+        provider = ProviderConfig(
+            kind=ProviderKind.SYNTHETIC_BURSTY,
+            burst_stay_yes=float(rng.uniform(0.05, 0.95)),
+            burst_stay_no=float(rng.uniform(0.05, 0.95)),
+        )
+    return ExperimentConfig(
+        landscape=landscape,
+        agents=agents,
+        provider=provider,
+        max_steps=int(rng.integers(0, 81)),
+        n_simulations=int(rng.integers(1, 4)),
+        master_seed=int(rng.integers(0, 2**31)),
+        interbank_runway_steps=_edge_or_uniform(rng, [0.0, 50.0, 3.0], 0.0, 10.0),
+        journal=False,
+    )
+
+
+def _first_difference(expected: str, actual: str) -> str:
+    for no, (want, got) in enumerate(zip(expected.splitlines(), actual.splitlines()), start=1):
+        if want != got:
+            return f"line {no}: reference {want!r}, run_batch {got!r}"
+    return f"reference has {len(expected.splitlines())} lines, run_batch {len(actual.splitlines())}"
+
+
+def test_run_batch_matches_reference_engine(tmp_path):
+    rng = np.random.default_rng(5)
+    started = time.perf_counter()
+    for case in range(N_CONFIGS):
+        cfg = random_config(rng, case)
+        out = tmp_path / f"case{case:03d}"
+        run_batch(replace(cfg, output_dir=str(out)))
+        for name, expected in reference_tables(cfg).items():
+            actual = (out / name).read_text(encoding="utf-8")
+            assert actual == expected, f"case {case}, {name}, {_first_difference(expected, actual)}\n{cfg}"
+    elapsed = time.perf_counter() - started
+    assert elapsed < TIME_BUDGET_S, f"{N_CONFIGS} configs took {elapsed:.1f}s"
