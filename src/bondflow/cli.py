@@ -78,12 +78,24 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _default_out_name(source: str) -> str:
-    name = source if source in PRESET_NAMES else Path(source).stem
-    return str(Path("runs") / name)
+def _run_and_report(
+    args: argparse.Namespace, source: str, overrides: dict[str, Any], replay_path: str | None = None
+) -> int:
+    """Resolve *source* under the overrides and ``--out``/``--parallel``, run it, report.
 
-
-def _report_batch(result) -> int:
+    The output directory defaults to ``runs/<source name>``, with a
+    ``-replay`` suffix for a replay.
+    """
+    if args.out is not None:
+        overrides["output_dir"] = args.out
+    if args.parallel is not None:
+        overrides["parallelism"] = args.parallel
+    cfg = resolve_config(source, overrides, replay_path=replay_path)
+    if cfg.output_dir is None:
+        name = source if source in PRESET_NAMES else Path(source).stem
+        suffix = "" if replay_path is None else "-replay"
+        cfg = replace(cfg, output_dir=str(Path("runs") / name) + suffix)
+    result = run_batch(cfg)
     n = len(result.summaries)
     if result.batch is not None:
         life = result.batch.metrics["max_life"]
@@ -110,35 +122,17 @@ def _cmd_run(args: argparse.Namespace) -> int:
         overrides["master_seed"] = args.seed
     if args.availability is not None:
         overrides["landscape.availability_p"] = args.availability
-    if args.out is not None:
-        overrides["output_dir"] = args.out
-    if args.parallel is not None:
-        overrides["parallelism"] = args.parallel
     if args.live:
         overrides["provider.kind"] = ProviderKind.LIVE_LLM
     elif args.provider is not None:
         overrides["provider.kind"] = ProviderKind(args.provider)
-
-    cfg = resolve_config(args.source, overrides)
-    if cfg.output_dir is None:
-        cfg = replace(cfg, output_dir=_default_out_name(args.source))
-    result = run_batch(cfg)
-    return _report_batch(result)
+    return _run_and_report(args, args.source, overrides)
 
 
 def _cmd_replay(args: argparse.Namespace) -> int:
-    overrides: dict[str, Any] = {}
-    if args.out is not None:
-        overrides["output_dir"] = args.out
-    if args.parallel is not None:
-        overrides["parallelism"] = args.parallel
     # The replay command's semantics ARE replay, so the provider swap is not
     # an override contradiction - it bypasses the preset's pins.
-    cfg = resolve_config(args.config, overrides, replay_path=args.journal)
-    if cfg.output_dir is None:
-        cfg = replace(cfg, output_dir=_default_out_name(args.config) + "-replay")
-    result = run_batch(cfg)
-    return _report_batch(result)
+    return _run_and_report(args, args.config, {}, replay_path=args.journal)
 
 
 def _cmd_tables(args: argparse.Namespace) -> int:

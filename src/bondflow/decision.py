@@ -213,12 +213,17 @@ def parse_journal_line(line: str) -> JournalRecord:
 
 
 def read_journal(path: Path | str) -> list[JournalRecord]:
+    """Every record of a journal file; a malformed line is a ``ConfigError``."""
     records: list[JournalRecord] = []
     with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
+        for line_no, line in enumerate(fh, start=1):
             line = line.strip()
-            if line:
+            if not line:
+                continue
+            try:
                 records.append(parse_journal_line(line))
+            except (ValueError, LookupError, TypeError, AttributeError) as exc:
+                raise ConfigError(f"{path}, line {line_no}: malformed journal record: {exc}") from exc
     return records
 
 

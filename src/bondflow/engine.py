@@ -21,9 +21,9 @@ Fixed per-step order, documented and load-bearing for replayability:
 
 Trades never create or destroy value: the engine tracks exactly how much
 each resource the cost metabolism consumed, so clients + MMs + consumed ==
-initial totals holds at every step. The engine does not audit it while it
-runs: the tests check ``conservation_errors()`` after every step, and the
-benchmark checks each finished run's final totals.
+initial totals holds at every step. The engine audits it once, when a run
+ends: a relative drift above ``CONSERVATION_TOLERANCE`` aborts the run. The
+tests also check ``conservation_errors()`` after every step.
 
 Each random stream has one consumer. The contact stream is read ahead in
 blocks and the built-in providers read theirs the same way, with every
@@ -69,6 +69,8 @@ from .seeding import (
 
 DEFAULT_MAX_STEPS = 1500
 DEFAULT_INTERBANK_RUNWAY_STEPS = 3.0
+# Largest relative drift of either resource that a finished run may show.
+CONSERVATION_TOLERANCE = 1e-9
 
 
 class TerminalReason(Enum):
@@ -98,8 +100,7 @@ class SimulationResult:
 
     sim_id: int
     seed: int
-    terminal_step: int
-    terminal_reason: TerminalReason | None
+    terminal_reason: TerminalReason | None  # None if aborted
     steps_executed: int
     contacts: int
     mms: list[MarketMakerState]
@@ -112,8 +113,16 @@ class SimulationResult:
     consumed_bonds: float
     consumed_cash: float
     journal: str | None = None  # JSONL encoding of ``decisions``, if journaled
-    aborted: bool = False
-    abort_reason: str | None = None
+    abort_reason: str | None = None  # None unless the run aborted
+
+    @property
+    def terminal_step(self) -> int:
+        """Index of the last executed step (0 if none ran)."""
+        return max(0, self.steps_executed - 1)
+
+    @property
+    def aborted(self) -> bool:
+        return self.abort_reason is not None
 
 
 class Simulation:
@@ -195,34 +204,36 @@ class Simulation:
         x, y = base.cell(self._contact_draws.integers(base.size))
         if not self.grid.is_available(x, y):
             return
+        bonds, cash = self.grid.holdings(x, y)
         query = DesireQuery(
             sim_id=self.sim_id,
             step=self.step_no,
             mm_id=mm.id,
             client_position=(x, y),
-            client_bonds=float(self.grid.bonds[y, x]),
-            client_cash=float(self.grid.cash[y, x]),
+            client_bonds=bonds,
+            client_cash=cash,
             sequence_no=len(self.decisions),
         )
         outcome = self.provider.decide(query, self._rng_provider)
         self.decisions.append((query, outcome))
         if outcome.state is not DecisionState.YES:
             return
-        record = self._execute_client_trade(mm, x, y, self.grid.direction_at(x, y))
+        record = self._execute_client_trade(mm, query, self.grid.direction_at(x, y))
         if record is not None:
             self.trades.append(record)
 
     def _execute_client_trade(
-        self, mm: MarketMakerState, x: int, y: int, direction: Direction
+        self, mm: MarketMakerState, query: DesireQuery, direction: Direction
     ) -> TradeRecord | None:
-        """Obligated trade with the client at (x, y); None if zero-quantity.
+        """Obligated trade with the queried client, sized from its query; None if zero-quantity.
 
         Sell: the client unloads its FULL bond holding; the MM pays what
         cash it can, capped at par value. Buy: par swap capped by both the
         client's cash and the MM's bond inventory.
         """
+        x, y = query.client_position
         if direction is Direction.SELL:
-            bond_qty = float(self.grid.bonds[y, x])
+            bond_qty = query.client_bonds
             cash_qty = min(mm.cash_acc, bond_qty)
             if bond_qty <= 0.0 and cash_qty <= 0.0:
                 return None
@@ -230,7 +241,7 @@ class Simulation:
             mm.bonds_acc += bond_qty
             mm.cash_acc -= cash_qty
         else:
-            qty = min(float(self.grid.cash[y, x]), mm.bonds_acc)
+            qty = min(query.client_cash, mm.bonds_acc)
             if qty <= 0.0:
                 return None
             bond_qty = cash_qty = qty
@@ -289,21 +300,20 @@ class Simulation:
     # -- whole-run API -------------------------------------------------
 
     def run(self) -> SimulationResult:
-        """Step until all MMs cease or the cap; hard failures flush partial logs."""
-        aborted = False
+        """Step until all MMs cease or the cap; a hard failure or a conservation drift aborts."""
         abort_reason: str | None = None
         try:
             while self.any_active() and self.step_no < self.max_steps:
                 self.step()
         except ProviderHardFailure as exc:
-            aborted = True
             abort_reason = str(exc)
-        if aborted:
-            reason = None
-        elif not self.any_active():
-            reason = TerminalReason.ALL_CEASED
         else:
-            reason = TerminalReason.STEP_LIMIT
+            drift = max(self.conservation_errors())
+            if drift > CONSERVATION_TOLERANCE:
+                abort_reason = f"conservation drift {drift:.3e} exceeds {CONSERVATION_TOLERANCE:g}"
+        reason = None
+        if abort_reason is None:
+            reason = TerminalReason.STEP_LIMIT if self.any_active() else TerminalReason.ALL_CEASED
         template = self.journal_template
         journal = None
         if template is not None:
@@ -311,7 +321,6 @@ class Simulation:
         return SimulationResult(
             sim_id=self.sim_id,
             seed=self.seed,
-            terminal_step=self.terminal_step,
             terminal_reason=reason,
             steps_executed=self.step_no,
             contacts=self.contacts,
@@ -325,14 +334,8 @@ class Simulation:
             consumed_bonds=self.consumed_bonds,
             consumed_cash=self.consumed_cash,
             journal=journal,
-            aborted=aborted,
             abort_reason=abort_reason,
         )
-
-    @property
-    def terminal_step(self) -> int:
-        """Index of the last executed step (0 if none ran yet)."""
-        return max(0, self.step_no - 1)
 
     def conservation_errors(self) -> tuple[float, float]:
         """Relative drift of (bonds, cash) vs the closed-system law."""

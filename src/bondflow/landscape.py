@@ -189,6 +189,10 @@ class Landscape:
         i = y * self.cfg.grid_width + x
         return Direction.SELL if self._draw(self.n_cells + i) < self.cfg.direction_p else Direction.BUY
 
+    def holdings(self, x: int, y: int) -> tuple[float, float]:
+        """(bonds, cash) held by the client at (x, y)."""
+        return float(self.bonds[y, x]), float(self.cash[y, x])
+
     def apply_trade(self, x: int, y: int, bond_delta: float, cash_delta: float) -> None:
         """Apply a settled trade's deltas to a client; holdings stay >= 0."""
         nb = self.bonds[y, x] + bond_delta

@@ -138,7 +138,6 @@ def _tally(
     cease_steps: Sequence[int | None],
     *,
     sim_id: int,
-    terminal_step: int,
     terminal_reason: TerminalReason | None,
     steps_executed: int,
     contacts: int,
@@ -151,6 +150,7 @@ def _tally(
     states, come in log order; a cease step is None for an MM still alive.
     The keyword fields are echoed into the summary.
     """
+    terminal_step = max(0, steps_executed - 1)  # as SimulationResult.terminal_step
     client_bond_vol = client_cash_vol = 0.0
     ib_bond_vol = ib_cash_vol = 0.0
     trade_count = interbank_trade_count = 0
@@ -199,7 +199,6 @@ def summarize_simulation(result: SimulationResult) -> SimulationSummary:
         (outcome.state for _, outcome in result.decisions),
         [mm.ceased_at_step for mm in result.mms],
         sim_id=result.sim_id,
-        terminal_step=result.terminal_step,
         terminal_reason=result.terminal_reason,
         steps_executed=result.steps_executed,
         contacts=result.contacts,
@@ -289,7 +288,6 @@ def recount_simulation(
     lifecycle_rows: Iterable[Mapping[str, str]],
     *,
     sim_id: int,
-    terminal_step: int,
     terminal_reason: TerminalReason | None,
     steps_executed: int,
     initial_client_bonds: float,
@@ -299,8 +297,8 @@ def recount_simulation(
 
     Row iterables must be in file order (which is append order) so that
     float summation reproduces the original exactly. The scalar run facts
-    (terminal step/reason, denominators) are echoed inputs from the
-    summaries log; everything else is recounted. Contacts are one per
+    (terminal reason, steps executed, denominators) are echoed inputs from
+    the summaries log; everything else is recounted. Contacts are one per
     active MM per executed step.
     """
 
@@ -322,7 +320,6 @@ def recount_simulation(
         (DecisionState(row["state"]) for row in own(decision_rows)),
         cease_steps,
         sim_id=sim_id,
-        terminal_step=terminal_step,
         terminal_reason=terminal_reason,
         steps_executed=steps_executed,
         contacts=contacts,

@@ -209,12 +209,16 @@ def _render(fields: list[str], rows: list[dict]) -> str:
 
 def reference_tables(cfg: ExperimentConfig) -> dict[str, str]:
     """The batch's trades, decisions and lifecycle CSV text, keyed by file name."""
-    tables: dict[str, list[dict]] = {"trades.csv": [], "decisions.csv": [], "lifecycle.csv": []}
+    trades: list[dict] = []
+    decisions: list[dict] = []
+    lifecycle: list[dict] = []
     for sim_id in range(cfg.n_simulations):
-        for name, rows in zip(tables, run_reference(cfg, sim_id)):
-            tables[name].extend(rows)
+        sim_trades, sim_decisions, sim_lifecycle = run_reference(cfg, sim_id)
+        trades += sim_trades
+        decisions += sim_decisions
+        lifecycle += sim_lifecycle
     return {
-        "trades.csv": _render(TRADE_FIELDS, tables["trades.csv"]),
-        "decisions.csv": _render(DECISION_FIELDS, tables["decisions.csv"]),
-        "lifecycle.csv": _render(LIFECYCLE_FIELDS, tables["lifecycle.csv"]),
+        "trades.csv": _render(TRADE_FIELDS, trades),
+        "decisions.csv": _render(DECISION_FIELDS, decisions),
+        "lifecycle.csv": _render(LIFECYCLE_FIELDS, lifecycle),
     }

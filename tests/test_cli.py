@@ -10,7 +10,7 @@ import pytest
 
 import yaml
 
-from bondflow import load_config_file, resolve_preset, run_batch
+from bondflow import engine, load_config_file, resolve_preset, run_batch
 from bondflow.cli import (
     EXIT_CONFIG_ERROR,
     EXIT_OK,
@@ -89,6 +89,27 @@ def test_live_rejection_mid_batch_is_partial(tmp_path, monkeypatch, caplog):
     manifest = json.loads((out / MANIFEST_JSON).read_text(encoding="utf-8"))
     assert manifest["status"] == "partial" and manifest["skipped"] == [1]
     # The aborted sim is logged once, by the harness, not again by the CLI.
+    aborts = [r for r in caplog.records if r.levelno == logging.ERROR and " aborted: " in r.getMessage()]
+    assert [r.getMessage().split(":")[0] for r in aborts] == ["simulation 0 aborted"]
+
+
+def test_conservation_drift_aborts_the_sim(tmp_path, monkeypatch, caplog):
+    # Costs that burn resources but report nothing consumed break the
+    # closed-system law; the end-of-run audit aborts sim 0, sim 1 is skipped.
+    apply_costs = engine.apply_costs
+
+    def under_reported(mm, step, rule):
+        apply_costs(mm, step, rule)
+        return 0.0, 0.0
+
+    monkeypatch.setattr(engine, "apply_costs", under_reported)
+    out = tmp_path / "x"
+    rc = main(["run", "exp1", "--sims", "2", "--out", str(out)])
+    assert rc == EXIT_PARTIAL_BATCH
+    manifest = json.loads((out / MANIFEST_JSON).read_text(encoding="utf-8"))
+    assert manifest["status"] == "partial" and manifest["skipped"] == [1]
+    assert manifest["aborted"][0]["sim_id"] == 0
+    assert manifest["aborted"][0]["reason"].startswith("conservation drift ")
     aborts = [r for r in caplog.records if r.levelno == logging.ERROR and " aborted: " in r.getMessage()]
     assert [r.getMessage().split(":")[0] for r in aborts] == ["simulation 0 aborted"]
 
@@ -186,6 +207,27 @@ def test_replay_pads_short_corpus_with_error_journals(tmp_path):
     replay_out = tmp_path / "replayed"
     rc = main(["replay", str(corpus), str(config), "--out", str(replay_out)])
     assert rc == EXIT_OK
+
+
+@pytest.mark.parametrize(
+    "bad_line",
+    [
+        '{"seq":1,"prompt_hash":7,"state":"maybe","raw":"","latency_ms":null}',
+        '{"seq":1,"prompt_hash":7,"sta',
+    ],
+    ids=["unknown-state", "truncated"],
+)
+def test_malformed_journal_line_is_config_error(tmp_path, caplog, bad_line):
+    corpus = tmp_path / "corpus.jsonl"
+    good = '{"seq":0,"prompt_hash":7,"state":"no","raw":"No","latency_ms":null}'
+    corpus.write_text(f"{good}\n{bad_line}\n", encoding="utf-8")
+    config = replay_config_file(tmp_path, sims=1, seed=5)
+    out = tmp_path / "replayed"
+    rc = main(["replay", str(corpus), str(config), "--out", str(out)])
+    assert rc == EXIT_CONFIG_ERROR
+    assert not out.exists()
+    errors = [r.getMessage() for r in caplog.records if r.levelno == logging.ERROR]
+    assert any(f"{corpus}, line 2: malformed journal record" in m for m in errors)
 
 
 def test_missing_required_args_exit_nonzero():

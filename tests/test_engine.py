@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from bondflow import DecisionState, Simulation, simulation_seed
+from bondflow import DecisionState, DesireQuery, Simulation, simulation_seed
 from bondflow.agents import AgentConfig, CeaseRule
 from bondflow.decision import BernoulliProvider
 from bondflow.engine import CounterpartyKind, TerminalReason
@@ -49,6 +49,16 @@ def set_client(sim, x, y, bonds, cash):
     sim.grid.cash[y, x] = cash
 
 
+def client_trade(sim, mm, x, y, direction):
+    """The obligated trade after a yes from the client at (x, y)."""
+    bonds, cash = sim.grid.holdings(x, y)
+    query = DesireQuery(
+        sim_id=sim.sim_id, step=sim.step_no, mm_id=mm.id, client_position=(x, y),
+        client_bonds=bonds, client_cash=cash, sequence_no=len(sim.decisions),
+    )
+    return sim._execute_client_trade(mm, query, direction)
+
+
 # -- the documented trade examples, executed exactly --------------------
 
 
@@ -58,7 +68,7 @@ def test_sell_full_unload_with_capped_cash_leg():
     mm.bonds_acc, mm.cash_acc = 3.0, 4.0
     set_client(sim, 2, 2, bonds=10.0, cash=2.0)
 
-    record = sim._execute_client_trade(mm, 2, 2, Direction.SELL)
+    record = client_trade(sim, mm, 2, 2, Direction.SELL)
 
     assert record is not None
     assert record.bond_qty == pytest.approx(10.0)
@@ -78,7 +88,7 @@ def test_buy_par_swap_capped_by_inventory():
     mm.bonds_acc, mm.cash_acc = 2.0, 1.0
     set_client(sim, 1, 3, bonds=0.0, cash=3.0)
 
-    record = sim._execute_client_trade(mm, 1, 3, Direction.BUY)
+    record = client_trade(sim, mm, 1, 3, Direction.BUY)
 
     assert record is not None
     assert record.bond_qty == pytest.approx(2.0)
@@ -96,12 +106,12 @@ def test_zero_quantity_trades_record_nothing():
     # Buy with a cashless client: nothing moves, nothing recorded.
     mm.bonds_acc, mm.cash_acc = 5.0, 5.0
     set_client(sim, 0, 0, bonds=4.0, cash=0.0)
-    assert sim._execute_client_trade(mm, 0, 0, Direction.BUY) is None
+    assert client_trade(sim, mm, 0, 0, Direction.BUY) is None
 
     # Sell with a bondless client and a cashless MM: nothing to record.
     mm.cash_acc = 0.0
     set_client(sim, 0, 1, bonds=0.0, cash=2.0)
-    assert sim._execute_client_trade(mm, 0, 1, Direction.SELL) is None
+    assert client_trade(sim, mm, 0, 1, Direction.SELL) is None
 
 
 def test_sell_records_even_when_mm_cannot_pay():
@@ -110,7 +120,7 @@ def test_sell_records_even_when_mm_cannot_pay():
     mm = sim.mms[0]
     mm.bonds_acc, mm.cash_acc = 1.0, 0.0
     set_client(sim, 4, 4, bonds=2.5, cash=1.0)
-    record = sim._execute_client_trade(mm, 4, 4, Direction.SELL)
+    record = client_trade(sim, mm, 4, 4, Direction.SELL)
     assert record is not None
     assert record.bond_qty == pytest.approx(2.5)
     assert record.cash_qty == 0.0

@@ -72,14 +72,13 @@ def decision(state):
 
 
 def make_result(
-    *, mms, trades=(), decisions=(), terminal_step=20, steps_executed=21,
+    *, mms, trades=(), decisions=(), steps_executed=21,
     terminal_reason=TerminalReason.ALL_CEASED, initial_client_bonds=100.0,
     initial_client_cash=50.0, contacts=40,
 ):
     return SimulationResult(
         sim_id=0,
         seed=1,
-        terminal_step=terminal_step,
         terminal_reason=terminal_reason,
         steps_executed=steps_executed,
         contacts=contacts,
@@ -93,7 +92,6 @@ def make_result(
         consumed_bonds=0.0,
         consumed_cash=0.0,
         journal=None,
-        aborted=False,
         abort_reason=None,
     )
 
@@ -103,16 +101,16 @@ def make_result(
 
 def test_max_life_mixes_ceased_stamps_and_survivors():
     # One MM ceased at 7, one survived to the terminal step.
-    result = make_result(mms=[_mk_mm(0, 7), _mk_mm(1, None)], terminal_step=20)
+    result = make_result(mms=[_mk_mm(0, 7), _mk_mm(1, None)])
     assert summarize_simulation(result).max_life == 20
 
-    result = make_result(mms=[_mk_mm(0, 7), _mk_mm(1, 4)], terminal_step=7, steps_executed=8)
+    result = make_result(mms=[_mk_mm(0, 7), _mk_mm(1, 4)], steps_executed=8)
     assert summarize_simulation(result).max_life == 7
 
 
 def test_max_life_zero_when_nothing_ran():
     result = make_result(
-        mms=[_mk_mm(0, None)], terminal_step=0, steps_executed=0,
+        mms=[_mk_mm(0, None)], steps_executed=0,
         terminal_reason=TerminalReason.STEP_LIMIT,
     )
     assert summarize_simulation(result).max_life == 0
@@ -171,7 +169,7 @@ def test_decision_tallies():
 def summaries_with_max_life(values):
     out = []
     for i, v in enumerate(values):
-        result = make_result(mms=[_mk_mm(0, v)], terminal_step=v, steps_executed=v + 1)
+        result = make_result(mms=[_mk_mm(0, v)], steps_executed=v + 1)
         summary = summarize_simulation(result)
         assert summary.max_life == v
         out.append(summary)
@@ -206,9 +204,9 @@ def test_aggregate_rejects_empty():
 def test_cap_count_counts_step_limited_runs():
     capped = make_result(
         mms=[_mk_mm(0, None)], terminal_reason=TerminalReason.STEP_LIMIT,
-        terminal_step=59, steps_executed=60,
+        steps_executed=60,
     )
-    done = make_result(mms=[_mk_mm(0, 5)], terminal_step=5, steps_executed=6)
+    done = make_result(mms=[_mk_mm(0, 5)], steps_executed=6)
     batch = aggregate_batch([summarize_simulation(capped), summarize_simulation(done)])
     assert batch.cap_count == 1
 
@@ -292,7 +290,6 @@ def test_recount_matches_summaries_exactly(mini_batch):
             decision_rows,
             lifecycle_rows,
             sim_id=int(row["sim_id"]),
-            terminal_step=int(row["terminal_step"]),
             terminal_reason=original.terminal_reason,
             steps_executed=int(row["steps_executed"]),
             initial_client_bonds=float(row["initial_client_bonds"]),
