@@ -32,6 +32,7 @@ import time
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -59,8 +60,7 @@ class ProviderKind(Enum):
     SYNTHETIC_BURSTY = "bursty"
 
 
-@dataclass(frozen=True)
-class DesireQuery:
+class DesireQuery(NamedTuple):
     """One 'do you want to trade?' question put to one client."""
 
     sim_id: int

@@ -29,7 +29,12 @@ Each random stream has one consumer. The contact stream is read ahead in
 blocks and the built-in providers read theirs the same way, with every
 draw equal to the scalar numpy call (see ``seeding``); the engine hands
 the provider its own ``np.random.Generator`` and draws nothing else from
-it.
+it. The step-rolls generator's ``(state, inc)`` is read once, by the
+landscape, which then computes each looked-up draw in pure Python: PCG64
+(O'Neill, HMC-CS-2014-0905) jumped ahead in closed form (Brown, Trans.
+Am. Nucl. Soc. 1994), ``k`` steps being ``state <- M**k*state +
+(M**(k-1) + ... + 1)*inc (mod 2**128)``, through a two-level table
+``hi[k // R] . lo[k % R]`` with ``R = isqrt(2n) + 1`` (see ``Landscape``).
 
 A run is strictly single-threaded; batch parallelism lives in the harness.
 """
@@ -38,6 +43,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 from .agents import (
     AgentConfig,
@@ -83,8 +89,9 @@ class CounterpartyKind(Enum):
     MARKET_MAKER = "mm"
 
 
-@dataclass(frozen=True)
-class TradeRecord:
+class TradeRecord(NamedTuple):
+    """One settled trade leg: a client trade or an interbank sale."""
+
     step: int
     mm_id: int
     counterparty_kind: CounterpartyKind
@@ -158,8 +165,8 @@ class Simulation:
         self.mms: list[MarketMakerState] = init_market_makers(
             agent_cfg, dims, substream(seed, STREAM_AGENT_INIT)
         )
-        # Bases are immutable; compute once.
-        self._bases = [base_rect(mm, dims) for mm in self.mms]
+        # Bases are immutable: each MM's (size, x_lo, y_lo, width), computed once.
+        self._bases = [(b.size, b.x_lo, b.y_lo, b.width) for b in (base_rect(mm, dims) for mm in self.mms)]
 
         self.step_no = 0
         self.contacts = 0
@@ -200,20 +207,15 @@ class Simulation:
 
     def _contact_client(self, mm: MarketMakerState) -> None:
         """One call: pick a client, maybe ask, maybe trade."""
-        base = self._bases[mm.id]
-        x, y = base.cell(self._contact_draws.integers(base.size))
+        size, x_lo, y_lo, width = self._bases[mm.id]
+        # The pick's row-major cell of the base, as ``BaseRect.cell``.
+        dy, dx = divmod(self._contact_draws.integers(size), width)
+        x, y = x_lo + dx, y_lo + dy
         if not self.grid.is_available(x, y):
             return
         bonds, cash = self.grid.holdings(x, y)
-        query = DesireQuery(
-            sim_id=self.sim_id,
-            step=self.step_no,
-            mm_id=mm.id,
-            client_position=(x, y),
-            client_bonds=bonds,
-            client_cash=cash,
-            sequence_no=len(self.decisions),
-        )
+        # Records are built by position on the hot path: half the cost of keywords.
+        query = DesireQuery(self.sim_id, self.step_no, mm.id, (x, y), bonds, cash, len(self.decisions))
         outcome = self.provider.decide(query, self._rng_provider)
         self.decisions.append((query, outcome))
         if outcome.state is not DecisionState.YES:
@@ -248,15 +250,7 @@ class Simulation:
             self.grid.apply_trade(x, y, qty, -qty)
             mm.bonds_acc -= qty
             mm.cash_acc += qty
-        return TradeRecord(
-            step=self.step_no,
-            mm_id=mm.id,
-            counterparty_kind=CounterpartyKind.CLIENT,
-            counterparty=(x, y),
-            client_direction=direction,
-            bond_qty=bond_qty,
-            cash_qty=cash_qty,
-        )
+        return TradeRecord(self.step_no, mm.id, CounterpartyKind.CLIENT, (x, y), direction, bond_qty, cash_qty)
 
     def _interbank_rebalance(self, active: list[MarketMakerState]) -> None:
         """Cash-poor MMs sell bonds at par to the richest-cash peer.
@@ -286,16 +280,9 @@ class Simulation:
             mm.cash_acc += qty
             buyer.bonds_acc += qty
             buyer.cash_acc -= qty
-            record = TradeRecord(
-                step=self.step_no,
-                mm_id=mm.id,
-                counterparty_kind=CounterpartyKind.MARKET_MAKER,
-                counterparty=buyer.id,
-                client_direction=None,
-                bond_qty=qty,
-                cash_qty=qty,
+            self.trades.append(
+                TradeRecord(self.step_no, mm.id, CounterpartyKind.MARKET_MAKER, buyer.id, None, qty, qty)
             )
-            self.trades.append(record)
 
     # -- whole-run API -------------------------------------------------
 

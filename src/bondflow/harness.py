@@ -66,7 +66,7 @@ from .engine import (
     SimulationResult,
     TerminalReason,
 )
-from .errors import ConfigError
+from .errors import ConfigError, ProviderHardFailure
 from .landscape import Direction, LandscapeConfig
 from .metrics import (
     DEFAULT_ROLLING_WINDOW,
@@ -463,6 +463,11 @@ def run_batch(
     The config echo is built once, before the sims, so an unreadable
     replay corpus fails the batch before any sim runs.
 
+    The first sim that aborts (its result says so, or it raised an
+    exception other than ``ProviderHardFailure``, recorded as
+    ``"<Type>: <message>"``) ends the batch: the later sims are skipped,
+    and the tree holds the sims before it.
+
     provider_factory injects a custom provider per sim_id (testing and
     fixture capture); it bypasses the configured provider kind but keeps
     every other contract (journaling, seeding, outputs) intact.
@@ -516,14 +521,26 @@ def run_batch(
             stack.callback(pool.shutdown, cancel_futures=True)
             chunk = max(1, cfg.n_simulations // (cfg.parallelism * 4))
             runs = pool.map(_run_one_task, tasks, chunksize=chunk)
-        for result in runs:
-            results.append(result)
-            if result.aborted:
-                aborted.append((result.sim_id, result.abort_reason or "unknown"))
-                logger.error("simulation %d aborted: %s", result.sim_id, result.abort_reason)
-                break
+        # Results come in sim order, so a sim that raises is the next one.
+        for sim_id in range(cfg.n_simulations):
+            error: Exception | None = None
+            try:
+                result = next(runs)
+            except ProviderHardFailure:
+                raise  # outside a run (building its provider): the whole batch fails, as before
+            except Exception as exc:  # a bug, not a provider failure
+                error = exc
+                reason = f"{type(exc).__name__}: {(str(exc).splitlines() or [''])[0]}"
+            else:
+                results.append(result)
+                if not result.aborted:
+                    continue
+                reason = result.abort_reason or "unknown"
+            aborted.append((sim_id, reason))
+            logger.error("simulation %d aborted: %s", sim_id, reason, exc_info=error)
+            break
     finished_at = _dt.datetime.now(_dt.timezone.utc)
-    skipped = list(range(len(results), cfg.n_simulations))
+    skipped = list(range(aborted[0][0] + 1, cfg.n_simulations)) if aborted else []
 
     completed = [r for r in results if not r.aborted]
     summaries = [summarize_simulation(r) for r in completed]

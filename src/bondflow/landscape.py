@@ -16,6 +16,7 @@ initialization; only trades (in the engine) move holdings around.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -125,6 +126,39 @@ def sample_truncated_lognormal(
     return out
 
 
+# PCG64 (O'Neill, HMC-CS-2014-0905): a 128-bit LCG, state <- M*state + inc.
+_PCG64_MULTIPLIER = 0x2360ED051FC65DA44385DF649FCCF645
+_MASK128 = (1 << 128) - 1
+_MASK64 = (1 << 64) - 1
+
+
+def _then(first: tuple[int, int], second: tuple[int, int]) -> tuple[int, int]:
+    """The jump ``first`` followed by ``second``; a jump ``(a, c)`` maps state to ``a*state + c*inc``."""
+    (a1, c1), (a2, c2) = first, second
+    return a1 * a2 & _MASK128, (a2 * c1 + c2) & _MASK128
+
+
+@functools.lru_cache(maxsize=32)
+def _jump_table(block: int) -> tuple[int, list[tuple[int, int]], list[tuple[int, int]], tuple[int, int]]:
+    """The seed-free jump table of a ``block``-draw step: ``(R, lo, hi, whole)``.
+
+    A jump ``(a, c)`` of ``k`` PCG64 steps maps ``state`` to ``a*state +
+    c*inc (mod 2**128)``, with ``a = M**k`` and ``c = M**(k-1) + ... + 1``.
+    ``lo[r]`` jumps ``r + 1`` steps for ``r < R``, ``hi[q]`` jumps ``R*q``
+    steps for ``R*q < block``, and ``whole`` jumps ``block`` steps.
+    """
+    radix = math.isqrt(block) + 1
+    one = (_PCG64_MULTIPLIER, 1)
+    lo = [one]
+    while len(lo) < radix:
+        lo.append(_then(lo[-1], one))
+    hi = [(1, 0)]
+    while radix * len(hi) < block:
+        hi.append(_then(hi[-1], lo[-1]))
+    # block = R*q + (r + 1) for the last q and some r < R.
+    return radix, lo, hi, _then(hi[-1], lo[block - 1 - radix * (len(hi) - 1)])
+
+
 class Landscape:
     """The client grid plus its per-step stochastic state.
 
@@ -134,11 +168,28 @@ class Landscape:
     Step state lives on the step-rolls stream, whose layout is fixed: step
     ``s`` of an ``n``-cell grid owns the ``2n`` draws from ``2n*s``, cell
     ``i = y*W + x`` drawing availability at ``i`` and direction at ``n + i``
-    of that block (one 64-bit output per ``float64``, C order). A lookup
-    jumps straight to its draw with the PCG64 ``advance`` (relative, mod
-    2**128, so backward too), so a step costs O(lookups), repeat lookups
-    of a cell within a step read the same draw, and the bytes match a
-    generator that drew both full grids every step.
+    of that block (one 64-bit output per ``float64``, C order). A step
+    costs O(lookups), a repeat lookup of a cell within a step reads the
+    same draw, and the bytes match a generator that drew both full grids
+    every step.
+
+    Lookups run PCG64 (M. O'Neill, "PCG", HMC-CS-2014-0905) in pure Python
+    with the closed-form jump-ahead of F. Brown ("Random Number Generation
+    with Arbitrary Strides", Trans. Am. Nucl. Soc. 1994): ``k`` steps take
+    ``state`` to ``M**k*state + (M**(k-1) + ... + 1)*inc (mod 2**128)``.
+    The draw at block offset ``k = R*q + r``, with ``R = isqrt(2n) + 1``,
+    is the state ``hi[q](lo[r](base))``, where ``lo[r]`` jumps ``r + 1``
+    steps and ``hi[q]`` jumps ``R*q``: about ``2*sqrt(2n)`` entries, whose
+    multipliers and ``inc`` coefficients are cached per block size for the
+    process; only the products with ``inc`` are formed per generator. The
+    output is XSL-RR of that state, and the uniform ``(u64 >> 11)*2**-53``,
+    as numpy's ``random()``. Each ``begin_step`` moves ``base`` by one
+    whole-block jump.
+
+    The generator's ``(state, inc)`` is read once, on the first
+    ``begin_step`` with it, and the generator itself is never advanced.
+    That is sound only under the one-consumer contract (see ``seeding``):
+    nothing else reads the step-rolls stream.
     """
 
     def __init__(self, cfg: LandscapeConfig, rng: np.random.Generator) -> None:
@@ -151,7 +202,12 @@ class Landscape:
         self.bonds = sample_truncated_lognormal(bmu, bsig, cfg.max_bonds, rng, size=n).reshape(h, w)
         self.cash = sample_truncated_lognormal(cmu, csig, cfg.max_cash, rng, size=n).reshape(h, w)
         self._rng: np.random.Generator | None = None  # step-rolls stream, set by begin_step
-        self._cursor = 0  # offset of the stream's next draw within the step's block
+        self._base = 0  # PCG64 state just before the current step's block
+        # Jump table with its inc products for ``_rng``; see the class docstring.
+        self._radix = 1
+        self._lo: list[tuple[int, int]] = []
+        self._hi: list[tuple[int, int]] = []
+        self._whole = (1, 0)
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -165,20 +221,36 @@ class Landscape:
     def begin_step(self, rng: np.random.Generator) -> None:
         """Open the next step's draw block on *rng*.
 
-        Skips whatever the previous step left unread, so each step starts
-        ``2n`` draws after the one before, whichever cells were looked up.
+        Each step starts ``2n`` draws after the one before, whichever cells
+        were looked up. A generator not seen before restarts the blocks
+        from its current state; it must be a PCG64.
         """
-        if self._rng is not None:
-            self._rng.bit_generator.advance(2 * self.n_cells - self._cursor)
+        if rng is self._rng:
+            a, c = self._whole
+            self._base = (a * self._base + c) & _MASK128
+            return
+        bitgen = rng.bit_generator
+        if not isinstance(bitgen, np.random.PCG64):
+            raise TypeError(f"step lookups need a PCG64 generator, not {type(bitgen).__name__}")
+        pcg = bitgen.state["state"]
+        inc = pcg["inc"]
+        self._radix, lo, hi, (a, c) = _jump_table(2 * self.n_cells)
+        self._lo = [(a_, c_ * inc & _MASK128) for a_, c_ in lo]
+        self._hi = [(a_, c_ * inc & _MASK128) for a_, c_ in hi]
+        self._whole = (a, c * inc & _MASK128)
         self._rng = rng
-        self._cursor = 0
+        self._base = pcg["state"]
 
     def _draw(self, offset: int) -> float:
         """The uniform at *offset* in the current step's draw block."""
-        if offset != self._cursor:
-            self._rng.bit_generator.advance(offset - self._cursor)
-        self._cursor = offset + 1
-        return self._rng.random()
+        q, r = divmod(offset, self._radix)
+        lo_a, lo_c = self._lo[r]
+        hi_a, hi_c = self._hi[q]
+        s = (hi_a * ((lo_a * self._base + lo_c) & _MASK128) + hi_c) & _MASK128
+        # XSL-RR: the xor of the halves, rotated right by the top 6 bits.
+        x = ((s >> 64) ^ s) & _MASK64
+        rot = s >> 122
+        return ((((x >> rot) | (x << (64 - rot))) & _MASK64) >> 11) * 2**-53
 
     def is_available(self, x: int, y: int) -> bool:
         """Whether the client at (x, y) answers the phone this step."""

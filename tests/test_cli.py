@@ -114,6 +114,34 @@ def test_conservation_drift_aborts_the_sim(tmp_path, monkeypatch, caplog):
     assert [r.getMessage().split(":")[0] for r in aborts] == ["simulation 0 aborted"]
 
 
+def test_unexpected_exception_aborts_the_sim(tmp_path, monkeypatch, caplog):
+    # A bug inside sim 1 (not a provider failure) aborts that sim alone:
+    # sim 0's rows are written, sim 2 is skipped, and the manifest says why.
+    apply_costs = engine.apply_costs
+    sims_started = 0
+
+    def broken_in_sim_1(mm, step, rule):
+        nonlocal sims_started
+        if step == 0 and mm.id == 0:
+            sims_started += 1
+        if sims_started == 2:
+            raise RuntimeError("cost model broke\nsecond line")
+        return apply_costs(mm, step, rule)
+
+    monkeypatch.setattr(engine, "apply_costs", broken_in_sim_1)
+    out = tmp_path / "x"
+    rc = main(["run", "exp1", "--sims", "3", "--out", str(out)])
+    assert rc == EXIT_PARTIAL_BATCH
+    manifest = json.loads((out / MANIFEST_JSON).read_text(encoding="utf-8"))
+    assert manifest["status"] == "partial" and manifest["completed"] == 1
+    assert manifest["aborted"] == [{"sim_id": 1, "reason": "RuntimeError: cost model broke"}]
+    assert manifest["skipped"] == [2]
+    summary_rows = (out / SUMMARIES_CSV).read_text(encoding="utf-8").splitlines()[1:]
+    assert [row.split(",")[0] for row in summary_rows] == ["0"]
+    aborts = [r for r in caplog.records if r.levelno == logging.ERROR and " aborted: " in r.getMessage()]
+    assert [r.getMessage() for r in aborts] == ["simulation 1 aborted: RuntimeError: cost model broke"]
+
+
 @pytest.mark.parametrize(
     "text",
     ["n_simulations: ten\n", "landscape: {grid_width: null}\n", "n_simulations: null\n"],

@@ -2,13 +2,15 @@
 
 from __future__ import annotations
 
+import pickle
+
 import numpy as np
 import pytest
 
 from bondflow import DecisionState, DesireQuery, Simulation, simulation_seed
 from bondflow.agents import AgentConfig, CeaseRule
 from bondflow.decision import BernoulliProvider
-from bondflow.engine import CounterpartyKind, TerminalReason
+from bondflow.engine import CounterpartyKind, TerminalReason, TradeRecord
 from bondflow.landscape import Direction, LandscapeConfig
 
 SMALL_LANDSCAPE = LandscapeConfig(grid_width=6, grid_height=6)
@@ -376,3 +378,34 @@ def test_contact_selection_uniform_over_base():
         counts[base[q.client_position]] += 1
     freq = counts / counts.sum()
     assert np.all(np.abs(freq - 1 / 9) < 0.02)
+
+
+# -- the per-event records ---------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "record_type, fields, values",
+    [
+        (
+            DesireQuery,
+            ("sim_id", "step", "mm_id", "client_position", "client_bonds", "client_cash", "sequence_no"),
+            (3, 7, 1, (4, 5), 12.5, 0.75, 9),
+        ),
+        (
+            TradeRecord,
+            ("step", "mm_id", "counterparty_kind", "counterparty", "client_direction", "bond_qty", "cash_qty"),
+            (7, 1, CounterpartyKind.CLIENT, (4, 5), Direction.SELL, 12.5, 0.75),
+        ),
+    ],
+)
+def test_event_records_are_immutable_tuples(record_type, fields, values):
+    # The field order is the one the records had as frozen dataclasses.
+    assert record_type._fields == fields
+    by_position = record_type(*values)
+    by_keyword = record_type(**dict(zip(fields, values)))
+    assert by_position == by_keyword == values
+    with pytest.raises(AttributeError):
+        by_position.step = 0
+    # Results cross the process pool pickled.
+    assert pickle.loads(pickle.dumps(by_keyword)) == by_keyword
+    assert type(pickle.loads(pickle.dumps(by_keyword))) is record_type

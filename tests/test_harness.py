@@ -7,6 +7,7 @@ import dataclasses
 import filecmp
 import hashlib
 import json
+import multiprocessing
 import os
 import subprocess
 import sys
@@ -47,7 +48,7 @@ from bondflow.harness import (
     shipped_aversion_corpus,
     shipped_timeliness_fixture,
 )
-from bondflow import harness
+from bondflow import engine, harness
 from bondflow.landscape import LandscapeConfig
 from gateway import GatewayStub
 from util import mini_config, run_mini
@@ -448,6 +449,31 @@ def test_abort_starts_no_more_sims(monkeypatch):
     assert [sim_id for sim_id, _ in result.aborted] == [0]
     assert result.skipped == list(range(1, 40))
     assert len(stub.requests) < 10
+
+
+@pytest.mark.skipif(
+    multiprocessing.get_start_method() != "fork", reason="the patched method reaches workers only by fork"
+)
+def test_unexpected_exception_in_a_pooled_sim_is_partial(tmp_path, monkeypatch):
+    # The worker's exception comes back through the pool: the batch keeps
+    # sim 0, records sim 1 as aborted and skips the rest.
+    run = engine.Simulation.run
+
+    def broken_in_sim_1(self):
+        if self.sim_id == 1:
+            raise ValueError("bad state")
+        return run(self)
+
+    monkeypatch.setattr(engine.Simulation, "run", broken_in_sim_1)
+    out = tmp_path / "pooled"
+    result = run_batch(resolve_preset("exp1", {
+        "n_simulations": 4, "max_steps": 30, "parallelism": 2, "output_dir": str(out),
+    }))
+    assert result.aborted == [(1, "ValueError: bad state")]
+    assert result.skipped == [2, 3]
+    assert [r.sim_id for r in result.results] == [0]
+    manifest = json.loads((out / MANIFEST_JSON).read_text(encoding="utf-8"))
+    assert manifest["status"] == "partial" and manifest["completed"] == 1
 
 
 # sha256 of decisions.csv then trades.csv for exp1 on a 200x200 grid (2 sims,

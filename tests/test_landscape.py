@@ -203,6 +203,88 @@ def test_step_lookups_match_full_grid_draws(width, height):
             assert grid.direction_at(x, y) is expected_direction
 
 
+def seam_offsets(n_cells):
+    """Both block ends, and the offsets around every seam of the two-level table.
+
+    Offset k reads ``hi[k // R]`` after ``lo[k % R]``, with ``R = isqrt(2n) + 1``.
+    """
+    block = 2 * n_cells
+    radix = math.isqrt(block) + 1
+    offsets = {0, block - 1}
+    for q in range(1, (block - 1) // radix + 1):
+        offsets.update(radix * q + d for d in (-1, 0, 1))
+    offsets.update(range(radix * ((block - 1) // radix), block))  # all of the last q
+    return sorted(o for o in offsets if 0 <= o < block)
+
+
+# (1, 1) and (3, 2) are the smallest blocks; 2n = 36 is a perfect square
+# (R = 7, so the last q holds one offset); 200 x 200 is the benchmark's
+# largest grid.
+@pytest.mark.parametrize("width, height", [(1, 1), (3, 2), (6, 3), (200, 200)])
+def test_jump_table_lookups_equal_numpy_draws(width, height):
+    """Every lookup returns the exact float a full ``random(2n)`` block holds.
+
+    Offsets hit both block ends and every seam of the table, forward, then
+    backward, then repeated; step 1 looks nothing up, so step 2 must still
+    start 2n draws after step 1's block.
+    """
+    cfg = LandscapeConfig(grid_width=width, grid_height=height)
+    grid = init_landscape(cfg, substream(21, 0))
+    rng, reference = substream(21, 1), substream(21, 1)
+    n = grid.n_cells
+    offsets = seam_offsets(n)
+    for step in range(4):
+        grid.begin_step(rng)
+        block = reference.random(2 * n)
+        if step == 1:
+            continue
+        for k in offsets + offsets[::-1] + offsets[:5] * 2:
+            assert grid._draw(k) == block[k], (step, k)
+        # The public lookups read the same draws.
+        for k in offsets:
+            i = k % n
+            x, y = i % width, i // width
+            if k < n:
+                assert grid.is_available(x, y) == (block[k] < cfg.availability_p)
+            else:
+                assert grid.direction_at(x, y) is (Direction.SELL if block[k] < cfg.direction_p else Direction.BUY)
+
+
+def test_jump_table_stays_exact_over_a_long_run():
+    # 1600 steps of a 3 x 2 grid: the whole-block jump is applied 1599 times.
+    grid = init_landscape(LandscapeConfig(grid_width=3, grid_height=2), substream(22, 0))
+    rng, reference = substream(22, 1), substream(22, 1)
+    for step in range(1600):
+        grid.begin_step(rng)
+        block = reference.random(12)
+        if step % 7 == 3:
+            continue
+        for k in (step % 12, 11, 0, (5 * step) % 12):
+            assert grid._draw(k) == block[k], (step, k)
+
+
+def test_begin_step_restarts_on_a_fresh_generator_and_never_advances_it():
+    grid = init_landscape(LandscapeConfig(grid_width=4, grid_height=5), substream(23, 0))
+    first = substream(23, 1)
+    for _ in range(3):
+        grid.begin_step(first)
+        grid._draw(7)
+    fresh, reference = substream(23, 2), substream(23, 2)
+    state = fresh.bit_generator.state
+    for _ in range(3):
+        grid.begin_step(fresh)
+        block = reference.random(40)
+        assert [grid._draw(k) for k in (39, 0, 20)] == [block[39], block[0], block[20]]
+    # The state is read, never written: the stream's one consumer is the table.
+    assert fresh.bit_generator.state == state
+
+
+def test_step_lookups_need_a_pcg64_generator():
+    grid = init_landscape(LandscapeConfig(grid_width=2, grid_height=2), substream(24, 0))
+    with pytest.raises(TypeError, match="PCG64"):
+        grid.begin_step(np.random.Generator(np.random.MT19937(24)))
+
+
 def test_apply_trade_updates_and_guards():
     grid = init_landscape(LandscapeConfig(), substream(13, 0))
     b0, c0 = grid.bonds[2, 1], grid.cash[2, 1]
