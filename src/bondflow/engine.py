@@ -30,11 +30,8 @@ blocks and the built-in providers read theirs the same way, with every
 draw equal to the scalar numpy call (see ``seeding``); the engine hands
 the provider its own ``np.random.Generator`` and draws nothing else from
 it. The step-rolls generator's ``(state, inc)`` is read once, by the
-landscape, which then computes each looked-up draw in pure Python: PCG64
-(O'Neill, HMC-CS-2014-0905) jumped ahead in closed form (Brown, Trans.
-Am. Nucl. Soc. 1994), ``k`` steps being ``state <- M**k*state +
-(M**(k-1) + ... + 1)*inc (mod 2**128)``, through a two-level table
-``hi[k // R] . lo[k % R]`` with ``R = isqrt(2n) + 1`` (see ``Landscape``).
+landscape, under the same contract; each looked-up draw is then computed
+from it (see ``Landscape``).
 
 A run is strictly single-threaded; batch parallelism lives in the harness.
 """
@@ -165,8 +162,8 @@ class Simulation:
         self.mms: list[MarketMakerState] = init_market_makers(
             agent_cfg, dims, substream(seed, STREAM_AGENT_INIT)
         )
-        # Bases are immutable: each MM's (size, x_lo, y_lo, width), computed once.
-        self._bases = [(b.size, b.x_lo, b.y_lo, b.width) for b in (base_rect(mm, dims) for mm in self.mms)]
+        # Bases are immutable: each MM's (size, row-major cell decoder), computed once.
+        self._bases = [(b.size, b.cell) for b in (base_rect(mm, dims) for mm in self.mms)]
 
         self.step_no = 0
         self.contacts = 0
@@ -207,10 +204,8 @@ class Simulation:
 
     def _contact_client(self, mm: MarketMakerState) -> None:
         """One call: pick a client, maybe ask, maybe trade."""
-        size, x_lo, y_lo, width = self._bases[mm.id]
-        # The pick's row-major cell of the base, as ``BaseRect.cell``.
-        dy, dx = divmod(self._contact_draws.integers(size), width)
-        x, y = x_lo + dx, y_lo + dy
+        size, cell = self._bases[mm.id]
+        x, y = cell(self._contact_draws.integers(size))
         if not self.grid.is_available(x, y):
             return
         bonds, cash = self.grid.holdings(x, y)

@@ -40,6 +40,7 @@ import itertools
 import json
 import logging
 import shutil
+import traceback
 from dataclasses import dataclass, field, replace
 from importlib import resources
 from pathlib import Path
@@ -413,25 +414,56 @@ def config_hash(cfg: ExperimentConfig) -> str:
 # One simulation of a batch: (config, sim_id, its replay slice or None).
 _Task = tuple[ExperimentConfig, int, list[JournalRecord] | None]
 
+ProviderFactory = Callable[[int], DecisionProvider]
 
-def _run_one_task(task: _Task, provider: DecisionProvider | None = None) -> SimulationResult:
+
+class _SimRaised(Exception):
+    """A sim that raised an exception other than ``ProviderHardFailure``: a bug.
+
+    Returned, not raised, by the worker, so each outcome carries its own
+    sim_id even when the pool runs several sims as one chunk. The worker's
+    traceback comes along as text (a traceback object does not pickle) and
+    is what this exception prints as.
+    """
+
+    def __init__(self, sim_id: int, reason: str, traceback_text: str) -> None:
+        super().__init__(sim_id, reason, traceback_text)
+        self.sim_id = sim_id
+        self.reason = reason  # "<Type>: <first line of the message>"
+        self.traceback_text = traceback_text
+
+    def __str__(self) -> str:
+        return self.traceback_text
+
+
+def _run_one_task(
+    task: _Task, provider_factory: ProviderFactory | None = None
+) -> SimulationResult | _SimRaised:
     """Worker entry point; must stay module-level and picklable.
 
-    Builds the configured provider unless one is injected.
+    Builds the configured provider unless a factory injects one.
     """
     cfg, sim_id, replay_slice = task
-    if provider is None:
-        provider = build_provider(cfg.provider, replay_slice)
-    return Simulation(
-        sim_id,
-        simulation_seed(cfg.master_seed, sim_id),
-        cfg.landscape,
-        cfg.agents,
-        provider,
-        max_steps=cfg.max_steps,
-        interbank_runway_steps=cfg.interbank_runway_steps,
-        journal_template=cfg.provider.prompt_template if cfg.journal_enabled() else None,
-    ).run()
+    try:
+        if provider_factory is not None:
+            provider = provider_factory(sim_id)
+        else:
+            provider = build_provider(cfg.provider, replay_slice)
+        return Simulation(
+            sim_id,
+            simulation_seed(cfg.master_seed, sim_id),
+            cfg.landscape,
+            cfg.agents,
+            provider,
+            max_steps=cfg.max_steps,
+            interbank_runway_steps=cfg.interbank_runway_steps,
+            journal_template=cfg.provider.prompt_template if cfg.journal_enabled() else None,
+        ).run()
+    except ProviderHardFailure:
+        raise  # outside a run (building its provider): the whole batch fails
+    except Exception as exc:
+        reason = f"{type(exc).__name__}: {(str(exc).splitlines() or [''])[0]}"
+        return _SimRaised(sim_id, reason, traceback.format_exc())
 
 
 @dataclass
@@ -448,9 +480,6 @@ class BatchResult:
     @property
     def ok(self) -> bool:
         return not self.aborted and not self.skipped
-
-
-ProviderFactory = Callable[[int], DecisionProvider]
 
 
 def run_batch(
@@ -503,10 +532,7 @@ def run_batch(
     started_at = _dt.datetime.now(_dt.timezone.utc)
     with contextlib.ExitStack() as stack:
         if provider_factory is not None or cfg.parallelism <= 1 or cfg.n_simulations == 1:
-            runs = (
-                _run_one_task(task, provider_factory(task[1]) if provider_factory is not None else None)
-                for task in tasks
-            )
+            runs = (_run_one_task(task, provider_factory) for task in tasks)
         else:
             # Threads for live runs, so the request-rate limiter is really
             # shared across concurrent sims; processes otherwise. Threads
@@ -521,24 +547,16 @@ def run_batch(
             stack.callback(pool.shutdown, cancel_futures=True)
             chunk = max(1, cfg.n_simulations // (cfg.parallelism * 4))
             runs = pool.map(_run_one_task, tasks, chunksize=chunk)
-        # Results come in sim order, so a sim that raises is the next one.
-        for sim_id in range(cfg.n_simulations):
-            error: Exception | None = None
-            try:
-                result = next(runs)
-            except ProviderHardFailure:
-                raise  # outside a run (building its provider): the whole batch fails, as before
-            except Exception as exc:  # a bug, not a provider failure
-                error = exc
-                reason = f"{type(exc).__name__}: {(str(exc).splitlines() or [''])[0]}"
-            else:
-                results.append(result)
-                if not result.aborted:
-                    continue
-                reason = result.abort_reason or "unknown"
-            aborted.append((sim_id, reason))
-            logger.error("simulation %d aborted: %s", sim_id, reason, exc_info=error)
-            break
+        for result in runs:
+            if isinstance(result, _SimRaised):
+                aborted.append((result.sim_id, result.reason))
+                logger.error("simulation %d aborted: %s", result.sim_id, result.reason, exc_info=result)
+                break
+            results.append(result)
+            if result.aborted:
+                aborted.append((result.sim_id, result.abort_reason or "unknown"))
+                logger.error("simulation %d aborted: %s", result.sim_id, result.abort_reason)
+                break
     finished_at = _dt.datetime.now(_dt.timezone.utc)
     skipped = list(range(aborted[0][0] + 1, cfg.n_simulations)) if aborted else []
 

@@ -15,16 +15,9 @@ life. Drawing from it directly, or through a second buffer, gets values
 the scalar sequence would have handed out later.
 
 The step-rolls stream goes further under the same contract: its
-consumer, ``landscape.Landscape``, reads the PCG64 ``(state, inc)`` once
-and never touches the generator again. It finds the draw at offset ``k``
-of a step's block with the closed-form jump-ahead of F. Brown ("Random
-Number Generation with Arbitrary Strides", Trans. Am. Nucl. Soc. 1994)
-applied to M. O'Neill's PCG (HMC-CS-2014-0905): ``k + 1`` LCG steps map
-``state`` to ``a*state + c*inc (mod 2**128)``, with ``a = M**(k+1)`` and
-``c = M**k + ... + 1``. A two-level table, ``lo[r]`` for ``r + 1`` steps
-and ``hi[q]`` for ``R*q`` steps with ``k = R*q + r`` and ``R =
-isqrt(2n) + 1``, holds about ``2*sqrt(2n)`` such pairs. The draw is the
-XSL-RR output of that state, as a uniform ``(u64 >> 11)*2**-53``.
+consumer, ``landscape.Landscape``, reads the generator's PCG64 ``(state,
+inc)`` once and computes every draw from it without touching the
+generator again (see ``Landscape`` for the jump-ahead and its table).
 """
 
 from __future__ import annotations

@@ -7,6 +7,7 @@ import dataclasses
 import filecmp
 import hashlib
 import json
+import logging
 import multiprocessing
 import os
 import subprocess
@@ -454,26 +455,30 @@ def test_abort_starts_no_more_sims(monkeypatch):
 @pytest.mark.skipif(
     multiprocessing.get_start_method() != "fork", reason="the patched method reaches workers only by fork"
 )
-def test_unexpected_exception_in_a_pooled_sim_is_partial(tmp_path, monkeypatch):
-    # The worker's exception comes back through the pool: the batch keeps
-    # sim 0, records sim 1 as aborted and skips the rest.
+def test_unexpected_exception_in_a_pooled_sim_is_partial(tmp_path, monkeypatch, caplog):
+    # 16 sims at parallelism 2 run in chunks of two, so sim 3 shares a chunk
+    # with sim 2. The batch still keeps sims 0-2, names sim 3 as the one that
+    # raised, with the worker's traceback in its log record, and skips the rest.
     run = engine.Simulation.run
 
-    def broken_in_sim_1(self):
-        if self.sim_id == 1:
+    def broken_in_sim_3(self):
+        if self.sim_id == 3:
             raise ValueError("bad state")
         return run(self)
 
-    monkeypatch.setattr(engine.Simulation, "run", broken_in_sim_1)
+    monkeypatch.setattr(engine.Simulation, "run", broken_in_sim_3)
     out = tmp_path / "pooled"
     result = run_batch(resolve_preset("exp1", {
-        "n_simulations": 4, "max_steps": 30, "parallelism": 2, "output_dir": str(out),
+        "n_simulations": 16, "max_steps": 5, "parallelism": 2, "output_dir": str(out),
     }))
-    assert result.aborted == [(1, "ValueError: bad state")]
-    assert result.skipped == [2, 3]
-    assert [r.sim_id for r in result.results] == [0]
+    assert result.aborted == [(3, "ValueError: bad state")]
+    assert result.skipped == list(range(4, 16))
+    assert [r.sim_id for r in result.results] == [0, 1, 2]
     manifest = json.loads((out / MANIFEST_JSON).read_text(encoding="utf-8"))
-    assert manifest["status"] == "partial" and manifest["completed"] == 1
+    assert manifest["status"] == "partial" and manifest["completed"] == 3
+    aborts = [r for r in caplog.records if r.levelno == logging.ERROR and " aborted: " in r.getMessage()]
+    assert [r.getMessage() for r in aborts] == ["simulation 3 aborted: ValueError: bad state"]
+    assert "in broken_in_sim_3" in caplog.text and "ValueError: bad state" in caplog.text
 
 
 # sha256 of decisions.csv then trades.csv for exp1 on a 200x200 grid (2 sims,
