@@ -6,11 +6,13 @@ Produces, under src/bondflow/data/fixtures/:
 - reply_fixtures.json: free-text replies with their expected normalized
   states, used by the normalization test suite.
 - aversion_replay.jsonl: a recorded decision corpus for the exp2 preset
-  (seed 42), produced by running the exact exp2 batch shape against a
-  deterministic scripted emitter of averse replies (drawn from the reply
-  fixtures plus terse refusals). Because refusals never mutate the
-  landscape, the replayed exp2 batch issues byte-for-byte the same query
-  stream, so the corpus covers its demand exactly.
+  (seed 42). Each of the preset's sims runs through ``Simulation(...).run()``,
+  as README "Library use" runs one sim, against a deterministic scripted
+  emitter of averse replies (drawn from the reply fixtures plus terse
+  refusals); the sims' journals are written in sim order.
+  Because refusals never mutate the landscape, the replayed exp2 batch
+  issues byte-for-byte the same query stream, so the corpus covers its
+  demand exactly.
 - timeliness_10k.jsonl: 10,000 decisions from the calibrated bursty
   provider over synthetic timeliness queries, used for ratio-statistics
   tests.
@@ -22,9 +24,7 @@ from __future__ import annotations
 
 import argparse
 import json
-import shutil
 import sys
-import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -39,15 +39,16 @@ from bondflow import (  # noqa: E402
     DesireQuery,
     ProviderKind,
     PromptTemplate,
+    Simulation,
     resolve_preset,
-    run_batch,
+    simulation_seed,
 )
 from bondflow.decision import (  # noqa: E402
     SyntheticBurstyProvider,
     journal_line,
     normalize_response,
 )
-from bondflow.harness import JOURNAL_DIR  # noqa: E402
+from bondflow.engine import CounterpartyKind  # noqa: E402
 from bondflow.landscape import sample_truncated_lognormal  # noqa: E402
 from bondflow.seeding import substream  # noqa: E402
 
@@ -170,27 +171,30 @@ def build_reply_fixtures(out: Path) -> None:
 
 
 def build_aversion_corpus(out: Path) -> None:
-    tmp = Path(tempfile.mkdtemp(prefix="aversion_corpus_"))
-    try:
-        cfg = resolve_preset("exp2", {"output_dir": str(tmp), "journal": True})
-        result = run_batch(cfg, provider_factory=lambda sim_id: ScriptedAverseProvider())
-        assert result.ok, result.aborted
-        assert all(s.trade_count == 0 for s in result.summaries)
-        journal_dir = tmp / JOURNAL_DIR
-        corpus_path = out / "aversion_replay.jsonl"
-        total = 0
-        with open(corpus_path, "w", encoding="utf-8", newline="") as fh:
-            for journal in sorted(journal_dir.glob("sim_*.jsonl")):
-                text = journal.read_text(encoding="utf-8")
-                total += text.count("\n")
-                fh.write(text)
-        mean_term = sum(s.terminal_step for s in result.summaries) / len(result.summaries)
-        print(
-            f"wrote {corpus_path} ({total} records over {len(result.summaries)} simulations; "
-            f"mean terminal step {mean_term:.1f})"
-        )
-    finally:
-        shutil.rmtree(tmp, ignore_errors=True)
+    cfg = resolve_preset("exp2")
+    corpus_path = out / "aversion_replay.jsonl"
+    total = steps = 0
+    with open(corpus_path, "w", encoding="utf-8", newline="") as fh:
+        for sim_id in range(cfg.n_simulations):
+            result = Simulation(
+                sim_id,
+                simulation_seed(cfg.master_seed, sim_id),
+                cfg.landscape,
+                cfg.agents,
+                ScriptedAverseProvider(),
+                max_steps=cfg.max_steps,
+                interbank_runway_steps=cfg.interbank_runway_steps,
+                journal_template=cfg.provider.prompt_template,
+            ).run()
+            assert not result.aborted, (sim_id, result.abort_reason)
+            assert all(t.counterparty_kind is not CounterpartyKind.CLIENT for t in result.trades)
+            total += len(result.decisions)
+            steps += result.terminal_step
+            fh.write(result.journal)
+    print(
+        f"wrote {corpus_path} ({total} records over {cfg.n_simulations} simulations; "
+        f"mean terminal step {steps / cfg.n_simulations:.1f})"
+    )
 
 
 def build_timeliness_fixture(out: Path, n: int = 10_000, seed: int = 20240) -> None:

@@ -29,7 +29,6 @@ from .errors import ConfigError, ProviderHardFailure
 from .harness import (
     BatchResult,
     ExperimentConfig,
-    load_config_file,
     rebuild_tables,
     resolve_config,
     resolve_preset,
@@ -55,7 +54,6 @@ __all__ = [
     "Simulation",
     "SimulationResult",
     "build_provider",
-    "load_config_file",
     "read_journal",
     "rebuild_tables",
     "resolve_config",

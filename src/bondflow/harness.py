@@ -50,7 +50,6 @@ import yaml
 
 from .agents import AgentConfig
 from .decision import (
-    DecisionProvider,
     DecisionState,
     JournalRecord,
     ProviderConfig,
@@ -313,43 +312,29 @@ def resolve_preset(
     return _resolve(name, overrides or {})
 
 
-def load_config_file(path: Path | str, overrides: Mapping[str, Any] | None = None) -> ExperimentConfig:
-    """Config from a YAML document, optionally based on a preset.
-
-    Precedence: overrides (CLI) > file values > preset values.
-    """
-    return _resolve_file(path, overrides or {})
-
-
-def _resolve_file(
-    path: Path | str, overrides: Mapping[str, Any], replay_path: str | None = None
-) -> ExperimentConfig:
-    try:
-        raw = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
-        raise ConfigError(f"cannot read config file {path}: {exc}") from exc
-    try:
-        data = yaml.safe_load(raw) or {}
-    except yaml.YAMLError as exc:
-        raise ConfigError(f"invalid YAML in {path}: {exc}") from exc
-    if not isinstance(data, dict):
-        raise ConfigError(f"config file {path} must contain a mapping")
-    return _resolve(data.pop("preset", None), data, overrides, replay_path=replay_path)
-
-
 def resolve_config(
     source: str, overrides: Mapping[str, Any] | None = None, *, replay_path: str | None = None
 ) -> ExperimentConfig:
     """Resolve a CLI source argument: a preset name or a config-file path.
 
+    A config file is a YAML mapping, optionally naming its ``preset:``.
+    Precedence: overrides (CLI) > file values > preset values.
     ``replay_path`` is the replay command's corpus: the config replays it,
     whatever the preset pins.
     """
     if source in PRESET_NAMES:
         return _resolve(source, overrides or {}, replay_path=replay_path)
-    if Path(source).exists():
-        return _resolve_file(source, overrides or {}, replay_path)
-    raise ConfigError(f"{source!r} is neither a preset ({', '.join(PRESET_NAMES)}) nor a config file")
+    if not Path(source).exists():
+        raise ConfigError(f"{source!r} is neither a preset ({', '.join(PRESET_NAMES)}) nor a config file")
+    try:
+        data = yaml.safe_load(Path(source).read_text(encoding="utf-8")) or {}
+    except OSError as exc:
+        raise ConfigError(f"cannot read config file {source}: {exc}") from exc
+    except yaml.YAMLError as exc:
+        raise ConfigError(f"invalid YAML in {source}: {exc}") from exc
+    if not isinstance(data, dict):
+        raise ConfigError(f"config file {source} must contain a mapping")
+    return _resolve(data.pop("preset", None), data, overrides or {}, replay_path=replay_path)
 
 
 # Fields that affect how a batch executes but not a single numeric output.
@@ -414,8 +399,6 @@ def config_hash(cfg: ExperimentConfig) -> str:
 # One simulation of a batch: (config, sim_id, its replay slice or None).
 _Task = tuple[ExperimentConfig, int, list[JournalRecord] | None]
 
-ProviderFactory = Callable[[int], DecisionProvider]
-
 
 class _SimRaised(Exception):
     """A sim that raised an exception other than ``ProviderHardFailure``: a bug.
@@ -436,25 +419,19 @@ class _SimRaised(Exception):
         return self.traceback_text
 
 
-def _run_one_task(
-    task: _Task, provider_factory: ProviderFactory | None = None
-) -> SimulationResult | _SimRaised:
+def _run_one_task(task: _Task) -> SimulationResult | _SimRaised:
     """Worker entry point; must stay module-level and picklable.
 
-    Builds the configured provider unless a factory injects one.
+    Runs one sim of the batch with the configured provider.
     """
     cfg, sim_id, replay_slice = task
     try:
-        if provider_factory is not None:
-            provider = provider_factory(sim_id)
-        else:
-            provider = build_provider(cfg.provider, replay_slice)
         return Simulation(
             sim_id,
             simulation_seed(cfg.master_seed, sim_id),
             cfg.landscape,
             cfg.agents,
-            provider,
+            build_provider(cfg.provider, replay_slice),
             max_steps=cfg.max_steps,
             interbank_runway_steps=cfg.interbank_runway_steps,
             journal_template=cfg.provider.prompt_template if cfg.journal_enabled() else None,
@@ -482,11 +459,7 @@ class BatchResult:
         return not self.aborted and not self.skipped
 
 
-def run_batch(
-    cfg: ExperimentConfig,
-    *,
-    provider_factory: ProviderFactory | None = None,
-) -> BatchResult:
+def run_batch(cfg: ExperimentConfig) -> BatchResult:
     """Run the whole batch and (if output_dir is set) write the artifact tree.
 
     The config echo is built once, before the sims, so an unreadable
@@ -497,15 +470,14 @@ def run_batch(
     ``"<Type>: <message>"``) ends the batch: the later sims are skipped,
     and the tree holds the sims before it.
 
-    provider_factory injects a custom provider per sim_id (testing and
-    fixture capture); it bypasses the configured provider kind but keeps
-    every other contract (journaling, seeding, outputs) intact.
+    Every sim runs the configured provider. A custom provider runs one sim
+    at a time through ``Simulation(...).run()``.
     """
     out_dir = Path(cfg.output_dir) if cfg.output_dir else None
     echo = config_to_dict(cfg) if out_dir is not None else None
 
     replay_slices: list[list[JournalRecord]] | None = None
-    if provider_factory is None and cfg.provider.kind is ProviderKind.REPLAY:
+    if cfg.provider.kind is ProviderKind.REPLAY:
         try:
             corpus = read_journal(cfg.provider.replay_path)
         except OSError as exc:
@@ -517,7 +489,7 @@ def run_batch(
                 "extra simulations will replay empty journals (all Error)",
                 len(replay_slices), cfg.n_simulations,
             )
-    if provider_factory is None and cfg.provider.kind is ProviderKind.LIVE_LLM:
+    if cfg.provider.kind is ProviderKind.LIVE_LLM:
         build_provider(cfg.provider)  # fail fast on missing credentials
 
     tasks: list[_Task] = []
@@ -531,8 +503,8 @@ def run_batch(
     aborted: list[tuple[int, str]] = []
     started_at = _dt.datetime.now(_dt.timezone.utc)
     with contextlib.ExitStack() as stack:
-        if provider_factory is not None or cfg.parallelism <= 1 or cfg.n_simulations == 1:
-            runs = (_run_one_task(task, provider_factory) for task in tasks)
+        if cfg.parallelism <= 1 or cfg.n_simulations == 1:
+            runs = map(_run_one_task, tasks)
         else:
             # Threads for live runs, so the request-rate limiter is really
             # shared across concurrent sims; processes otherwise. Threads
@@ -745,21 +717,35 @@ def _parse_summary_row(row: Mapping[str, str]) -> SimulationSummary:
     )
 
 
-def load_output_dir(out: Path | str) -> tuple[list[SimulationSummary], list[DecisionState]]:
-    """Summaries and the pooled decision stream from a finished output tree."""
+def _read_rows(path: Path, parse: Callable[[Mapping[str, str]], Any]) -> list[Any]:
+    """Each data row of a CSV log, parsed; a malformed row is a ``ConfigError``."""
     import csv
 
+    with open(path, encoding="utf-8", newline="") as fh:
+        reader = csv.DictReader(fh)
+        rows = []
+        for row in reader:
+            try:
+                if None in row or None in row.values():
+                    raise ValueError("the row and the header have different numbers of cells")
+                rows.append(parse(row))
+            except (ValueError, LookupError, TypeError) as exc:
+                reason = f"{type(exc).__name__}: {exc}"
+                raise ConfigError(f"{path}, line {reader.line_num}: malformed row ({reason})") from exc
+    return rows
+
+
+def load_output_dir(out: Path | str) -> tuple[list[SimulationSummary], list[DecisionState]]:
+    """Summaries and the pooled decision stream from a finished output tree."""
     out = Path(out)
     summaries_path = out / SUMMARIES_CSV
     decisions_path = out / DECISIONS_CSV
     if not summaries_path.exists():
         raise ConfigError(f"{out} does not look like a batch output directory ({SUMMARIES_CSV} missing)")
-    with open(summaries_path, encoding="utf-8", newline="") as fh:
-        summaries = [_parse_summary_row(row) for row in csv.DictReader(fh)]
+    summaries = _read_rows(summaries_path, _parse_summary_row)
     states: list[DecisionState] = []
     if decisions_path.exists():
-        with open(decisions_path, encoding="utf-8", newline="") as fh:
-            states = [DecisionState(row["state"]) for row in csv.DictReader(fh)]
+        states = _read_rows(decisions_path, lambda row: DecisionState(row["state"]))
     return summaries, states
 
 
@@ -773,11 +759,15 @@ def rebuild_tables(out: Path | str, window: int | None = None) -> dict[str, str]
     summaries, states = load_output_dir(out)
     if not summaries:
         raise ConfigError(f"{out} holds no completed simulations to tabulate")
+    source: Path | str = "the window argument"
     if window is None:
-        echo = out / CONFIG_ECHO
+        echo = source = out / CONFIG_ECHO
         try:
-            window = int(yaml.safe_load(echo.read_text(encoding="utf-8"))["rolling_window"])
+            raw = yaml.safe_load(echo.read_text(encoding="utf-8"))["rolling_window"]
+            window = _coerce("rolling_window", raw)
         except (OSError, yaml.YAMLError, TypeError, KeyError, ValueError) as exc:
             raise ConfigError(f"cannot read the rolling window from {echo}: {exc}") from exc
+    if window < 1:
+        raise ConfigError(f"rolling window must be >= 1, got {window} from {source}")
     series = yes_ratio_series(states, window) if states else None
     return write_tables(out, aggregate_batch(summaries), series)

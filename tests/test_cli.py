@@ -2,15 +2,20 @@
 
 from __future__ import annotations
 
+import csv
 import json
 import logging
+import os
+import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
 import yaml
 
-from bondflow import engine, load_config_file, resolve_preset, run_batch
+from bondflow import engine, resolve_config, resolve_preset, run_batch
 from bondflow.cli import (
     EXIT_CONFIG_ERROR,
     EXIT_OK,
@@ -20,6 +25,7 @@ from bondflow.cli import (
 )
 from bondflow.harness import (
     CONFIG_ECHO,
+    DECISIONS_CSV,
     JOURNAL_DIR,
     MANIFEST_JSON,
     SUMMARIES_CSV,
@@ -190,6 +196,38 @@ def test_tables_on_missing_dir_is_config_error(tmp_path):
     assert main(["tables", str(tmp_path / "void")]) == EXIT_CONFIG_ERROR
 
 
+@pytest.mark.parametrize(
+    "name, pattern, repl, where",
+    [
+        (DECISIONS_CSV, r",(yes|no|error),(?=bernoulli\n)", ",maybe,", f"{DECISIONS_CSV}, line 2"),
+        (SUMMARIES_CSV, r"\n0,", "\nzero,", f"{SUMMARIES_CSV}, line 2"),
+        (SUMMARIES_CSV, r"\bterminal_reason\b", "terminal_cause", f"{SUMMARIES_CSV}, line 2"),
+        (DECISIONS_CSV, r"bernoulli\n", "bernoulli,extra\n", f"{DECISIONS_CSV}, line 2"),
+        (CONFIG_ECHO, r"rolling_window: \d+", "rolling_window: 0", CONFIG_ECHO),
+        (CONFIG_ECHO, r"rolling_window: \d+", "rolling_window: 2.5", CONFIG_ECHO),
+    ],
+    ids=["unknown-state", "non-integer-cell", "missing-column", "extra-cell", "window-0", "window-float"],
+)
+def test_tables_on_malformed_tree_is_config_error(tmp_path, name, pattern, repl, where):
+    # The installed entry point, in a process of its own: the error is
+    # reported on stderr as a configuration error, never as a traceback.
+    out = tmp_path / "run"
+    assert main(["run", "exp1", "--sims", "2", "--seed", "3", "--out", str(out)]) == EXIT_OK
+    path = out / name
+    text, n = re.subn(pattern, repl, path.read_text(encoding="utf-8"), count=1)
+    assert n == 1
+    path.write_text(text, encoding="utf-8")
+    src = Path(__file__).resolve().parent.parent / "src"
+    run = subprocess.run(
+        [sys.executable, "-m", "bondflow.cli", "tables", str(out)],
+        env={**os.environ, "PYTHONPATH": str(src)}, capture_output=True, text=True, timeout=60,
+    )
+    assert run.returncode == EXIT_CONFIG_ERROR, run.stderr
+    assert "configuration error" in run.stderr
+    assert str(out / where) in run.stderr
+    assert "Traceback" not in run.stderr
+
+
 def replay_config_file(tmp_path, sims, seed):
     path = tmp_path / "replay-config.yaml"
     path.write_text(
@@ -272,7 +310,12 @@ def test_config_echo_loads_back(tmp_path, preset):
     cfg = resolve_preset(preset, {"n_simulations": 2, "max_steps": 60, "output_dir": str(out)})
     run_batch(cfg)
     echo = out / CONFIG_ECHO
-    assert config_hash(load_config_file(echo)) == config_hash(cfg)
+    assert config_hash(resolve_config(str(echo))) == config_hash(cfg)
+    # Every decision in the tree was made by the provider its echo names.
+    kind = yaml.safe_load(echo.read_text(encoding="utf-8"))["provider"]["kind"]
+    assert json.loads((out / MANIFEST_JSON).read_text(encoding="utf-8"))["provider_kind"] == kind
+    with open(out / DECISIONS_CSV, encoding="utf-8", newline="") as fh:
+        assert {row["provider"] for row in csv.DictReader(fh)} == {kind}
 
     rerun_out = tmp_path / "rerun"
     assert main(["run", str(echo), "--out", str(rerun_out)]) == EXIT_OK

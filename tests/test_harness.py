@@ -25,7 +25,6 @@ from bondflow import (
     PromptTemplate,
     ProviderHardFailure,
     ProviderKind,
-    load_config_file,
     rebuild_tables,
     resolve_config,
     resolve_preset,
@@ -163,7 +162,7 @@ def test_preset_cannot_be_overridden(tmp_path):
     path = tmp_path / "c.yaml"
     path.write_text(yaml.safe_dump({"preset": "exp1"}), encoding="utf-8")
     with pytest.raises(ConfigError, match="preset"):
-        load_config_file(path, {"preset": "exp3"})
+        resolve_config(str(path), {"preset": "exp3"})
 
 
 def test_pins_hold_on_values_not_on_keys():
@@ -213,12 +212,12 @@ def test_config_file_with_preset_base(tmp_path):
         ),
         encoding="utf-8",
     )
-    cfg = load_config_file(path)
+    cfg = resolve_config(str(path))
     assert cfg.preset == "exp1"
     assert cfg.n_simulations == 3
     assert cfg.landscape.availability_p == 0.25
     # CLI-style overrides outrank the file.
-    cfg = load_config_file(path, {"n_simulations": 5})
+    cfg = resolve_config(str(path), {"n_simulations": 5})
     assert cfg.n_simulations == 5
 
 
@@ -237,7 +236,7 @@ def test_config_file_without_preset(tmp_path):
         ),
         encoding="utf-8",
     )
-    cfg = load_config_file(path)
+    cfg = resolve_config(str(path))
     assert cfg.preset is None
     assert cfg.landscape.grid_width == 8
     assert cfg.agents.cease_rule is CeaseRule.EITHER_EXHAUSTED
@@ -406,9 +405,9 @@ def test_live_thread_pool_batch_matches_serial(tmp_path, monkeypatch):
     threads = set()
     run_one = harness._run_one_task
 
-    def traced(task, provider=None):
+    def traced(task):
         threads.add(threading.current_thread().name)
-        return run_one(task, provider)
+        return run_one(task)
 
     monkeypatch.setattr(harness, "_run_one_task", traced)
     logs = []
@@ -601,12 +600,13 @@ class FailsOnDecision(BernoulliProvider):
         return super().decide(q, rng)
 
 
-def test_aborted_batch_keeps_what_ran(tmp_path):
+def test_aborted_batch_keeps_what_ran(tmp_path, monkeypatch):
+    # A serial batch builds its sims' providers in sim order: sim 1's fails
+    # hard on its sixth decision, so no later sim builds one.
+    providers = iter([BernoulliProvider(0.5), FailsOnDecision(5)])
+    monkeypatch.setattr(harness, "build_provider", lambda config, replay_slice=None: next(providers))
     out = tmp_path / "partial"
-    result = run_batch(
-        mini_config(out),
-        provider_factory=lambda sim_id: FailsOnDecision(5) if sim_id == 1 else BernoulliProvider(0.5),
-    )
+    result = run_batch(mini_config(out))
     assert result.aborted == [(1, "gateway gone")]
     assert result.skipped == [2, 3]
     assert not result.ok
@@ -741,7 +741,7 @@ def test_exp2_batch_opens_its_corpus_twice(tmp_path):
 def test_build_fixtures_reproduces_shipped_corpora(tmp_path):
     # The script runs from an uninstalled checkout (-I: no PYTHONPATH, no
     # script directory on sys.path) and rebuilds every shipped fixture byte
-    # for byte; the aversion corpus goes through run_batch(provider_factory=...).
+    # for byte; the aversion corpus is recorded one Simulation(...).run() per sim.
     repo = Path(__file__).resolve().parent.parent
     env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
     run = subprocess.run(

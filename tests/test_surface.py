@@ -26,7 +26,6 @@ ROOT_API = [
     "Simulation",
     "SimulationResult",
     "build_provider",
-    "load_config_file",
     "read_journal",
     "rebuild_tables",
     "resolve_config",
