@@ -40,6 +40,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from itertools import repeat
 from typing import NamedTuple
 
 from .agents import (
@@ -127,6 +128,33 @@ class SimulationResult:
     @property
     def aborted(self) -> bool:
         return self.abort_reason is not None
+
+    def __reduce__(self) -> tuple:
+        """Pickle the trades and the queries as columns, not one record at a time.
+
+        A record pickled alone costs a Python-level ``__getnewargs__`` call
+        to dump and a ``__new__`` call to load; columns of plain values pickle
+        in C. The outcomes go as a list, so the shared outcome objects of
+        the scripted providers are memoized.
+        """
+        state = dict(vars(self))
+        trades = state.pop("trades")
+        decisions = state.pop("decisions")
+        queries = tuple(zip(*(q for q, _ in decisions)))
+        return _unpickle_result, (tuple(zip(*trades)), queries, [o for _, o in decisions], state)
+
+
+def _unpickle_result(
+    trade_columns: tuple[tuple, ...],
+    query_columns: tuple[tuple, ...],
+    outcomes: list[DecisionOutcome],
+    state: dict,
+) -> SimulationResult:
+    """The ``SimulationResult`` that ``SimulationResult.__reduce__`` took apart."""
+    new = tuple.__new__
+    trades = list(map(new, repeat(TradeRecord), zip(*trade_columns)))
+    queries = map(new, repeat(DesireQuery), zip(*query_columns))
+    return SimulationResult(trades=trades, decisions=list(zip(queries, outcomes)), **state)
 
 
 class Simulation:

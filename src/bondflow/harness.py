@@ -39,6 +39,7 @@ import hashlib
 import itertools
 import json
 import logging
+import os
 import shutil
 import traceback
 from dataclasses import dataclass, field, replace
@@ -398,6 +399,24 @@ def config_hash(cfg: ExperimentConfig) -> str:
 
 # One simulation of a batch: (config, sim_id, its replay slice or None).
 _Task = tuple[ExperimentConfig, int, list[JournalRecord] | None]
+# What a worker hands back for a sim that ran: its result, its summary (None
+# if it aborted) and, for a batch that writes a tree, its rows of each log.
+_SimDone = tuple[SimulationResult, SimulationSummary | None, tuple[str, str, str] | None]
+
+# The logs every sim appends to, with their headers, in the order of the
+# rows ``_encode_rows`` returns.
+_LOG_HEADERS = {
+    TRADES_CSV: "sim_id,step,mm_id,counterparty_kind,counterparty,direction,bond_qty,cash_qty\n",
+    DECISIONS_CSV: "sim_id,seq,step,mm_id,x,y,state,provider\n",
+    LIFECYCLE_CSV: "sim_id,mm_id,ceased_at_step,breadth,bond_rate,cash_rate\n",
+}
+# A log is appended to under this suffix and moved into place when the batch ends.
+_PARTIAL = ".partial"
+
+
+def _one_line(exc: BaseException) -> str:
+    """``"<Type>: <first line of the message>"``."""
+    return f"{type(exc).__name__}: {(str(exc).splitlines() or [''])[0]}"
 
 
 class _SimRaised(Exception):
@@ -419,14 +438,16 @@ class _SimRaised(Exception):
         return self.traceback_text
 
 
-def _run_one_task(task: _Task) -> SimulationResult | _SimRaised:
+def _run_one_task(task: _Task) -> _SimDone | _SimRaised:
     """Worker entry point; must stay module-level and picklable.
 
-    Runs one sim of the batch with the configured provider.
+    Runs one sim of the batch with the configured provider, summarizes it
+    and, if the batch writes a tree, encodes its log rows. So a pooled batch
+    does all of a sim's work in the worker, and the parent only appends.
     """
     cfg, sim_id, replay_slice = task
     try:
-        return Simulation(
+        result = Simulation(
             sim_id,
             simulation_seed(cfg.master_seed, sim_id),
             cfg.landscape,
@@ -436,11 +457,45 @@ def _run_one_task(task: _Task) -> SimulationResult | _SimRaised:
             interbank_runway_steps=cfg.interbank_runway_steps,
             journal_template=cfg.provider.prompt_template if cfg.journal_enabled() else None,
         ).run()
+        summary = None if result.aborted else summarize_simulation(result)
+        return result, summary, _encode_rows(result) if cfg.output_dir else None
     except ProviderHardFailure:
         raise  # outside a run (building its provider): the whole batch fails
     except Exception as exc:
-        reason = f"{type(exc).__name__}: {(str(exc).splitlines() or [''])[0]}"
-        return _SimRaised(sim_id, reason, traceback.format_exc())
+        return _SimRaised(sim_id, _one_line(exc), traceback.format_exc())
+
+
+_VALUE = {e: e.value for enum_cls in (Direction, DecisionState, ProviderKind) for e in enum_cls}
+
+
+def _encode_rows(r: SimulationResult) -> tuple[str, str, str]:
+    """One sim's trades, decisions and lifecycle rows, as CSV text.
+
+    Every float formatted with repr is a Python float, whose repr is what
+    str(float(x)) gives; no field can need csv quoting. A trade leg whose
+    two quantities are one float object (an interbank leg, a client buy)
+    formats it once; identity, not equality, so 0.0 and -0.0 stay apart.
+    """
+    sid, value, client = r.sim_id, _VALUE, CounterpartyKind.CLIENT
+    trades = []
+    for step, mm_id, kind, counterparty, direction, bond_qty, cash_qty in r.trades:
+        bond = repr(bond_qty)
+        cash = bond if cash_qty is bond_qty else repr(cash_qty)
+        if kind is client:
+            x, y = counterparty
+            trades.append(f"{sid},{step},{mm_id},client,{x}:{y},{value[direction]},{bond},{cash}\n")
+        else:
+            trades.append(f"{sid},{step},{mm_id},mm,{counterparty},,{bond},{cash}\n")
+    decisions = [
+        f"{q_sim},{seq},{step},{mm_id},{x},{y},{value[o.state]},{value[o.provider]}\n"
+        for (q_sim, step, mm_id, (x, y), _, _, seq), o in r.decisions
+    ]
+    lifecycle = [
+        f"{sid},{mm.id},{'' if mm.ceased_at_step is None else mm.ceased_at_step},"
+        f"{mm.breadth},{mm.bond_rate!r},{mm.cash_rate!r}\n"
+        for mm in r.mms
+    ]
+    return "".join(trades), "".join(decisions), "".join(lifecycle)
 
 
 @dataclass
@@ -465,10 +520,13 @@ def run_batch(cfg: ExperimentConfig) -> BatchResult:
     The config echo is built once, before the sims, so an unreadable
     replay corpus fails the batch before any sim runs.
 
-    The first sim that aborts (its result says so, or it raised an
-    exception other than ``ProviderHardFailure``, recorded as
-    ``"<Type>: <message>"``) ends the batch: the later sims are skipped,
-    and the tree holds the sims before it.
+    Each sim's log rows are appended, in sim order, as it finishes. The
+    first sim that aborts (its result says so, or it raised an exception
+    other than ``ProviderHardFailure``, recorded as ``"<Type>: <message>"``)
+    ends the batch: the later sims are skipped, and the tree holds the sims
+    before it, with manifest status ``partial``. An exception outside every
+    sim propagates, after the rows finished so far are moved into place and
+    a manifest with status ``failed`` names it.
 
     Every sim runs the configured provider. A custom provider runs one sim
     at a time through ``Simulation(...).run()``.
@@ -500,65 +558,116 @@ def run_batch(cfg: ExperimentConfig) -> BatchResult:
         tasks.append((cfg, i, replay_slice))
 
     results: list[SimulationResult] = []
+    summaries: list[SimulationSummary] = []
     aborted: list[tuple[int, str]] = []
+
+    def skipped() -> list[int]:
+        handled = aborted[0][0] + 1 if aborted else len(results)
+        return list(range(handled, cfg.n_simulations))
+
     started_at = _dt.datetime.now(_dt.timezone.utc)
-    with contextlib.ExitStack() as stack:
-        if cfg.parallelism <= 1 or cfg.n_simulations == 1:
-            runs = map(_run_one_task, tasks)
-        else:
-            # Threads for live runs, so the request-rate limiter is really
-            # shared across concurrent sims; processes otherwise. Threads
-            # ignore chunksize.
-            executor = (
-                concurrent.futures.ThreadPoolExecutor
-                if cfg.provider.kind is ProviderKind.LIVE_LLM
-                else concurrent.futures.ProcessPoolExecutor
-            )
-            pool = stack.enter_context(executor(max_workers=cfg.parallelism))
-            # Leaving early (an abort) cancels the sims no worker has started.
-            stack.callback(pool.shutdown, cancel_futures=True)
-            chunk = max(1, cfg.n_simulations // (cfg.parallelism * 4))
-            runs = pool.map(_run_one_task, tasks, chunksize=chunk)
-        for result in runs:
-            if isinstance(result, _SimRaised):
-                aborted.append((result.sim_id, result.reason))
-                logger.error("simulation %d aborted: %s", result.sim_id, result.reason, exc_info=result)
-                break
-            results.append(result)
-            if result.aborted:
-                aborted.append((result.sim_id, result.abort_reason or "unknown"))
-                logger.error("simulation %d aborted: %s", result.sim_id, result.abort_reason)
-                break
-    finished_at = _dt.datetime.now(_dt.timezone.utc)
-    skipped = list(range(aborted[0][0] + 1, cfg.n_simulations)) if aborted else []
-
-    completed = [r for r in results if not r.aborted]
-    summaries = [summarize_simulation(r) for r in completed]
-    batch = aggregate_batch(summaries) if summaries else None
-
-    # Pooled decision stream in (sim_id, seq) order, over everything logged.
-    pooled_states: list[DecisionState] = []
-    for r in results:
-        pooled_states.extend(outcome.state for _, outcome in r.decisions)
-    series = yes_ratio_series(pooled_states, cfg.rolling_window) if pooled_states else None
-
-    batch_result = BatchResult(
-        config=cfg,
-        results=results,
-        summaries=summaries,
-        batch=batch,
-        series=series,
-        aborted=aborted,
-        skipped=skipped,
-        output_dir=out_dir,
-    )
     if out_dir is not None:
-        write_outputs(batch_result, echo, started_at, finished_at)
+        _clear_tree(out_dir)
+    try:
+        with contextlib.ExitStack() as stack:
+            logs = []
+            if out_dir is not None:
+                for name, header in _LOG_HEADERS.items():
+                    fh = stack.enter_context(open(out_dir / (name + _PARTIAL), "w", encoding="utf-8", newline=""))
+                    fh.write(header)
+                    logs.append(fh)
+            if cfg.parallelism <= 1 or cfg.n_simulations == 1:
+                runs = map(_run_one_task, tasks)
+            else:
+                # Threads for live runs, so the request-rate limiter is really
+                # shared across concurrent sims; processes otherwise. Threads
+                # ignore chunksize.
+                executor = (
+                    concurrent.futures.ThreadPoolExecutor
+                    if cfg.provider.kind is ProviderKind.LIVE_LLM
+                    else concurrent.futures.ProcessPoolExecutor
+                )
+                pool = stack.enter_context(executor(max_workers=cfg.parallelism))
+                # Leaving early (an abort) cancels the sims no worker has started.
+                stack.callback(pool.shutdown, cancel_futures=True)
+                chunk = max(1, cfg.n_simulations // (cfg.parallelism * 4))
+                runs = pool.map(_run_one_task, tasks, chunksize=chunk)
+            for done in runs:
+                if isinstance(done, _SimRaised):
+                    aborted.append((done.sim_id, done.reason))
+                    logger.error("simulation %d aborted: %s", done.sim_id, done.reason, exc_info=done)
+                    break
+                result, summary, rows = done
+                results.append(result)
+                for fh, text in zip(logs, rows or ()):
+                    fh.write(text)
+                if summary is None:
+                    aborted.append((result.sim_id, result.abort_reason))
+                    logger.error("simulation %d aborted: %s", result.sim_id, result.abort_reason)
+                    break
+                summaries.append(summary)
+        finished_at = _dt.datetime.now(_dt.timezone.utc)
+
+        # Pooled decision stream in (sim_id, seq) order, over everything logged.
+        pooled_states: list[DecisionState] = []
+        for r in results:
+            pooled_states.extend(outcome.state for _, outcome in r.decisions)
+
+        batch_result = BatchResult(
+            config=cfg,
+            results=results,
+            summaries=summaries,
+            batch=aggregate_batch(summaries) if summaries else None,
+            series=yes_ratio_series(pooled_states, cfg.rolling_window) if pooled_states else None,
+            aborted=aborted,
+            skipped=skipped(),
+            output_dir=out_dir,
+        )
+        if out_dir is not None:
+            _publish_logs(out_dir)
+            write_outputs(batch_result, echo, started_at, finished_at)
+    except BaseException as exc:
+        if out_dir is not None:
+            _publish_logs(out_dir)
+            failed = BatchResult(cfg, results, summaries, None, None, aborted, skipped(), out_dir)
+            _write_manifest(failed, echo, started_at, _dt.datetime.now(_dt.timezone.utc), _one_line(exc))
+        raise
     return batch_result
 
 
 # --------------------------------------------------------------------------
 # Output assembly
+
+
+# Every artifact a run writes at the top of its tree.
+_ARTIFACTS = (
+    *_LOG_HEADERS,
+    SUMMARIES_CSV,
+    SERIES_CSV,
+    CONFIG_ECHO,
+    MANIFEST_JSON,
+    *(name for pair in TABLE_FILES.values() for name in pair),
+)
+
+
+def _clear_tree(out: Path) -> None:
+    """Make ``out`` and drop every artifact an earlier run left there.
+
+    Other files in the directory are left alone. So a rerun into the same
+    directory leaves no earlier run's artifacts, whether it ends or fails.
+    """
+    out.mkdir(parents=True, exist_ok=True)
+    if (out / JOURNAL_DIR).exists():
+        shutil.rmtree(out / JOURNAL_DIR)
+    for name in _ARTIFACTS:
+        (out / name).unlink(missing_ok=True)
+
+
+def _publish_logs(out: Path) -> None:
+    """Move each log appended so far into place."""
+    for name in _LOG_HEADERS:
+        with contextlib.suppress(FileNotFoundError):
+            os.replace(out / (name + _PARTIAL), out / name)
 
 
 # summaries.csv cell (format, parse), keyed by each SimulationSummary field's
@@ -579,61 +688,13 @@ def write_outputs(
     started_at: _dt.datetime,
     finished_at: _dt.datetime,
 ) -> None:
-    """Write the full artifact tree for a finished batch.
+    """Write the rest of the artifact tree for a batch whose logs are in place.
 
     ``echo`` is ``config_to_dict(batch.config)``, written as the config echo
     and hashed for the manifest's ``config_sha256``.
     """
     assert batch.output_dir is not None
     out = batch.output_dir
-    out.mkdir(parents=True, exist_ok=True)
-    cfg = batch.config
-
-    # A rerun into the same directory must leave no earlier run's artifacts:
-    # drop the ones this run will not rewrite.
-    if (out / JOURNAL_DIR).exists():
-        shutil.rmtree(out / JOURNAL_DIR)
-    stale: list[str] = []
-    if batch.batch is None:
-        stale += [*TABLE_FILES["full"], *TABLE_FILES["client"]]
-    if batch.series is None:
-        stale += [SERIES_CSV, *TABLE_FILES["yes_ratio"]]
-    for name in stale:
-        (out / name).unlink(missing_ok=True)
-
-    # trades, decisions and the series are the bulk of the tree. Their rows
-    # are f-strings streamed to the file one at a time, so memory stays flat.
-    # Every float formatted with !r is a Python float, whose repr is what
-    # str(float(x)) gives; no field can need csv quoting.
-    value = {e: e.value for enum_cls in (Direction, DecisionState, ProviderKind) for e in enum_cls}
-    with open(out / TRADES_CSV, "w", encoding="utf-8", newline="") as fh:
-        fh.write("sim_id,step,mm_id,counterparty_kind,counterparty,direction,bond_qty,cash_qty\n")
-        for r in batch.results:
-            fh.writelines(
-                f"{r.sim_id},{t.step},{t.mm_id},client,{t.counterparty[0]}:{t.counterparty[1]},"
-                f"{value[t.client_direction]},{t.bond_qty!r},{t.cash_qty!r}\n"
-                if t.counterparty_kind is CounterpartyKind.CLIENT
-                else f"{r.sim_id},{t.step},{t.mm_id},mm,{t.counterparty},,{t.bond_qty!r},{t.cash_qty!r}\n"
-                for t in r.trades
-            )
-
-    with open(out / DECISIONS_CSV, "w", encoding="utf-8", newline="") as fh:
-        fh.write("sim_id,seq,step,mm_id,x,y,state,provider\n")
-        for r in batch.results:
-            fh.writelines(
-                f"{q.sim_id},{q.sequence_no},{q.step},{q.mm_id},{q.client_position[0]},"
-                f"{q.client_position[1]},{value[o.state]},{value[o.provider]}\n"
-                for q, o in r.decisions
-            )
-
-    with open(out / LIFECYCLE_CSV, "w", encoding="utf-8", newline="") as fh:
-        fh.write("sim_id,mm_id,ceased_at_step,breadth,bond_rate,cash_rate\n")
-        for r in batch.results:
-            fh.writelines(
-                f"{r.sim_id},{mm.id},{'' if mm.ceased_at_step is None else mm.ceased_at_step},"
-                f"{mm.breadth},{mm.bond_rate!r},{mm.cash_rate!r}\n"
-                for mm in r.mms
-            )
 
     cells = [(f.name, _SUMMARY_CELLS[f.type][0]) for f in dataclasses.fields(SimulationSummary)]
     with open(out / SUMMARIES_CSV, "w", encoding="utf-8", newline="") as fh:
@@ -645,18 +706,21 @@ def write_outputs(
     if batch.series is not None:
         series = batch.series
         rows = zip(series.positions, series.cumulative)
+        # A rolling ratio is an integer count divided once (never -0.0), so
+        # the series holds few distinct values: each is formatted once.
+        rolling = {r: repr(r) for r in set(series.rolling)}
         with open(out / SERIES_CSV, "w", encoding="utf-8", newline="") as fh:
             fh.write("seq,cumulative,rolling\n")
             # The rows before the first full window have no rolling ratio.
             fh.writelines(f"{pos},{c!r},\n" for pos, c in itertools.islice(rows, series.window - 1))
-            fh.writelines(f"{pos},{c!r},{r!r}\n" for (pos, c), r in zip(rows, series.rolling))
+            fh.writelines(f"{pos},{c!r},{rolling[r]}\n" for (pos, c), r in zip(rows, series.rolling))
 
     write_tables(out, batch.batch, batch.series)
 
     with open(out / CONFIG_ECHO, "w", encoding="utf-8", newline="") as fh:
         yaml.safe_dump(echo, fh, sort_keys=True, default_flow_style=False)
 
-    if cfg.journal_enabled():
+    if batch.config.journal_enabled():
         jdir = out / JOURNAL_DIR
         jdir.mkdir(exist_ok=True)
         for r in batch.results:
@@ -665,6 +729,18 @@ def write_outputs(
             with open(jdir / f"sim_{r.sim_id:04d}.jsonl", "w", encoding="utf-8", newline="") as fh:
                 fh.write(r.journal)
 
+    _write_manifest(batch, echo, started_at, finished_at)
+
+
+def _write_manifest(
+    batch: BatchResult,
+    echo: dict[str, Any],
+    started_at: _dt.datetime,
+    finished_at: _dt.datetime,
+    error: str | None = None,
+) -> None:
+    """The run's metadata; ``error`` names the exception that failed the batch."""
+    cfg = batch.config
     manifest = {
         "schema_version": 1,
         "started_at": started_at.isoformat(),
@@ -674,15 +750,16 @@ def write_outputs(
         "preset": cfg.preset,
         "n_simulations": cfg.n_simulations,
         "parallelism": cfg.parallelism,
-        "output_dir": str(out),
+        "output_dir": str(batch.output_dir),
         "replay_path": cfg.provider.replay_path,
         "completed": len(batch.summaries),
         "aborted": [{"sim_id": sid, "reason": reason} for sid, reason in batch.aborted],
         "skipped": batch.skipped,
         "config_sha256": _echo_hash(echo),
-        "status": "ok" if batch.ok else "partial",
+        "status": "failed" if error else "ok" if batch.ok else "partial",
+        "error": error,
     }
-    with open(out / MANIFEST_JSON, "w", encoding="utf-8", newline="") as fh:
+    with open(batch.output_dir / MANIFEST_JSON, "w", encoding="utf-8", newline="") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
         fh.write("\n")
 

@@ -7,9 +7,9 @@ import pickle
 import numpy as np
 import pytest
 
-from bondflow import DecisionState, DesireQuery, Simulation, simulation_seed
+from bondflow import DecisionState, DesireQuery, PromptTemplate, ProviderHardFailure, Simulation, simulation_seed
 from bondflow.agents import AgentConfig, CeaseRule
-from bondflow.decision import BernoulliProvider
+from bondflow.decision import BernoulliProvider, ReplayProvider, parse_journal_line
 from bondflow.engine import CounterpartyKind, TerminalReason, TradeRecord
 from bondflow.landscape import Direction, LandscapeConfig
 
@@ -24,6 +24,7 @@ def make_sim(
     agents=None,
     max_steps=50,
     runway=3.0,
+    journal_template=None,
 ):
     return Simulation(
         0,
@@ -33,6 +34,7 @@ def make_sim(
         provider or BernoulliProvider(1.0),
         max_steps=max_steps,
         interbank_runway_steps=runway,
+        journal_template=journal_template,
     )
 
 
@@ -409,3 +411,47 @@ def test_event_records_are_immutable_tuples(record_type, fields, values):
     # Results cross the process pool pickled.
     assert pickle.loads(pickle.dumps(by_keyword)) == by_keyword
     assert type(pickle.loads(pickle.dumps(by_keyword))) is record_type
+
+
+class FailsAfter(BernoulliProvider):
+    """A coin flip that fails hard after ``n`` decisions."""
+
+    def __init__(self, n):
+        super().__init__(0.5)
+        self.left = n
+
+    def decide(self, q, rng):
+        if self.left == 0:
+            raise ProviderHardFailure("gateway gone")
+        self.left -= 1
+        return super().decide(q, rng)
+
+
+def test_results_round_trip_through_pickle():
+    # A pooled batch hands each result back pickled, its trades and queries
+    # as columns. Every kind of result must come back equal, with its
+    # records typed: a NamedTuple compares equal to a plain tuple.
+    timeliness = PromptTemplate.TIMELINESS
+    journaled = make_sim(BernoulliProvider(0.5), journal_template=timeliness).run()
+    records = [parse_journal_line(line) for line in journaled.journal.splitlines()]
+    idle = LandscapeConfig(grid_width=6, grid_height=6, availability_p=0.0)
+    cases = {
+        "coin flip": make_sim(BernoulliProvider(0.5)).run(),
+        "no trades, no decisions": make_sim(landscape=idle, agents=AgentConfig(n_agents=1)).run(),
+        "aborted": make_sim(FailsAfter(5)).run(),
+        "replay": make_sim(ReplayProvider(records, timeliness), journal_template=timeliness).run(),
+    }
+    assert cases["coin flip"].journal is None and cases["coin flip"].trades
+    assert cases["no trades, no decisions"].trades == cases["no trades, no decisions"].decisions == []
+    assert cases["aborted"].aborted and len(cases["aborted"].decisions) == 5
+    replay = cases["replay"]
+    assert replay.journal == journaled.journal and replay.trades == journaled.trades
+    assert len({id(o) for _, o in replay.decisions}) == len(replay.decisions)
+    for name, result in cases.items():
+        back = pickle.loads(pickle.dumps(result))
+        assert back == result, name
+        assert all(type(t) is TradeRecord for t in back.trades), name
+        assert all(type(q) is DesireQuery for q, _ in back.decisions), name
+    # The coin flip's two shared outcomes are pickled once each.
+    back = pickle.loads(pickle.dumps(cases["coin flip"]))
+    assert len({id(o) for _, o in back.decisions}) == 2

@@ -21,6 +21,7 @@ import yaml
 from bondflow import (
     ConfigError,
     DecisionState,
+    DesireQuery,
     ExperimentConfig,
     PromptTemplate,
     ProviderHardFailure,
@@ -384,6 +385,11 @@ def test_parallel_batches_are_byte_identical(tmp_path):
         )
     )
     assert serial.summaries == pooled.summaries
+    # Pooled results come back pickled; a NamedTuple equals a plain tuple,
+    # so the record types are checked too.
+    assert pooled.results == serial.results
+    assert all(type(t) is engine.TradeRecord for r in pooled.results for t in r.trades)
+    assert all(type(q) is DesireQuery for r in pooled.results for q, _ in r.decisions)
     names = sorted(
         p.relative_to(serial_dir).as_posix() for p in serial_dir.rglob("*") if p.is_file()
     )
@@ -395,6 +401,16 @@ def test_parallel_batches_are_byte_identical(tmp_path):
         if name == MANIFEST_JSON:  # timestamps and worker count differ by design
             continue
         assert filecmp.cmp(serial_dir / name, pooled_dir / name, shallow=False), name
+
+
+def test_encoded_trade_quantities_keep_their_sign(mini_batch):
+    # A leg's two quantities share one formatted string only when they are
+    # one float object: 0.0 == -0.0, but each keeps its sign in trades.csv.
+    mm = engine.CounterpartyKind.MARKET_MAKER
+    legs = [engine.TradeRecord(3, 0, mm, 1, None, 0.0, -0.0), engine.TradeRecord(3, 0, mm, 1, None, 0.5, 0.5)]
+    result = dataclasses.replace(mini_batch.results[0], trades=legs)
+    trades, _, _ = harness._encode_rows(result)
+    assert trades == "0,3,0,mm,1,,0.0,-0.0\n0,3,0,mm,1,,0.5,0.5\n"
 
 
 def test_live_thread_pool_batch_matches_serial(tmp_path, monkeypatch):
@@ -584,6 +600,7 @@ def test_rerun_into_same_dir_leaves_no_stale_files(tmp_path, second_run):
     run_batch(exp3(2, reused, second_run))
     run_batch(exp3(2, fresh, second_run))
     assert tree_bytes(reused) == tree_bytes(fresh)
+    assert not [p.name for p in reused.rglob(f"*{harness._PARTIAL}")]
 
 
 class FailsOnDecision(BernoulliProvider):
@@ -618,6 +635,51 @@ def test_aborted_batch_keeps_what_ran(tmp_path, monkeypatch):
     with open(out / DECISIONS_CSV, encoding="utf-8", newline="") as fh:
         sim1 = [row["seq"] for row in csv.DictReader(fh) if row["sim_id"] == "1"]
     assert sim1 == ["0", "1", "2", "3", "4"]  # the decisions made before the failure
+
+
+@pytest.mark.parametrize("broken_step", ["yes_ratio_series", "write_tables"])
+def test_failure_outside_the_sims_keeps_their_rows(tmp_path, monkeypatch, mini_batch, broken_step):
+    # An exception after the sims, before or after their logs are moved into
+    # place, propagates. Before it does, every finished sim's rows are in
+    # place, and the manifest says the batch failed and why.
+    def broken(*args):
+        raise OSError("disk full\nsecond line")
+
+    monkeypatch.setattr(harness, broken_step, broken)
+    out = tmp_path / "failed"
+    with pytest.raises(OSError, match="disk full"):
+        run_batch(mini_config(out))
+    manifest = json.loads((out / MANIFEST_JSON).read_text("utf-8"))
+    assert manifest["status"] == "failed"
+    assert manifest["error"] == "OSError: disk full"
+    assert manifest["completed"] == 4 and manifest["skipped"] == []
+    for name in (TRADES_CSV, DECISIONS_CSV, LIFECYCLE_CSV):
+        assert (out / name).read_bytes() == (mini_batch.output_dir / name).read_bytes(), name
+    assert not [p.name for p in out.rglob(f"*{harness._PARTIAL}")]
+
+
+def test_interrupt_between_sims_keeps_the_finished_ones(tmp_path, monkeypatch, mini_batch):
+    # An interrupt in the middle of a batch, as sim 2 is due: sims 0 and 1
+    # are in the logs, the manifest says failed, and sims 2 and 3 are skipped.
+    run_one = harness._run_one_task
+
+    def interrupted(task):
+        if task[1] == 2:
+            raise KeyboardInterrupt
+        return run_one(task)
+
+    monkeypatch.setattr(harness, "_run_one_task", interrupted)
+    out = tmp_path / "interrupted"
+    with pytest.raises(KeyboardInterrupt):
+        run_batch(mini_config(out))
+    manifest = json.loads((out / MANIFEST_JSON).read_text("utf-8"))
+    assert manifest["status"] == "failed" and manifest["error"].startswith("KeyboardInterrupt")
+    assert manifest["completed"] == 2 and manifest["skipped"] == [2, 3]
+    for name in (TRADES_CSV, DECISIONS_CSV, LIFECYCLE_CSV):
+        lines = (mini_batch.output_dir / name).read_text("utf-8").splitlines(keepends=True)
+        kept = [line for i, line in enumerate(lines) if i == 0 or line.split(",", 1)[0] in ("0", "1")]
+        assert (out / name).read_text("utf-8") == "".join(kept), name
+    assert not [p.name for p in out.rglob(f"*{harness._PARTIAL}")]
 
 
 def test_exp2_preset_runs_trade_free(tmp_path):
