@@ -59,7 +59,7 @@ from .decision import (
     journal_line,
 )
 from .errors import ProviderHardFailure
-from .landscape import Direction, Landscape, LandscapeConfig, init_landscape
+from .landscape import Direction, Landscape, LandscapeConfig
 from .prompts import PromptTemplate
 from .seeding import (
     STREAM_AGENT_INIT,
@@ -185,7 +185,7 @@ class Simulation:
         self._contact_draws = BufferedIntegers(substream(seed, STREAM_CONTACT_SELECTION))
         self._rng_provider = substream(seed, STREAM_PROVIDER)
 
-        self.grid: Landscape = init_landscape(landscape_cfg, substream(seed, STREAM_LANDSCAPE_INIT))
+        self.grid = Landscape(landscape_cfg, substream(seed, STREAM_LANDSCAPE_INIT))
         dims = self.grid.shape
         self.mms: list[MarketMakerState] = init_market_makers(
             agent_cfg, dims, substream(seed, STREAM_AGENT_INIT)

@@ -23,8 +23,11 @@ Batches are deterministic: per-sim seeds derive from the master seed, all
 output files are written in sim order with fixed formatting, and the
 parallelism degree never changes a byte of output. The manifest is the
 single file carrying wall-clock data, so determinism checks compare trees
-excluding it. A batch builds its config echo once, before the sims, and the
-manifest's ``config_sha256`` is that echo's hash.
+excluding it. A batch writes its config echo before the sims, and the
+manifest's ``config_sha256`` is that echo's hash. Each sim's files (its rows
+of the four logs and its journal) are written as it finishes, so a batch that
+fails keeps every sim it finished; only the series, the tables and the
+manifest wait for the last sim.
 """
 
 from __future__ import annotations
@@ -371,7 +374,7 @@ def config_to_dict(cfg: ExperimentConfig) -> dict[str, Any]:
 
 
 def _file_sha256(path: str) -> str:
-    """sha256 of a file, read in chunks: the echo is written at peak memory."""
+    """sha256 of a file, read in chunks."""
     digest = hashlib.sha256()
     try:
         with open(path, "rb") as fh:
@@ -401,7 +404,19 @@ def config_hash(cfg: ExperimentConfig) -> str:
 _Task = tuple[ExperimentConfig, int, list[JournalRecord] | None]
 # What a worker hands back for a sim that ran: its result, its summary (None
 # if it aborted) and, for a batch that writes a tree, its rows of each log.
-_SimDone = tuple[SimulationResult, SimulationSummary | None, tuple[str, str, str] | None]
+_SimDone = tuple[SimulationResult, SimulationSummary | None, tuple[str, str, str, str] | None]
+
+# summaries.csv cell (format, parse), keyed by each SimulationSummary field's
+# annotation. Summary floats are Python floats, so repr is their shortest form.
+_SUMMARY_CELLS: dict[str, tuple[Callable[[Any], str], Callable[[str], Any]]] = {
+    "int": (str, int),
+    "float": (repr, float),
+    "TerminalReason | None": (
+        lambda reason: reason.value if reason else "",
+        lambda raw: TerminalReason(raw) if raw else None,
+    ),
+}
+_SUMMARY_FORMATS = [(f.name, _SUMMARY_CELLS[f.type][0]) for f in dataclasses.fields(SimulationSummary)]
 
 # The logs every sim appends to, with their headers, in the order of the
 # rows ``_encode_rows`` returns.
@@ -409,8 +424,9 @@ _LOG_HEADERS = {
     TRADES_CSV: "sim_id,step,mm_id,counterparty_kind,counterparty,direction,bond_qty,cash_qty\n",
     DECISIONS_CSV: "sim_id,seq,step,mm_id,x,y,state,provider\n",
     LIFECYCLE_CSV: "sim_id,mm_id,ceased_at_step,breadth,bond_rate,cash_rate\n",
+    SUMMARIES_CSV: ",".join(name for name, _ in _SUMMARY_FORMATS) + "\n",
 }
-# A log is appended to under this suffix and moved into place when the batch ends.
+# A log is appended to under this suffix and moved into place when the sims end.
 _PARTIAL = ".partial"
 
 
@@ -458,7 +474,7 @@ def _run_one_task(task: _Task) -> _SimDone | _SimRaised:
             journal_template=cfg.provider.prompt_template if cfg.journal_enabled() else None,
         ).run()
         summary = None if result.aborted else summarize_simulation(result)
-        return result, summary, _encode_rows(result) if cfg.output_dir else None
+        return result, summary, _encode_rows(result, summary) if cfg.output_dir else None
     except ProviderHardFailure:
         raise  # outside a run (building its provider): the whole batch fails
     except Exception as exc:
@@ -468,8 +484,10 @@ def _run_one_task(task: _Task) -> _SimDone | _SimRaised:
 _VALUE = {e: e.value for enum_cls in (Direction, DecisionState, ProviderKind) for e in enum_cls}
 
 
-def _encode_rows(r: SimulationResult) -> tuple[str, str, str]:
-    """One sim's trades, decisions and lifecycle rows, as CSV text.
+def _encode_rows(r: SimulationResult, summary: SimulationSummary | None) -> tuple[str, str, str, str]:
+    """One sim's trades, decisions, lifecycle and summary rows, as CSV text.
+
+    An aborted sim has no summary, so it has no summary row.
 
     Every float formatted with repr is a Python float, whose repr is what
     str(float(x)) gives; no field can need csv quoting. A trade leg whose
@@ -495,19 +513,29 @@ def _encode_rows(r: SimulationResult) -> tuple[str, str, str]:
         f"{mm.breadth},{mm.bond_rate!r},{mm.cash_rate!r}\n"
         for mm in r.mms
     ]
-    return "".join(trades), "".join(decisions), "".join(lifecycle)
+    summary_row = ""
+    if summary is not None:
+        summary_row = ",".join(fmt(getattr(summary, name)) for name, fmt in _SUMMARY_FORMATS) + "\n"
+    return "".join(trades), "".join(decisions), "".join(lifecycle), summary_row
 
 
 @dataclass
 class BatchResult:
+    """A batch as far as it ran, filled in as its sims finish."""
+
     config: ExperimentConfig
-    results: list[SimulationResult]
-    summaries: list[SimulationSummary]
-    batch: BatchSummary | None
-    series: YesRatioSeries | None
-    aborted: list[tuple[int, str]]
-    skipped: list[int]
-    output_dir: Path | None
+    results: list[SimulationResult] = field(default_factory=list)
+    summaries: list[SimulationSummary] = field(default_factory=list)
+    batch: BatchSummary | None = None
+    series: YesRatioSeries | None = None
+    aborted: list[tuple[int, str]] = field(default_factory=list)
+    output_dir: Path | None = None
+
+    @property
+    def skipped(self) -> list[int]:
+        """The sims never run: after the first abort, or after the last result."""
+        handled = self.aborted[0][0] + 1 if self.aborted else len(self.results)
+        return list(range(handled, self.config.n_simulations))
 
     @property
     def ok(self) -> bool:
@@ -518,15 +546,17 @@ def run_batch(cfg: ExperimentConfig) -> BatchResult:
     """Run the whole batch and (if output_dir is set) write the artifact tree.
 
     The config echo is built once, before the sims, so an unreadable
-    replay corpus fails the batch before any sim runs.
+    replay corpus fails the batch before any sim runs. It is written, and
+    ``journals/`` made, before the first sim.
 
-    Each sim's log rows are appended, in sim order, as it finishes. The
-    first sim that aborts (its result says so, or it raised an exception
-    other than ``ProviderHardFailure``, recorded as ``"<Type>: <message>"``)
-    ends the batch: the later sims are skipped, and the tree holds the sims
-    before it, with manifest status ``partial``. An exception outside every
-    sim propagates, after the rows finished so far are moved into place and
-    a manifest with status ``failed`` names it.
+    Each sim's rows of the four logs are appended, in sim order, as it
+    finishes, and its journal is written then. The first sim that aborts
+    (its result says so, or it raised an exception other than
+    ``ProviderHardFailure``, recorded as ``"<Type>: <message>"``) ends the
+    batch: the later sims are skipped, and the tree holds the sims before
+    it, with manifest status ``partial``. An exception outside every sim
+    propagates, after the logs finished so far are moved into place and a
+    manifest with status ``failed`` names it.
 
     Every sim runs the configured provider. A custom provider runs one sim
     at a time through ``Simulation(...).run()``.
@@ -557,21 +587,20 @@ def run_batch(cfg: ExperimentConfig) -> BatchResult:
             replay_slice = replay_slices[i] if i < len(replay_slices) else []
         tasks.append((cfg, i, replay_slice))
 
-    results: list[SimulationResult] = []
-    summaries: list[SimulationSummary] = []
-    aborted: list[tuple[int, str]] = []
-
-    def skipped() -> list[int]:
-        handled = aborted[0][0] + 1 if aborted else len(results)
-        return list(range(handled, cfg.n_simulations))
-
+    batch = BatchResult(cfg, output_dir=out_dir)
     started_at = _dt.datetime.now(_dt.timezone.utc)
     if out_dir is not None:
         _clear_tree(out_dir)
+        with open(out_dir / CONFIG_ECHO, "w", encoding="utf-8", newline="") as fh:
+            yaml.safe_dump(echo, fh, sort_keys=True, default_flow_style=False)
+        if cfg.journal_enabled():
+            (out_dir / JOURNAL_DIR).mkdir()
     try:
         with contextlib.ExitStack() as stack:
             logs = []
             if out_dir is not None:
+                # Runs last, once every log is closed, however the sims end.
+                stack.callback(_publish_logs, out_dir)
                 for name, header in _LOG_HEADERS.items():
                     fh = stack.enter_context(open(out_dir / (name + _PARTIAL), "w", encoding="utf-8", newline=""))
                     fh.write(header)
@@ -594,45 +623,39 @@ def run_batch(cfg: ExperimentConfig) -> BatchResult:
                 runs = pool.map(_run_one_task, tasks, chunksize=chunk)
             for done in runs:
                 if isinstance(done, _SimRaised):
-                    aborted.append((done.sim_id, done.reason))
+                    batch.aborted.append((done.sim_id, done.reason))
                     logger.error("simulation %d aborted: %s", done.sim_id, done.reason, exc_info=done)
                     break
                 result, summary, rows = done
-                results.append(result)
-                for fh, text in zip(logs, rows or ()):
-                    fh.write(text)
+                batch.results.append(result)
+                if out_dir is not None:
+                    for fh, text in zip(logs, rows):
+                        fh.write(text)
+                    if result.journal is not None:
+                        journal = out_dir / JOURNAL_DIR / f"sim_{result.sim_id:04d}.jsonl"
+                        journal.write_text(result.journal, encoding="utf-8", newline="")
                 if summary is None:
-                    aborted.append((result.sim_id, result.abort_reason))
+                    batch.aborted.append((result.sim_id, result.abort_reason))
                     logger.error("simulation %d aborted: %s", result.sim_id, result.abort_reason)
                     break
-                summaries.append(summary)
+                batch.summaries.append(summary)
         finished_at = _dt.datetime.now(_dt.timezone.utc)
 
         # Pooled decision stream in (sim_id, seq) order, over everything logged.
         pooled_states: list[DecisionState] = []
-        for r in results:
+        for r in batch.results:
             pooled_states.extend(outcome.state for _, outcome in r.decisions)
-
-        batch_result = BatchResult(
-            config=cfg,
-            results=results,
-            summaries=summaries,
-            batch=aggregate_batch(summaries) if summaries else None,
-            series=yes_ratio_series(pooled_states, cfg.rolling_window) if pooled_states else None,
-            aborted=aborted,
-            skipped=skipped(),
-            output_dir=out_dir,
-        )
+        if batch.summaries:
+            batch.batch = aggregate_batch(batch.summaries)
+        if pooled_states:
+            batch.series = yes_ratio_series(pooled_states, cfg.rolling_window)
         if out_dir is not None:
-            _publish_logs(out_dir)
-            write_outputs(batch_result, echo, started_at, finished_at)
+            write_outputs(batch, echo, started_at, finished_at)
     except BaseException as exc:
         if out_dir is not None:
-            _publish_logs(out_dir)
-            failed = BatchResult(cfg, results, summaries, None, None, aborted, skipped(), out_dir)
-            _write_manifest(failed, echo, started_at, _dt.datetime.now(_dt.timezone.utc), _one_line(exc))
+            _write_manifest(batch, echo, started_at, _dt.datetime.now(_dt.timezone.utc), _one_line(exc))
         raise
-    return batch_result
+    return batch
 
 
 # --------------------------------------------------------------------------
@@ -642,7 +665,6 @@ def run_batch(cfg: ExperimentConfig) -> BatchResult:
 # Every artifact a run writes at the top of its tree.
 _ARTIFACTS = (
     *_LOG_HEADERS,
-    SUMMARIES_CSV,
     SERIES_CSV,
     CONFIG_ECHO,
     MANIFEST_JSON,
@@ -670,38 +692,19 @@ def _publish_logs(out: Path) -> None:
             os.replace(out / (name + _PARTIAL), out / name)
 
 
-# summaries.csv cell (format, parse), keyed by each SimulationSummary field's
-# annotation. Summary floats are Python floats, so repr is their shortest form.
-_SUMMARY_CELLS: dict[str, tuple[Callable[[Any], str], Callable[[str], Any]]] = {
-    "int": (str, int),
-    "float": (repr, float),
-    "TerminalReason | None": (
-        lambda reason: reason.value if reason else "",
-        lambda raw: TerminalReason(raw) if raw else None,
-    ),
-}
-
-
 def write_outputs(
     batch: BatchResult,
     echo: dict[str, Any],
     started_at: _dt.datetime,
     finished_at: _dt.datetime,
 ) -> None:
-    """Write the rest of the artifact tree for a batch whose logs are in place.
+    """Write a batch's series, tables and manifest; its per-sim files are in place.
 
-    ``echo`` is ``config_to_dict(batch.config)``, written as the config echo
-    and hashed for the manifest's ``config_sha256``.
+    ``echo`` is ``config_to_dict(batch.config)``, hashed for the manifest's
+    ``config_sha256``.
     """
     assert batch.output_dir is not None
     out = batch.output_dir
-
-    cells = [(f.name, _SUMMARY_CELLS[f.type][0]) for f in dataclasses.fields(SimulationSummary)]
-    with open(out / SUMMARIES_CSV, "w", encoding="utf-8", newline="") as fh:
-        fh.write(",".join(name for name, _ in cells) + "\n")
-        fh.writelines(
-            ",".join(fmt(getattr(s, name)) for name, fmt in cells) + "\n" for s in batch.summaries
-        )
 
     if batch.series is not None:
         series = batch.series
@@ -716,19 +719,6 @@ def write_outputs(
             fh.writelines(f"{pos},{c!r},{rolling[r]}\n" for (pos, c), r in zip(rows, series.rolling))
 
     write_tables(out, batch.batch, batch.series)
-
-    with open(out / CONFIG_ECHO, "w", encoding="utf-8", newline="") as fh:
-        yaml.safe_dump(echo, fh, sort_keys=True, default_flow_style=False)
-
-    if batch.config.journal_enabled():
-        jdir = out / JOURNAL_DIR
-        jdir.mkdir(exist_ok=True)
-        for r in batch.results:
-            if r.journal is None:
-                continue
-            with open(jdir / f"sim_{r.sim_id:04d}.jsonl", "w", encoding="utf-8", newline="") as fh:
-                fh.write(r.journal)
-
     _write_manifest(batch, echo, started_at, finished_at)
 
 

@@ -278,7 +278,3 @@ class Landscape:
         """(total bonds, total cash), summed in a fixed order."""
         return float(self.bonds.sum()), float(self.cash.sum())
 
-
-def init_landscape(cfg: LandscapeConfig, rng: np.random.Generator) -> Landscape:
-    """Build a fresh landscape; step state is drawn once a step begins."""
-    return Landscape(cfg, rng)

@@ -409,7 +409,7 @@ def test_encoded_trade_quantities_keep_their_sign(mini_batch):
     mm = engine.CounterpartyKind.MARKET_MAKER
     legs = [engine.TradeRecord(3, 0, mm, 1, None, 0.0, -0.0), engine.TradeRecord(3, 0, mm, 1, None, 0.5, 0.5)]
     result = dataclasses.replace(mini_batch.results[0], trades=legs)
-    trades, _, _ = harness._encode_rows(result)
+    trades = harness._encode_rows(result, None)[0]
     assert trades == "0,3,0,mm,1,,0.0,-0.0\n0,3,0,mm,1,,0.5,0.5\n"
 
 
@@ -639,9 +639,9 @@ def test_aborted_batch_keeps_what_ran(tmp_path, monkeypatch):
 
 @pytest.mark.parametrize("broken_step", ["yes_ratio_series", "write_tables"])
 def test_failure_outside_the_sims_keeps_their_rows(tmp_path, monkeypatch, mini_batch, broken_step):
-    # An exception after the sims, before or after their logs are moved into
-    # place, propagates. Before it does, every finished sim's rows are in
-    # place, and the manifest says the batch failed and why.
+    # An exception after the sims, before or while the tables are written,
+    # propagates. Before it does, every finished sim's files and the config
+    # echo are in place, and the manifest says the batch failed and why.
     def broken(*args):
         raise OSError("disk full\nsecond line")
 
@@ -653,32 +653,41 @@ def test_failure_outside_the_sims_keeps_their_rows(tmp_path, monkeypatch, mini_b
     assert manifest["status"] == "failed"
     assert manifest["error"] == "OSError: disk full"
     assert manifest["completed"] == 4 and manifest["skipped"] == []
-    for name in (TRADES_CSV, DECISIONS_CSV, LIFECYCLE_CSV):
+    journals = [f"{JOURNAL_DIR}/sim_{i:04d}.jsonl" for i in range(4)]
+    assert sorted(p.relative_to(out).as_posix() for p in (out / JOURNAL_DIR).iterdir()) == journals
+    for name in (TRADES_CSV, DECISIONS_CSV, LIFECYCLE_CSV, SUMMARIES_CSV, CONFIG_ECHO, *journals):
         assert (out / name).read_bytes() == (mini_batch.output_dir / name).read_bytes(), name
     assert not [p.name for p in out.rglob(f"*{harness._PARTIAL}")]
 
 
 def test_interrupt_between_sims_keeps_the_finished_ones(tmp_path, monkeypatch, mini_batch):
     # An interrupt in the middle of a batch, as sim 2 is due: sims 0 and 1
-    # are in the logs, the manifest says failed, and sims 2 and 3 are skipped.
+    # are in the logs and their journals are written, the manifest says
+    # failed, and sims 2 and 3 are skipped.
     run_one = harness._run_one_task
+    out = tmp_path / "interrupted"
 
     def interrupted(task):
         if task[1] == 2:
+            # A log is under its final name only once the sims end.
+            assert not (out / SUMMARIES_CSV).exists()
             raise KeyboardInterrupt
         return run_one(task)
 
     monkeypatch.setattr(harness, "_run_one_task", interrupted)
-    out = tmp_path / "interrupted"
     with pytest.raises(KeyboardInterrupt):
         run_batch(mini_config(out))
     manifest = json.loads((out / MANIFEST_JSON).read_text("utf-8"))
     assert manifest["status"] == "failed" and manifest["error"].startswith("KeyboardInterrupt")
     assert manifest["completed"] == 2 and manifest["skipped"] == [2, 3]
-    for name in (TRADES_CSV, DECISIONS_CSV, LIFECYCLE_CSV):
+    for name in (TRADES_CSV, DECISIONS_CSV, LIFECYCLE_CSV, SUMMARIES_CSV):
         lines = (mini_batch.output_dir / name).read_text("utf-8").splitlines(keepends=True)
         kept = [line for i, line in enumerate(lines) if i == 0 or line.split(",", 1)[0] in ("0", "1")]
         assert (out / name).read_text("utf-8") == "".join(kept), name
+    journals = [f"{JOURNAL_DIR}/sim_0000.jsonl", f"{JOURNAL_DIR}/sim_0001.jsonl"]
+    assert sorted(p.relative_to(out).as_posix() for p in (out / JOURNAL_DIR).iterdir()) == journals
+    for name in (CONFIG_ECHO, *journals):
+        assert (out / name).read_bytes() == (mini_batch.output_dir / name).read_bytes(), name
     assert not [p.name for p in out.rglob(f"*{harness._PARTIAL}")]
 
 

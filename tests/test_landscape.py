@@ -11,10 +11,10 @@ import pytest
 from bondflow import ConfigError, resolve_preset
 from bondflow.landscape import (
     Direction,
+    Landscape,
     LandscapeConfig,
     LognormalParams,
     arithmetic_to_underlying,
-    init_landscape,
     sample_truncated_lognormal,
 )
 from bondflow.seeding import substream
@@ -92,7 +92,7 @@ def test_arithmetic_parameterization_conversion():
 
 def test_init_landscape_populates_every_cell():
     cfg = LandscapeConfig()
-    grid = init_landscape(cfg, substream(6, 0))
+    grid = Landscape(cfg, substream(6, 0))
     assert grid.shape == (50, 50)
     assert grid.n_cells == 2500
     assert grid.bonds.shape == (50, 50)
@@ -102,15 +102,15 @@ def test_init_landscape_populates_every_cell():
 
 def test_init_landscape_bitwise_deterministic():
     cfg = LandscapeConfig()
-    a = init_landscape(cfg, substream(7, 0))
-    b = init_landscape(cfg, substream(7, 0))
+    a = Landscape(cfg, substream(7, 0))
+    b = Landscape(cfg, substream(7, 0))
     assert np.array_equal(a.bonds, b.bonds)
     assert np.array_equal(a.cash, b.cash)
 
 
 def test_one_by_one_grid():
     cfg = LandscapeConfig(grid_width=1, grid_height=1)
-    grid = init_landscape(cfg, substream(8, 0))
+    grid = Landscape(cfg, substream(8, 0))
     assert grid.n_cells == 1
     assert grid.bonds.shape == (1, 1)
     assert 0 < grid.bonds[0, 0] <= cfg.max_bonds
@@ -141,18 +141,18 @@ def all_cells(grid):
 
 
 def test_roll_step_state_extremes():
-    grid = init_landscape(LandscapeConfig(availability_p=0.0), substream(9, 0))
+    grid = Landscape(LandscapeConfig(availability_p=0.0), substream(9, 0))
     grid.begin_step(substream(9, 1))
     assert not any(grid.is_available(x, y) for x, y in all_cells(grid))
 
-    grid = init_landscape(LandscapeConfig(availability_p=1.0), substream(9, 2))
+    grid = Landscape(LandscapeConfig(availability_p=1.0), substream(9, 2))
     grid.begin_step(substream(9, 3))
     assert all(grid.is_available(x, y) for x, y in all_cells(grid))
 
 
 def test_roll_step_state_frequencies():
     cfg = LandscapeConfig(availability_p=0.2, direction_p=0.5)
-    grid = init_landscape(cfg, substream(10, 0))
+    grid = Landscape(cfg, substream(10, 0))
     rng = substream(10, 1)
     cells = all_cells(grid)
     avail = sell = 0
@@ -168,7 +168,7 @@ def test_roll_step_state_frequencies():
 
 def test_cell_direction_mapping():
     for direction_p, expected in ((0.0, Direction.BUY), (1.0, Direction.SELL)):
-        grid = init_landscape(LandscapeConfig(direction_p=direction_p), substream(12, 0))
+        grid = Landscape(LandscapeConfig(direction_p=direction_p), substream(12, 0))
         grid.begin_step(substream(12, 1))
         assert {grid.direction_at(x, y) for x, y in all_cells(grid)} == {expected}
 
@@ -183,7 +183,7 @@ def test_step_lookups_match_full_grid_draws(width, height):
     has none at all, so every jump (forward, backward, skip-ahead) is used.
     """
     cfg = LandscapeConfig(grid_width=width, grid_height=height, availability_p=0.3, direction_p=0.6)
-    grid = init_landscape(cfg, substream(16, 0))
+    grid = Landscape(cfg, substream(16, 0))
     rng, reference = substream(16, 1), substream(16, 1)
     picker = np.random.default_rng(16)
     corners = [(width - 1, height - 1), (0, 0)]
@@ -229,7 +229,7 @@ def test_jump_table_lookups_equal_numpy_draws(width, height):
     start 2n draws after step 1's block.
     """
     cfg = LandscapeConfig(grid_width=width, grid_height=height)
-    grid = init_landscape(cfg, substream(21, 0))
+    grid = Landscape(cfg, substream(21, 0))
     rng, reference = substream(21, 1), substream(21, 1)
     n = grid.n_cells
     offsets = seam_offsets(n)
@@ -252,7 +252,7 @@ def test_jump_table_lookups_equal_numpy_draws(width, height):
 
 def test_jump_table_stays_exact_over_a_long_run():
     # 1600 steps of a 3 x 2 grid: the whole-block jump is applied 1599 times.
-    grid = init_landscape(LandscapeConfig(grid_width=3, grid_height=2), substream(22, 0))
+    grid = Landscape(LandscapeConfig(grid_width=3, grid_height=2), substream(22, 0))
     rng, reference = substream(22, 1), substream(22, 1)
     for step in range(1600):
         grid.begin_step(rng)
@@ -264,7 +264,7 @@ def test_jump_table_stays_exact_over_a_long_run():
 
 
 def test_begin_step_restarts_on_a_fresh_generator_and_never_advances_it():
-    grid = init_landscape(LandscapeConfig(grid_width=4, grid_height=5), substream(23, 0))
+    grid = Landscape(LandscapeConfig(grid_width=4, grid_height=5), substream(23, 0))
     first = substream(23, 1)
     for _ in range(3):
         grid.begin_step(first)
@@ -280,13 +280,13 @@ def test_begin_step_restarts_on_a_fresh_generator_and_never_advances_it():
 
 
 def test_step_lookups_need_a_pcg64_generator():
-    grid = init_landscape(LandscapeConfig(grid_width=2, grid_height=2), substream(24, 0))
+    grid = Landscape(LandscapeConfig(grid_width=2, grid_height=2), substream(24, 0))
     with pytest.raises(TypeError, match="PCG64"):
         grid.begin_step(np.random.Generator(np.random.MT19937(24)))
 
 
 def test_apply_trade_updates_and_guards():
-    grid = init_landscape(LandscapeConfig(), substream(13, 0))
+    grid = Landscape(LandscapeConfig(), substream(13, 0))
     b0, c0 = grid.bonds[2, 1], grid.cash[2, 1]
     grid.apply_trade(1, 2, -b0, 3.0)
     assert grid.bonds[2, 1] == 0.0
@@ -300,7 +300,7 @@ def test_apply_trade_updates_and_guards():
 
 
 def test_totals_sum_everything():
-    grid = init_landscape(LandscapeConfig(grid_width=3, grid_height=2), substream(14, 0))
+    grid = Landscape(LandscapeConfig(grid_width=3, grid_height=2), substream(14, 0))
     tb, tc = grid.totals()
     assert tb == pytest.approx(float(grid.bonds.sum()))
     assert tc == pytest.approx(float(grid.cash.sum()))
