@@ -114,10 +114,17 @@ def sample_truncated_lognormal(
     Rejection re-draw, never clamping, so the density has no atom at the
     cap. Refuses configurations where acceptance is practically impossible
     (``check_truncation``).
+
+    Draw order, which fixes every output byte: the first round draws one
+    normal per cell, in cell order, straight into the output; each later
+    round draws one normal per cell still above the cap, in ascending cell
+    order, until none is left. ``tests/reference.py`` keeps the plain
+    pending-index loop as the oracle for this order.
     """
     check_truncation(mu, sigma, cap)
-    out = np.empty(size, dtype=np.float64)
-    pending = np.arange(size)
+    out = rng.normal(mu, sigma, size=size)
+    np.exp(out, out=out)
+    pending = np.flatnonzero(out > cap)
     while pending.size:
         draws = np.exp(rng.normal(mu, sigma, size=pending.size))
         ok = draws <= cap

@@ -216,19 +216,44 @@ BATCH_METRIC_FIELDS = (
 )
 
 
+def _percentile(ordered: Sequence[float], q: float) -> float:
+    """The ``q``-th percentile of ascending ``ordered``, as ``np.percentile`` gives it.
+
+    numpy's default linear method (Hyndman and Fan's method 7), with the
+    same float operations: like numpy, it interpolates down from the upper
+    neighbour when the fraction is at least 0.5, so the result is
+    bit-identical. Summary values are never NaN or ``-0.0``, the two cases
+    where a Python sort and numpy's partition could order values differently.
+    """
+    n = len(ordered)
+    v = (n - 1) * (q / 100)
+    if v >= n - 1:
+        return ordered[-1]
+    lo = int(v)
+    t = v - lo
+    a, b = ordered[lo], ordered[lo + 1]
+    d = b - a
+    return b - d * (1 - t) if t >= 0.5 else a + d * t
+
+
 def aggregate_batch(summaries: Sequence[SimulationSummary]) -> BatchSummary:
-    """Mean/std/quartiles/max per metric; population std, linear percentiles."""
+    """Mean/std/quartiles/max per metric; population std.
+
+    The quartiles use numpy's linear method, computed without numpy's
+    percentile path (whose first call imports ``numpy.ma``).
+    """
     if not summaries:
         raise ValueError("aggregate_batch needs at least one summary")
     metrics: dict[str, StatRow] = {}
     for name in BATCH_METRIC_FIELDS:
         xs = np.array([float(getattr(s, name)) for s in summaries], dtype=np.float64)
+        ordered = sorted(xs.tolist())
         metrics[name] = StatRow(
             mean=float(xs.mean()),
             std=float(xs.std()),
-            p25=float(np.percentile(xs, 25)),
-            p50=float(np.percentile(xs, 50)),
-            p75=float(np.percentile(xs, 75)),
+            p25=_percentile(ordered, 25),
+            p50=_percentile(ordered, 50),
+            p75=_percentile(ordered, 75),
             max=float(xs.max()),
         )
     cap_count = sum(1 for s in summaries if s.terminal_reason is TerminalReason.STEP_LIMIT)

@@ -5,9 +5,9 @@ plainest code that gives the same bytes: every step rolls the whole grid
 (``rng.random(2 * n)``), a contact is a scalar ``rng.integers`` pick over an
 explicit list of the base's cells, the coin-flip and bursty providers make
 scalar draws, and every agent, client and log row is a plain dict. It
-shares only the config types, the seed derivation and the initial draws
-with the package; the step loop is its own. After every step it checks the
-closed-system law.
+shares only the config types, the seed derivation and the market makers'
+initial draws with the package; the holdings sampler and the step loop are
+its own. After every step it checks the closed-system law.
 
 ``reference_tables(cfg)`` renders a batch's ``trades.csv``, ``decisions.csv``
 and ``lifecycle.csv`` as ``run_batch`` would write them.
@@ -18,10 +18,11 @@ from __future__ import annotations
 import csv
 import io
 
+import numpy as np
+
 from bondflow.agents import CeaseRule, init_market_makers
 from bondflow.decision import ProviderKind
 from bondflow.harness import ExperimentConfig
-from bondflow.landscape import sample_truncated_lognormal
 from bondflow.seeding import (
     STREAM_AGENT_INIT,
     STREAM_CONTACT_SELECTION,
@@ -37,6 +38,23 @@ DECISION_FIELDS = ["sim_id", "seq", "step", "mm_id", "x", "y", "state", "provide
 LIFECYCLE_FIELDS = ["sim_id", "mm_id", "ceased_at_step", "breadth", "bond_rate", "cash_rate"]
 
 CONSERVATION_TOLERANCE = 1e-9
+
+
+def sample_truncated_lognormal(mu, sigma, cap, rng, size):
+    """The holdings sampler's oracle: a pending-index rejection loop.
+
+    Every round draws one normal per pending cell, in ascending cell order,
+    and keeps the draws at or below the cap. ``bondflow.landscape`` must
+    give the same bytes.
+    """
+    out = np.empty(size, dtype=np.float64)
+    pending = np.arange(size)
+    while pending.size:
+        draws = np.exp(rng.normal(mu, sigma, size=pending.size))
+        ok = draws <= cap
+        out[pending[ok]] = draws[ok]
+        pending = pending[~ok]
+    return out
 
 
 def _coin_flip(p):

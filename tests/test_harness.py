@@ -825,3 +825,26 @@ def test_build_fixtures_reproduces_shipped_corpora(tmp_path):
     assert names == ["aversion_replay.jsonl", "reply_fixtures.json", "timeliness_10k.jsonl"]
     for name in names:
         assert (tmp_path / name).read_bytes() == (shipped / name).read_bytes(), name
+
+
+def test_a_batch_and_a_rebuild_never_import_numpy_ma(tmp_path):
+    # np.percentile imports numpy.ma on its first call in a process (15-22 ms);
+    # nothing a run or a table rebuild does may pull it back in. A fresh
+    # interpreter, because this test process may have imported it already.
+    src = Path(__file__).resolve().parent.parent / "src"
+    code = (
+        "import sys\n"
+        "from bondflow import rebuild_tables, resolve_preset, run_batch\n"
+        "out = sys.argv[1]\n"
+        "run_batch(resolve_preset('exp3', {'n_simulations': 3, 'max_steps': 40, 'output_dir': out}))\n"
+        "rebuild_tables(out)\n"
+        "print('numpy.ma' in sys.modules)\n"
+    )
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
+    run = subprocess.run(
+        [sys.executable, "-c", code, str(tmp_path / "out")],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert run.returncode == 0, run.stderr
+    assert (tmp_path / "out" / "summaries.csv").is_file()
+    assert run.stdout.strip() == "False"

@@ -18,6 +18,7 @@ from bondflow.landscape import (
     sample_truncated_lognormal,
 )
 from bondflow.seeding import substream
+from reference import sample_truncated_lognormal as oracle_sampler
 
 _ND = NormalDist()
 
@@ -67,6 +68,36 @@ def test_sampler_rejects_impossible_cap():
         sample_truncated_lognormal(1.0, -1.0, 5.0, rng, size=1)
     with pytest.raises(ConfigError):
         sample_truncated_lognormal(1.0, 0.5, 0.0, rng, size=1)
+
+
+_BOND = (2.5, 1.0, 100.0)
+_CASH = (1.0, 0.5, 5.0)
+
+
+@pytest.mark.parametrize("width, height", [(1, 1), (3, 2), (50, 50), (200, 200)])
+@pytest.mark.parametrize(
+    "bond, cash",
+    [
+        (_BOND, _CASH),
+        # cap = exp(mu): about half of every round is redrawn.
+        ((2.5, 1.0, math.exp(2.5)), (1.0, 0.5, math.exp(1.0))),
+        # cap = exp(mu - 2 sigma): about 98% redrawn, hundreds of rounds.
+        ((2.5, 1.0, math.exp(0.5)), (1.0, 0.5, math.exp(0.0))),
+    ],
+    ids=["defaults", "half-rejected", "mostly-rejected"],
+)
+def test_sampler_bytes_equal_the_pending_index_oracle(width, height, bond, cash):
+    # Bonds then cash from one generator, as Landscape draws them, so the
+    # second call also checks where the first one left the stream.
+    n = width * height
+    for seed in (0, 1, 42, 2024):
+        fast, slow = substream(seed, 0), substream(seed, 0)
+        for mu, sigma, cap in (bond, cash):
+            got = sample_truncated_lognormal(mu, sigma, cap, fast, size=n)
+            want = oracle_sampler(mu, sigma, cap, slow, n)
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+        assert fast.bit_generator.state == slow.bit_generator.state
 
 
 def test_arithmetic_parameterization_conversion():

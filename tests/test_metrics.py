@@ -27,6 +27,7 @@ from bondflow.metrics import (
     YES_RATIO_TABLE_COLUMNS,
     YES_RATIO_TABLE_ROWS,
     SimulationSummary,
+    _percentile,
     aggregate_batch,
     recount_simulation,
     render_client_stats_table,
@@ -186,6 +187,36 @@ def test_aggregate_percentiles_are_linear_interpolation():
     assert stat.max == 40.0
     # Population std, not sample std.
     assert stat.std == pytest.approx(float(np.std([10, 20, 30, 40])))
+
+
+def _summary_like_values(rng, n):
+    """n values of the kinds a batch summary column holds."""
+    kind = rng.integers(4)
+    if kind == 0:  # step counts: integer-valued, with many ties
+        return rng.integers(0, max(2, n // 3), size=n).astype(np.float64)
+    if kind == 1:  # percentages pinned at the ends
+        return rng.choice([0.0, 100.0, 50.0, 12.5], size=n)
+    if kind == 2:  # values spread over nine decades
+        return 10.0 ** rng.uniform(-6.0, 3.0, size=n)
+    mixed = 10.0 ** rng.uniform(-6.0, 3.0, size=n)
+    mixed[rng.random(n) < 0.3] = 0.0
+    mixed[rng.random(n) < 0.1] = 100.0
+    mixed[rng.random(n) < 0.2] = rng.integers(0, 300)
+    return mixed
+
+
+def test_percentile_helper_is_bit_identical_to_numpy():
+    rng = np.random.default_rng(18)
+    sizes = [*range(1, 65), 150, 199, 200, 257, 400]
+    for n in sizes:
+        for _ in range(12):
+            xs = _summary_like_values(rng, n)
+            ordered = sorted(xs.tolist())
+            for q in (25, 50, 75):
+                got = _percentile(ordered, q)
+                want = float(np.percentile(xs, q))
+                assert type(got) is float
+                assert np.float64(got).tobytes() == np.float64(want).tobytes(), (n, q, xs)
 
 
 def test_aggregate_single_summary():
