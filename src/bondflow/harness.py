@@ -42,6 +42,7 @@ import hashlib
 import itertools
 import json
 import logging
+import math
 import os
 import shutil
 import traceback
@@ -406,11 +407,19 @@ _Task = tuple[ExperimentConfig, int, list[JournalRecord] | None]
 # if it aborted) and, for a batch that writes a tree, its rows of each log.
 _SimDone = tuple[SimulationResult, SimulationSummary | None, tuple[str, str, str, str] | None]
 
+def _finite_float(raw: str) -> float:
+    """A summaries.csv float cell; a run never writes NaN or an infinity."""
+    value = float(raw)
+    if not math.isfinite(value):
+        raise ValueError(f"non-finite value {raw!r}")
+    return value
+
+
 # summaries.csv cell (format, parse), keyed by each SimulationSummary field's
 # annotation. Summary floats are Python floats, so repr is their shortest form.
 _SUMMARY_CELLS: dict[str, tuple[Callable[[Any], str], Callable[[str], Any]]] = {
     "int": (str, int),
-    "float": (repr, float),
+    "float": (repr, _finite_float),
     "TerminalReason | None": (
         lambda reason: reason.value if reason else "",
         lambda raw: TerminalReason(raw) if raw else None,

@@ -222,8 +222,10 @@ def _percentile(ordered: Sequence[float], q: float) -> float:
     numpy's default linear method (Hyndman and Fan's method 7), with the
     same float operations: like numpy, it interpolates down from the upper
     neighbour when the fraction is at least 0.5, so the result is
-    bit-identical. Summary values are never NaN or ``-0.0``, the two cases
-    where a Python sort and numpy's partition could order values differently.
+    bit-identical. The values must be finite, as ``summarize_simulation``
+    makes them and as ``summaries.csv`` is checked on reading: a NaN has no
+    place in a Python sort. A ``-0.0`` tied with a ``0.0`` may come out with
+    the other sign than numpy's; ``summarize_simulation`` never makes one.
     """
     n = len(ordered)
     v = (n - 1) * (q / 100)

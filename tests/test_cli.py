@@ -202,11 +202,17 @@ def test_tables_on_missing_dir_is_config_error(tmp_path):
         (DECISIONS_CSV, r",(yes|no|error),(?=bernoulli\n)", ",maybe,", f"{DECISIONS_CSV}, line 2"),
         (SUMMARIES_CSV, r"\n0,", "\nzero,", f"{SUMMARIES_CSV}, line 2"),
         (SUMMARIES_CSV, r"\bterminal_reason\b", "terminal_cause", f"{SUMMARIES_CSV}, line 2"),
+        # The 6th cell, mm_client_bond_pct: quartiles need finite values.
+        (SUMMARIES_CSV, r"(\n0(?:,[^,\n]*){4},)[^,\n]+", r"\1nan", f"{SUMMARIES_CSV}, line 2"),
+        (SUMMARIES_CSV, r"(\n0(?:,[^,\n]*){4},)[^,\n]+", r"\1inf", f"{SUMMARIES_CSV}, line 2"),
         (DECISIONS_CSV, r"bernoulli\n", "bernoulli,extra\n", f"{DECISIONS_CSV}, line 2"),
         (CONFIG_ECHO, r"rolling_window: \d+", "rolling_window: 0", CONFIG_ECHO),
         (CONFIG_ECHO, r"rolling_window: \d+", "rolling_window: 2.5", CONFIG_ECHO),
     ],
-    ids=["unknown-state", "non-integer-cell", "missing-column", "extra-cell", "window-0", "window-float"],
+    ids=[
+        "unknown-state", "non-integer-cell", "missing-column", "nan-cell", "inf-cell", "extra-cell",
+        "window-0", "window-float",
+    ],
 )
 def test_tables_on_malformed_tree_is_config_error(tmp_path, name, pattern, repl, where):
     # The installed entry point, in a process of its own: the error is
