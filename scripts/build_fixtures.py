@@ -9,7 +9,8 @@ Produces, under src/bondflow/data/fixtures/:
   (seed 42). Each of the preset's sims runs through ``Simulation(...).run()``,
   as README "Library use" runs one sim, against a deterministic scripted
   emitter of averse replies (drawn from the reply fixtures plus terse
-  refusals); the sims' journals are written in sim order.
+  refusals); each sim's journal, ``journal_line`` over its decisions, is
+  written in sim order.
   Because refusals never mutate the landscape, the replayed exp2 batch
   issues byte-for-byte the same query stream, so the corpus covers its
   demand exactly.
@@ -184,13 +185,12 @@ def build_aversion_corpus(out: Path) -> None:
                 ScriptedAverseProvider(),
                 max_steps=cfg.max_steps,
                 interbank_runway_steps=cfg.interbank_runway_steps,
-                journal_template=cfg.provider.prompt_template,
             ).run()
             assert not result.aborted, (sim_id, result.abort_reason)
             assert all(t.counterparty_kind is not CounterpartyKind.CLIENT for t in result.trades)
             total += len(result.decisions)
             steps += result.terminal_step
-            fh.write(result.journal)
+            fh.writelines(journal_line(q, o, cfg.provider.prompt_template) for q, o in result.decisions)
     print(
         f"wrote {corpus_path} ({total} records over {cfg.n_simulations} simulations; "
         f"mean terminal step {steps / cfg.n_simulations:.1f})"

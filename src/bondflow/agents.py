@@ -46,7 +46,8 @@ class AgentConfig:
     cease_rule: CeaseRule = CeaseRule.BOTH_EXHAUSTED
 
     def __post_init__(self) -> None:
-        if self.n_agents < 1:
+        # Each check is written so that a NaN fails it.
+        if not self.n_agents >= 1:
             raise ConfigError("n_agents must be >= 1")
         ranges = [
             ("cost", self.cost_min, self.cost_max),
@@ -55,11 +56,11 @@ class AgentConfig:
             ("breadth", self.breadth_min, self.breadth_max),
         ]
         for name, lo, hi in ranges:
-            if lo > hi:
-                raise ConfigError(f"{name} range has min > max")
-        if self.cost_min <= 0:
+            if not lo <= hi:
+                raise ConfigError(f"{name} range must have min <= max, got [{lo}, {hi}]")
+        if not self.cost_min > 0:
             raise ConfigError("cost rates must be > 0")
-        if self.breadth_min < 1:
+        if not self.breadth_min >= 1:
             raise ConfigError("breadth must be >= 1")
 
 

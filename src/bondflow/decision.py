@@ -128,7 +128,10 @@ class ProviderConfig:
                 raise ConfigError("llm provider requires model_name")
             if self.max_retries < 0:
                 raise ConfigError("max_retries must be >= 0")
-            if self.rate_limit_rps <= 0:
+            # Written so that a NaN fails them too.
+            if not self.timeout_s > 0:
+                raise ConfigError("timeout_s must be > 0")
+            if not self.rate_limit_rps > 0:
                 raise ConfigError("rate_limit_rps must be > 0")
 
 

@@ -9,9 +9,9 @@ Fixed per-step order, documented and load-bearing for replayability:
    exactly one uniformly chosen client from its base. Unavailable client:
    contact ends, no decision. Available: one desire query to the
    provider, kept as one (query, outcome) record. Yes: the MM MUST trade
-   (servicing obligation), sized by the client's direction. Nothing is
-   encoded here: a journaled run encodes its journal from the records
-   once, when the run ends.
+   (servicing obligation), sized by the client's direction. The engine
+   encodes nothing: the records are the run's output, and any journal
+   is encoded from them after the run (``decision.journal_line``).
 3. Interbank rebalancing: cash-poor MMs sell bonds at par to the
    richest-cash peer, at most one trade per needy MM per step.
 4. Business costs burn each live MM's resources; the cease rule runs.
@@ -56,11 +56,9 @@ from .decision import (
     DecisionProvider,
     DecisionState,
     DesireQuery,
-    journal_line,
 )
 from .errors import ProviderHardFailure
 from .landscape import Direction, Landscape, LandscapeConfig
-from .prompts import PromptTemplate
 from .seeding import (
     STREAM_AGENT_INIT,
     STREAM_CONTACT_SELECTION,
@@ -117,7 +115,6 @@ class SimulationResult:
     initial_mm_cash: float
     consumed_bonds: float
     consumed_cash: float
-    journal: str | None = None  # JSONL encoding of ``decisions``, if journaled
     abort_reason: str | None = None  # None unless the run aborted
 
     @property
@@ -168,16 +165,13 @@ class Simulation:
         *,
         max_steps: int = DEFAULT_MAX_STEPS,
         interbank_runway_steps: float = DEFAULT_INTERBANK_RUNWAY_STEPS,
-        journal_template: PromptTemplate | None = None,
     ) -> None:
-        """``journal_template`` is the template whose prompts the journal hashes; None keeps none."""
         self.sim_id = sim_id
         self.seed = seed
         self.provider = provider
         self.max_steps = max_steps
         self.interbank_runway_steps = interbank_runway_steps
         self.cease_rule: CeaseRule = agent_cfg.cease_rule
-        self.journal_template = journal_template
 
         # Named substreams: provider draws never perturb landscape draws.
         # The contact pick is the contact stream's one consumer, so it reads ahead.
@@ -318,16 +312,15 @@ class Simulation:
         except ProviderHardFailure as exc:
             abort_reason = str(exc)
         else:
-            drift = max(self.conservation_errors())
-            if drift > CONSERVATION_TOLERANCE:
-                abort_reason = f"conservation drift {drift:.3e} exceeds {CONSERVATION_TOLERANCE:g}"
+            err_b, err_c = self.conservation_errors()
+            # Written so that a NaN drift fails it too.
+            if not (err_b <= CONSERVATION_TOLERANCE and err_c <= CONSERVATION_TOLERANCE):
+                abort_reason = (
+                    f"conservation drift bonds {err_b:.3e} cash {err_c:.3e} exceeds {CONSERVATION_TOLERANCE:g}"
+                )
         reason = None
         if abort_reason is None:
             reason = TerminalReason.STEP_LIMIT if self.any_active() else TerminalReason.ALL_CEASED
-        template = self.journal_template
-        journal = None
-        if template is not None:
-            journal = "".join([journal_line(q, o, template) for q, o in self.decisions])
         return SimulationResult(
             sim_id=self.sim_id,
             seed=self.seed,
@@ -343,7 +336,6 @@ class Simulation:
             initial_mm_cash=self.initial_mm_cash,
             consumed_bonds=self.consumed_bonds,
             consumed_cash=self.consumed_cash,
-            journal=journal,
             abort_reason=abort_reason,
         )
 

@@ -60,6 +60,7 @@ from .decision import (
     ProviderConfig,
     ProviderKind,
     build_provider,
+    journal_line,
     read_journal,
     split_journal,
 )
@@ -137,7 +138,7 @@ class ExperimentConfig:
             raise ConfigError("parallelism must be >= 1")
         if self.max_steps < 0:
             raise ConfigError("max_steps must be >= 0")
-        if self.interbank_runway_steps < 0:
+        if not self.interbank_runway_steps >= 0:  # so that NaN fails too
             raise ConfigError("interbank_runway_steps must be >= 0")
         if self.rolling_window < 1:
             raise ConfigError("rolling_window must be >= 1")
@@ -404,8 +405,8 @@ def config_hash(cfg: ExperimentConfig) -> str:
 # One simulation of a batch: (config, sim_id, its replay slice or None).
 _Task = tuple[ExperimentConfig, int, list[JournalRecord] | None]
 # What a worker hands back for a sim that ran: its result, its summary (None
-# if it aborted) and, for a batch that writes a tree, its rows of each log.
-_SimDone = tuple[SimulationResult, SimulationSummary | None, tuple[str, str, str, str] | None]
+# if it aborted) and, for a batch that writes a tree, its rows and journal.
+_SimDone = tuple[SimulationResult, SimulationSummary | None, tuple[str, str, str, str, str | None] | None]
 
 def _finite_float(raw: str) -> float:
     """A summaries.csv float cell; a run never writes NaN or an infinity."""
@@ -467,8 +468,9 @@ def _run_one_task(task: _Task) -> _SimDone | _SimRaised:
     """Worker entry point; must stay module-level and picklable.
 
     Runs one sim of the batch with the configured provider, summarizes it
-    and, if the batch writes a tree, encodes its log rows. So a pooled batch
-    does all of a sim's work in the worker, and the parent only appends.
+    and, if the batch writes a tree, encodes its log rows and its journal.
+    So a pooled batch does all of a sim's work in the worker, and the
+    parent only appends; a batch without a tree encodes nothing.
     """
     cfg, sim_id, replay_slice = task
     try:
@@ -480,10 +482,10 @@ def _run_one_task(task: _Task) -> _SimDone | _SimRaised:
             build_provider(cfg.provider, replay_slice),
             max_steps=cfg.max_steps,
             interbank_runway_steps=cfg.interbank_runway_steps,
-            journal_template=cfg.provider.prompt_template if cfg.journal_enabled() else None,
         ).run()
         summary = None if result.aborted else summarize_simulation(result)
-        return result, summary, _encode_rows(result, summary) if cfg.output_dir else None
+        template = cfg.provider.prompt_template if cfg.journal_enabled() else None
+        return result, summary, _encode_rows(result, summary, template) if cfg.output_dir else None
     except ProviderHardFailure:
         raise  # outside a run (building its provider): the whole batch fails
     except Exception as exc:
@@ -493,10 +495,13 @@ def _run_one_task(task: _Task) -> _SimDone | _SimRaised:
 _VALUE = {e: e.value for enum_cls in (Direction, DecisionState, ProviderKind) for e in enum_cls}
 
 
-def _encode_rows(r: SimulationResult, summary: SimulationSummary | None) -> tuple[str, str, str, str]:
-    """One sim's trades, decisions, lifecycle and summary rows, as CSV text.
+def _encode_rows(
+    r: SimulationResult, summary: SimulationSummary | None, template: PromptTemplate | None
+) -> tuple[str, str, str, str, str | None]:
+    """One sim's trades, decisions, lifecycle and summary rows, as CSV text, and its journal.
 
-    An aborted sim has no summary, so it has no summary row.
+    An aborted sim has no summary, so it has no summary row. With no
+    ``template`` (a batch that keeps no journal) the journal is None.
 
     Every float formatted with repr is a Python float, whose repr is what
     str(float(x)) gives; no field can need csv quoting. A trade leg whose
@@ -525,7 +530,8 @@ def _encode_rows(r: SimulationResult, summary: SimulationSummary | None) -> tupl
     summary_row = ""
     if summary is not None:
         summary_row = ",".join(fmt(getattr(summary, name)) for name, fmt in _SUMMARY_FORMATS) + "\n"
-    return "".join(trades), "".join(decisions), "".join(lifecycle), summary_row
+    journal = None if template is None else "".join([journal_line(q, o, template) for q, o in r.decisions])
+    return "".join(trades), "".join(decisions), "".join(lifecycle), summary_row, journal
 
 
 @dataclass
@@ -638,11 +644,12 @@ def run_batch(cfg: ExperimentConfig) -> BatchResult:
                 result, summary, rows = done
                 batch.results.append(result)
                 if out_dir is not None:
-                    for fh, text in zip(logs, rows):
+                    *log_rows, journal = rows
+                    for fh, text in zip(logs, log_rows):
                         fh.write(text)
-                    if result.journal is not None:
-                        journal = out_dir / JOURNAL_DIR / f"sim_{result.sim_id:04d}.jsonl"
-                        journal.write_text(result.journal, encoding="utf-8", newline="")
+                    if journal is not None:
+                        path = out_dir / JOURNAL_DIR / f"sim_{result.sim_id:04d}.jsonl"
+                        path.write_text(journal, encoding="utf-8", newline="")
                 if summary is None:
                     batch.aborted.append((result.sim_id, result.abort_reason))
                     logger.error("simulation %d aborted: %s", result.sim_id, result.abort_reason)

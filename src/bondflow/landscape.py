@@ -88,9 +88,12 @@ def arithmetic_to_underlying(mean: float, std: float) -> tuple[float, float]:
 def check_truncation(mu: float, sigma: float, cap: float) -> None:
     """Refuse an exp(Normal(mu, sigma^2)) truncated at ``cap`` that cannot be sampled.
 
-    sigma and cap must be > 0, and the cap at least exp(mu - 6*sigma):
-    below that, rejection sampling would practically never accept a draw.
+    mu, sigma and cap must be finite, sigma and cap > 0, and the cap at least
+    exp(mu - 6*sigma): below that, rejection sampling would practically
+    never accept a draw.
     """
+    if not (math.isfinite(mu) and math.isfinite(sigma) and math.isfinite(cap)):
+        raise ConfigError(f"log-normal mu, sigma and truncation cap must be finite, got {mu}, {sigma}, {cap}")
     if sigma <= 0:
         raise ConfigError("log-normal sigma must be > 0")
     if cap <= 0:

@@ -465,6 +465,15 @@ def test_live_malformed_reply_is_hard_failure(gateway_token, payload):
             provider.decide(make_query(), substream(13, 4))
 
 
+@pytest.mark.parametrize("value", [0.0, -1.0, float("nan")])
+@pytest.mark.parametrize("name", ["timeout_s", "rate_limit_rps"])
+def test_live_plumbing_must_be_positive(name, value):
+    # A zero or NaN timeout would reach requests, which raises ValueError
+    # inside decide: not a transport error, so the sim would abort as a bug.
+    with pytest.raises(ConfigError, match=name):
+        live_config("http://127.0.0.1:9/v1", **{name: value})
+
+
 def test_live_missing_token_fails_fast(monkeypatch):
     monkeypatch.delenv("TEST_GATEWAY_TOKEN", raising=False)
     with pytest.raises(ProviderHardFailure):

@@ -9,7 +9,7 @@ import pytest
 
 from bondflow import DecisionState, DesireQuery, PromptTemplate, ProviderHardFailure, Simulation, simulation_seed
 from bondflow.agents import AgentConfig, CeaseRule
-from bondflow.decision import BernoulliProvider, ReplayProvider, parse_journal_line
+from bondflow.decision import BernoulliProvider, ReplayProvider, journal_line, parse_journal_line
 from bondflow.engine import CounterpartyKind, TerminalReason, TradeRecord
 from bondflow.landscape import Direction, LandscapeConfig
 
@@ -24,7 +24,6 @@ def make_sim(
     agents=None,
     max_steps=50,
     runway=3.0,
-    journal_template=None,
 ):
     return Simulation(
         0,
@@ -34,7 +33,6 @@ def make_sim(
         provider or BernoulliProvider(1.0),
         max_steps=max_steps,
         interbank_runway_steps=runway,
-        journal_template=journal_template,
     )
 
 
@@ -290,6 +288,19 @@ def test_conservation_holds_after_every_step():
             assert cash_err <= 1e-9
 
 
+def test_a_nan_holding_fails_the_conservation_audit():
+    # `nan > tolerance` is False, and max((0.0, nan)) is 0.0: each drift is
+    # checked on its own with `<=`, which a NaN fails.
+    idle = LandscapeConfig(grid_width=6, grid_height=6, availability_p=0.0)
+    for x, y, bonds, cash in [(0, 0, float("nan"), 1.0), (2, 3, 1.0, float("nan"))]:
+        sim = make_sim(landscape=idle)
+        set_client(sim, x, y, bonds, cash)
+        result = sim.run()
+        assert result.aborted and result.terminal_reason is None
+        assert result.abort_reason.startswith("conservation drift "), result.abort_reason
+        assert "nan" in result.abort_reason
+
+
 def test_run_is_deterministic():
     def once():
         return Simulation(
@@ -432,20 +443,24 @@ def test_results_round_trip_through_pickle():
     # as columns. Every kind of result must come back equal, with its
     # records typed: a NamedTuple compares equal to a plain tuple.
     timeliness = PromptTemplate.TIMELINESS
-    journaled = make_sim(BernoulliProvider(0.5), journal_template=timeliness).run()
-    records = [parse_journal_line(line) for line in journaled.journal.splitlines()]
+
+    def journal(result):
+        return [journal_line(q, o, timeliness) for q, o in result.decisions]
+
+    journaled = make_sim(BernoulliProvider(0.5)).run()
+    records = [parse_journal_line(line) for line in journal(journaled)]
     idle = LandscapeConfig(grid_width=6, grid_height=6, availability_p=0.0)
     cases = {
         "coin flip": make_sim(BernoulliProvider(0.5)).run(),
         "no trades, no decisions": make_sim(landscape=idle, agents=AgentConfig(n_agents=1)).run(),
         "aborted": make_sim(FailsAfter(5)).run(),
-        "replay": make_sim(ReplayProvider(records, timeliness), journal_template=timeliness).run(),
+        "replay": make_sim(ReplayProvider(records, timeliness)).run(),
     }
-    assert cases["coin flip"].journal is None and cases["coin flip"].trades
+    assert cases["coin flip"].trades
     assert cases["no trades, no decisions"].trades == cases["no trades, no decisions"].decisions == []
     assert cases["aborted"].aborted and len(cases["aborted"].decisions) == 5
     replay = cases["replay"]
-    assert replay.journal == journaled.journal and replay.trades == journaled.trades
+    assert journal(replay) == journal(journaled) and replay.trades == journaled.trades
     assert len({id(o) for _, o in replay.decisions}) == len(replay.decisions)
     for name, result in cases.items():
         back = pickle.loads(pickle.dumps(result))

@@ -49,7 +49,7 @@ from bondflow.harness import (
     shipped_aversion_corpus,
     shipped_timeliness_fixture,
 )
-from bondflow import engine, harness
+from bondflow import decision, engine, harness
 from bondflow.landscape import LandscapeConfig
 from gateway import GatewayStub
 from util import mini_config, run_mini
@@ -133,6 +133,28 @@ def test_enum_overrides_accept_values():
 def test_contradictory_overrides_rejected(preset, overrides):
     with pytest.raises(ConfigError):
         resolve_preset(preset, overrides)
+
+
+@pytest.mark.parametrize(
+    "overrides",
+    [
+        {"landscape.bond_mu": float("nan")},
+        {"landscape.cash_sigma": float("nan")},
+        {"landscape.max_bonds": float("nan")},
+        {"landscape.max_cash": float("inf")},
+        {"agents.cost_min": float("nan")},
+        {"agents.cost_max": float("nan")},
+        {"agents.init_bonds_min": float("nan")},
+        {"agents.init_cash_max": float("nan")},
+        {"interbank_runway_steps": float("nan")},
+    ],
+)
+def test_non_finite_parameters_rejected(overrides):
+    # Each would pass a check written as `x < bound`: a NaN holding runs to a
+    # tree whose summaries the tables command rejects, NaN cost rates abort
+    # every sim.
+    with pytest.raises(ConfigError):
+        resolve_preset("exp1", overrides)
 
 
 def test_exp2_allows_live_kind():
@@ -409,8 +431,28 @@ def test_encoded_trade_quantities_keep_their_sign(mini_batch):
     mm = engine.CounterpartyKind.MARKET_MAKER
     legs = [engine.TradeRecord(3, 0, mm, 1, None, 0.0, -0.0), engine.TradeRecord(3, 0, mm, 1, None, 0.5, 0.5)]
     result = dataclasses.replace(mini_batch.results[0], trades=legs)
-    trades = harness._encode_rows(result, None)[0]
+    trades = harness._encode_rows(result, None, None)[0]
     assert trades == "0,3,0,mm,1,,0.0,-0.0\n0,3,0,mm,1,,0.5,0.5\n"
+
+
+def test_only_a_batch_that_writes_a_tree_encodes_journals(tmp_path, monkeypatch):
+    # Every journal line hashes its prompt once; a batch without an output
+    # directory encodes no journal, so it hashes none.
+    calls = []
+    prompt_hash = decision.prompt_hash
+
+    def counted(prompt):
+        calls.append(prompt)
+        return prompt_hash(prompt)
+
+    monkeypatch.setattr(decision, "prompt_hash", counted)
+    cfg = resolve_preset("exp3", {"n_simulations": 2})
+    assert cfg.journal_enabled()
+    run_batch(cfg)
+    assert calls == []
+    written = run_batch(dataclasses.replace(cfg, output_dir=str(tmp_path)))
+    assert len(calls) == sum(len(r.decisions) for r in written.results) > 0
+    assert not hasattr(written.results[0], "journal")
 
 
 def test_live_thread_pool_batch_matches_serial(tmp_path, monkeypatch):

@@ -92,7 +92,6 @@ def make_result(
         initial_mm_cash=10.0,
         consumed_bonds=0.0,
         consumed_cash=0.0,
-        journal=None,
         abort_reason=None,
     )
 
