@@ -24,12 +24,22 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, bounds_table, check_bounds
 
 
 class CeaseRule(Enum):
     EITHER_EXHAUSTED = "either_exhausted"
     BOTH_EXHAUSTED = "both_exhausted"
+
+
+_BOUNDS = bounds_table({
+    "n_agents": "int [1, inf)", "breadth_min": "int [1, inf)", "breadth_max": "int [1, inf)",
+    # Any finite cost is valid: one as large as 1e308 runs, its agent ceasing at once.
+    "cost_min": "(0, inf)", "cost_max": "(0, inf)",
+    # Endowments are not negative.
+    "init_bonds_min": "[0, inf)", "init_bonds_max": "[0, inf)",
+    "init_cash_min": "[0, inf)", "init_cash_max": "[0, inf)",
+})
 
 
 @dataclass(frozen=True)
@@ -46,22 +56,11 @@ class AgentConfig:
     cease_rule: CeaseRule = CeaseRule.BOTH_EXHAUSTED
 
     def __post_init__(self) -> None:
-        # Each check is written so that a NaN fails it.
-        if not self.n_agents >= 1:
-            raise ConfigError("n_agents must be >= 1")
-        ranges = [
-            ("cost", self.cost_min, self.cost_max),
-            ("init_bonds", self.init_bonds_min, self.init_bonds_max),
-            ("init_cash", self.init_cash_min, self.init_cash_max),
-            ("breadth", self.breadth_min, self.breadth_max),
-        ]
-        for name, lo, hi in ranges:
+        check_bounds(_BOUNDS, self)
+        for name in ("cost", "init_bonds", "init_cash", "breadth"):
+            lo, hi = getattr(self, f"{name}_min"), getattr(self, f"{name}_max")
             if not lo <= hi:
                 raise ConfigError(f"{name} range must have min <= max, got [{lo}, {hi}]")
-        if not self.cost_min > 0:
-            raise ConfigError("cost rates must be > 0")
-        if not self.breadth_min >= 1:
-            raise ConfigError("breadth must be >= 1")
 
 
 @dataclass

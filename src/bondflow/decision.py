@@ -36,7 +36,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ConfigError, ProviderHardFailure
+from .errors import ConfigError, ProviderHardFailure, bounds_table, check_bound, check_bounds
 from .prompts import PromptTemplate, render_template
 from .seeding import BufferedUniforms
 
@@ -80,18 +80,22 @@ class DecisionOutcome:
     latency_ms: int | None = None
 
 
-# The range rules of the scripted providers, shared by ProviderConfig and
-# the provider constructors, which library code may call directly.
-def _check_bernoulli_p(p: float) -> None:
-    if not 0.0 <= p <= 1.0:
-        raise ConfigError("bernoulli_p must lie in [0, 1]")
+# The longest a live request waits, its timeout or 1/rate_limit_rps: a day, far
+# below the ~9.2e9 s at which socket timeouts and time.sleep overflow.
+_MAX_WAIT_S = 86400.0
 
-
-def _check_burst_stay(stay_yes: float, stay_no: float) -> None:
+# Checked whatever the provider kind. The scripted providers' constructors,
+# which library code may call directly, check their rows too.
+_BOUNDS = bounds_table({
+    "bernoulli_p": "[0, 1]",
     # A stay probability of 1 would hold the chain in one state forever.
-    for name, p in (("burst_stay_yes", stay_yes), ("burst_stay_no", stay_no)):
-        if not 0.0 < p < 1.0:
-            raise ConfigError(f"{name} must lie in (0, 1)")
+    "burst_stay_yes": "(0, 1)", "burst_stay_no": "(0, 1)",
+    "temperature": "[0, inf)", "max_retries": "int [0, inf)", "timeout_s": f"(0, {_MAX_WAIT_S:g}]",
+    # inf: no spacing between requests.
+    "rate_limit_rps": f"[{1.0 / _MAX_WAIT_S!r}, inf]",
+})
+# The strings each kind cannot do without.
+_REQUIRED = {ProviderKind.REPLAY: ("replay_path",), ProviderKind.LIVE_LLM: ("endpoint_url", "model_name")}
 
 
 @dataclass(frozen=True)
@@ -114,25 +118,10 @@ class ProviderConfig:
     rate_limit_rps: float = 4.0
 
     def __post_init__(self) -> None:
-        if self.kind is ProviderKind.BERNOULLI:
-            _check_bernoulli_p(self.bernoulli_p)
-        elif self.kind is ProviderKind.SYNTHETIC_BURSTY:
-            _check_burst_stay(self.burst_stay_yes, self.burst_stay_no)
-        elif self.kind is ProviderKind.REPLAY:
-            if not self.replay_path:
-                raise ConfigError("replay provider requires replay_path")
-        elif self.kind is ProviderKind.LIVE_LLM:
-            if not self.endpoint_url:
-                raise ConfigError("llm provider requires endpoint_url")
-            if not self.model_name:
-                raise ConfigError("llm provider requires model_name")
-            if self.max_retries < 0:
-                raise ConfigError("max_retries must be >= 0")
-            # Written so that a NaN fails them too.
-            if not self.timeout_s > 0:
-                raise ConfigError("timeout_s must be > 0")
-            if not self.rate_limit_rps > 0:
-                raise ConfigError("rate_limit_rps must be > 0")
+        check_bounds(_BOUNDS, self)
+        for name in _REQUIRED.get(self.kind, ()):
+            if not getattr(self, name):
+                raise ConfigError(f"{self.kind.value} provider requires {name}")
 
 
 # --------------------------------------------------------------------------
@@ -282,7 +271,7 @@ class BernoulliProvider(DecisionProvider):
     kind = ProviderKind.BERNOULLI
 
     def __init__(self, p: float) -> None:
-        _check_bernoulli_p(p)
+        check_bound(_BOUNDS, "bernoulli_p", p)
         self.p = p
 
     def decide(self, q: DesireQuery, rng: np.random.Generator) -> DecisionOutcome:
@@ -300,7 +289,8 @@ class SyntheticBurstyProvider(DecisionProvider):
     kind = ProviderKind.SYNTHETIC_BURSTY
 
     def __init__(self, stay_yes: float, stay_no: float) -> None:
-        _check_burst_stay(stay_yes, stay_no)
+        check_bound(_BOUNDS, "burst_stay_yes", stay_yes)
+        check_bound(_BOUNDS, "burst_stay_no", stay_no)
         self.stay_yes = stay_yes
         self.stay_no = stay_no
         self._state: DecisionState | None = None

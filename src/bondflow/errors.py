@@ -1,10 +1,49 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the bounds tables that configs check."""
 
 from __future__ import annotations
+
+import math
+from typing import Any
 
 
 class ConfigError(ValueError):
     """Raised for invalid, contradictory, or unusable configuration."""
+
+
+# A parsed bounds table: each field's closed float ends, whether it takes only ints, and its row.
+Bounds = dict[str, tuple[float, float, bool, str]]
+
+
+def bounds_table(rows: dict[str, str]) -> Bounds:
+    """A bounds table, parsed once: one row per numeric field, giving its interval.
+
+    A row reads ``"[0, 1]"``, ``"(0, 1)"``, ``"[1, inf)"`` or ``"[0, inf]"``.
+    An open end excludes its value, so an open ``inf)`` end means finite,
+    and a NaN fails every row. A row starting ``int`` takes only an int,
+    never a bool.
+    """
+    table: Bounds = {}
+    for name, row in rows.items():
+        interval = row.removeprefix("int ")
+        lo, hi = (float(end) for end in interval[1:-1].split(","))
+        # An open end is the closed end one float inward: (0, inf) is [5e-324, 1.8e308].
+        lo = math.nextafter(lo, math.inf) if interval[0] == "(" else lo
+        hi = math.nextafter(hi, -math.inf) if interval[-1] == ")" else hi
+        table[name] = lo, hi, interval != row, row
+    return table
+
+
+def check_bounds(table: Bounds, config: Any) -> None:
+    """Refuse a config with a field outside its row of *table*."""
+    for name in table:
+        check_bound(table, name, getattr(config, name))
+
+
+def check_bound(table: Bounds, name: str, value: Any) -> None:
+    """Refuse a *value* of field *name* that lies outside its row of *table*."""
+    lo, hi, integral, row = table[name]
+    if integral and (type(value) is bool or not isinstance(value, int)) or not lo <= value <= hi:
+        raise ConfigError(f"{name} must lie in {row}, got {value!r}")
 
 
 class ProviderHardFailure(RuntimeError):

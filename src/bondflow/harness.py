@@ -72,7 +72,7 @@ from .engine import (
     SimulationResult,
     TerminalReason,
 )
-from .errors import ConfigError, ProviderHardFailure
+from .errors import ConfigError, ProviderHardFailure, bounds_table, check_bound, check_bounds
 from .landscape import Direction, LandscapeConfig
 from .metrics import (
     DEFAULT_ROLLING_WINDOW,
@@ -116,6 +116,14 @@ def shipped_timeliness_fixture() -> str:
     return str(resources.files("bondflow").joinpath("data", "fixtures", "timeliness_10k.jsonl"))
 
 
+_BOUNDS = bounds_table({
+    "max_steps": "int [0, inf)", "n_simulations": "int [1, inf)", "master_seed": "int [-inf, inf]",
+    "parallelism": "int [1, inf)", "rolling_window": "int [1, inf)",
+    # inf is valid: a needy market maker always tops up fully.
+    "interbank_runway_steps": "[0, inf]",
+})
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     landscape: LandscapeConfig = field(default_factory=LandscapeConfig)
@@ -132,16 +140,13 @@ class ExperimentConfig:
     preset: str | None = None
 
     def __post_init__(self) -> None:
-        if self.n_simulations < 1:
-            raise ConfigError("n_simulations must be >= 1")
-        if self.parallelism < 1:
-            raise ConfigError("parallelism must be >= 1")
-        if self.max_steps < 0:
-            raise ConfigError("max_steps must be >= 0")
-        if not self.interbank_runway_steps >= 0:  # so that NaN fails too
-            raise ConfigError("interbank_runway_steps must be >= 0")
-        if self.rolling_window < 1:
-            raise ConfigError("rolling_window must be >= 1")
+        check_bounds(_BOUNDS, self)
+        # Every client at its cap and every agent at its largest endowment: the totals must be finite.
+        grid, agents = self.landscape, self.agents
+        for name in ("bonds", "cash"):
+            worst = float(getattr(grid, f"max_{name}")) * grid.grid_width * grid.grid_height
+            if not math.isfinite(worst + float(getattr(agents, f"init_{name}_max")) * agents.n_agents):
+                raise ConfigError(f"the worst-case total of {name}, every holder at its cap, overflows a float")
 
     def journal_enabled(self) -> bool:
         if self.journal is not None:
@@ -843,14 +848,12 @@ def rebuild_tables(out: Path | str, window: int | None = None) -> dict[str, str]
     if not summaries:
         raise ConfigError(f"{out} holds no completed simulations to tabulate")
     source: Path | str = "the window argument"
-    if window is None:
-        echo = source = out / CONFIG_ECHO
-        try:
-            raw = yaml.safe_load(echo.read_text(encoding="utf-8"))["rolling_window"]
-            window = _coerce("rolling_window", raw)
-        except (OSError, yaml.YAMLError, TypeError, KeyError, ValueError) as exc:
-            raise ConfigError(f"cannot read the rolling window from {echo}: {exc}") from exc
-    if window < 1:
-        raise ConfigError(f"rolling window must be >= 1, got {window} from {source}")
+    try:
+        if window is None:
+            source = out / CONFIG_ECHO
+            window = yaml.safe_load(source.read_text(encoding="utf-8"))["rolling_window"]
+        check_bound(_BOUNDS, "rolling_window", window)
+    except (OSError, yaml.YAMLError, TypeError, KeyError, ValueError) as exc:
+        raise ConfigError(f"no usable rolling window from {source}: {exc}") from exc
     series = yes_ratio_series(states, window) if states else None
     return write_tables(out, aggregate_batch(summaries), series)

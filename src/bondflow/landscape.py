@@ -18,12 +18,13 @@ from __future__ import annotations
 
 import functools
 import math
+import sys
 from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, bounds_table, check_bounds
 
 
 class Direction(Enum):
@@ -38,6 +39,17 @@ class LognormalParams(Enum):
 
     UNDERLYING = "underlying"  # parameters of the underlying normal
     ARITHMETIC = "arithmetic"  # arithmetic mean/std of the log-normal itself
+
+
+# Under ``arithmetic`` the mu and sigma fields are a mean and a std, which
+# ``arithmetic_to_underlying`` also requires to be > 0.
+_BOUNDS = bounds_table({
+    "grid_width": "int [1, inf)", "grid_height": "int [1, inf)",
+    "bond_mu": "(-inf, inf)", "bond_sigma": "(0, inf)", "max_bonds": "(0, inf)",
+    "cash_mu": "(-inf, inf)", "cash_sigma": "(0, inf)", "max_cash": "(0, inf)",
+    "availability_p": "[0, 1]", "direction_p": "[0, 1]",
+})
+_LOG_FLOAT_MAX = math.log(sys.float_info.max)
 
 
 @dataclass(frozen=True)
@@ -55,12 +67,7 @@ class LandscapeConfig:
     lognormal_params: LognormalParams = LognormalParams.UNDERLYING
 
     def __post_init__(self) -> None:
-        if self.grid_width < 1 or self.grid_height < 1:
-            raise ConfigError("grid dimensions must be positive integers")
-        if not 0.0 <= self.availability_p <= 1.0:
-            raise ConfigError("availability_p must lie in [0, 1]")
-        if not 0.0 <= self.direction_p <= 1.0:
-            raise ConfigError("direction_p must lie in [0, 1]")
+        check_bounds(_BOUNDS, self)
         check_truncation(*self.bond_normal_params(), self.max_bonds)
         check_truncation(*self.cash_normal_params(), self.max_cash)
 
@@ -80,7 +87,10 @@ def arithmetic_to_underlying(mean: float, std: float) -> tuple[float, float]:
     """Convert arithmetic mean/std of a log-normal to its normal (mu, sigma)."""
     if mean <= 0 or std <= 0:
         raise ConfigError("arithmetic log-normal moments must be > 0")
-    sigma_sq = math.log(1.0 + (std / mean) ** 2)
+    try:
+        sigma_sq = math.log(1.0 + (std / mean) ** 2)
+    except OverflowError:
+        raise ConfigError(f"arithmetic log-normal std/mean {std / mean:g} overflows its variance") from None
     mu = math.log(mean) - sigma_sq / 2.0
     return mu, math.sqrt(sigma_sq)
 
@@ -88,20 +98,15 @@ def arithmetic_to_underlying(mean: float, std: float) -> tuple[float, float]:
 def check_truncation(mu: float, sigma: float, cap: float) -> None:
     """Refuse an exp(Normal(mu, sigma^2)) truncated at ``cap`` that cannot be sampled.
 
-    mu, sigma and cap must be finite, sigma and cap > 0, and the cap at least
-    exp(mu - 6*sigma): below that, rejection sampling would practically
-    never accept a draw.
+    sigma and cap must be > 0, and the cap at least exp(mu - 6*sigma): below
+    that, rejection sampling would practically never accept a draw. And
+    exp(mu + 6*sigma) must be a float, or draws overflow. Tested in log
+    space, so that no bound overflows; a NaN fails.
     """
-    if not (math.isfinite(mu) and math.isfinite(sigma) and math.isfinite(cap)):
-        raise ConfigError(f"log-normal mu, sigma and truncation cap must be finite, got {mu}, {sigma}, {cap}")
-    if sigma <= 0:
-        raise ConfigError("log-normal sigma must be > 0")
-    if cap <= 0:
-        raise ConfigError("truncation cap must be > 0")
-    if cap < math.exp(mu - 6.0 * sigma):
+    if not (sigma > 0 and cap > 0 and mu - 6.0 * sigma <= math.log(cap) and mu + 6.0 * sigma <= _LOG_FLOAT_MAX):
         raise ConfigError(
-            f"truncation cap {cap} is below exp(mu - 6*sigma) = {math.exp(mu - 6.0 * sigma):.6g}; "
-            "rejection sampling would practically never terminate"
+            f"log-normal mu {mu}, sigma {sigma} with truncation cap {cap} cannot be sampled: sigma and the cap "
+            "must be > 0, the cap at least exp(mu - 6*sigma) and exp(mu + 6*sigma) a float"
         )
 
 

@@ -37,7 +37,8 @@ class GatewayStub:
                 pass
 
         self.server = http.server.ThreadingHTTPServer(("127.0.0.1", 0), Handler)
-        self.thread = threading.Thread(target=self.server.serve_forever, daemon=True)
+        # A short poll interval: shutdown waits for the serving loop's next poll.
+        self.thread = threading.Thread(target=self.server.serve_forever, args=(0.05,), daemon=True)
 
     @property
     def url(self) -> str:

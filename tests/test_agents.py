@@ -82,6 +82,8 @@ def test_config_validation():
         AgentConfig(cost_min=0.0)
     with pytest.raises(ConfigError):
         AgentConfig(breadth_min=0, breadth_max=3)
+    with pytest.raises(ConfigError, match="init_cash_min"):  # endowments are not negative
+        AgentConfig(init_cash_min=-1.0)
 
 
 # -- client bases ------------------------------------------------------

@@ -150,12 +150,19 @@ def test_unexpected_exception_aborts_the_sim(tmp_path, monkeypatch, caplog):
 
 @pytest.mark.parametrize(
     "text",
-    ["n_simulations: ten\n", "landscape: {grid_width: null}\n", "n_simulations: null\n"],
+    [
+        "n_simulations: ten\n", "landscape: {grid_width: null}\n", "n_simulations: null\n",
+        # Out of range where an unchecked bound would overflow: exp(mu - 6*sigma),
+        # and the arithmetic std/mean squared.
+        "landscape: {bond_mu: 1.0e+308}\n",
+        "landscape: {lognormal_params: arithmetic, bond_mu: 1, bond_sigma: 1.0e+200}\n",
+    ],
 )
-def test_wrongly_typed_config_file_is_config_error(tmp_path, text):
+def test_wrongly_typed_config_file_is_config_error(tmp_path, capfd, text):
     path = tmp_path / "bad.yaml"
     path.write_text(text, encoding="utf-8")
     assert main(["run", str(path), "--out", str(tmp_path / "x")]) == EXIT_CONFIG_ERROR
+    assert "Traceback" not in capfd.readouterr().err
 
 
 def test_live_flag_conflicts_with_locked_preset(tmp_path):

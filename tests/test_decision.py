@@ -465,11 +465,21 @@ def test_live_malformed_reply_is_hard_failure(gateway_token, payload):
             provider.decide(make_query(), substream(13, 4))
 
 
-@pytest.mark.parametrize("value", [0.0, -1.0, float("nan")])
-@pytest.mark.parametrize("name", ["timeout_s", "rate_limit_rps"])
+@pytest.mark.parametrize(
+    "name, value",
+    [
+        (name, value) for name in ("timeout_s", "rate_limit_rps") for value in (0.0, -1.0, float("nan"))
+    ] + [
+        ("timeout_s", 1e12), ("timeout_s", float("inf")), ("rate_limit_rps", 1e-12),
+        ("temperature", float("nan")), ("temperature", -1.0), ("temperature", float("inf")),
+    ],
+)
 def test_live_plumbing_must_be_positive(name, value):
     # A zero or NaN timeout would reach requests, which raises ValueError
     # inside decide: not a transport error, so the sim would abort as a bug.
+    # A timeout or a request spacing (1/rate_limit_rps) past about 9.2e9 s
+    # overflows socket.settimeout or time.sleep the same way. A NaN or
+    # infinite temperature is no JSON number, so every request would fail.
     with pytest.raises(ConfigError, match=name):
         live_config("http://127.0.0.1:9/v1", **{name: value})
 

@@ -13,8 +13,10 @@ import os
 import subprocess
 import sys
 import threading
+import typing
 from pathlib import Path
 
+import numpy as np
 import pytest
 import yaml
 
@@ -32,7 +34,7 @@ from bondflow import (
     run_batch,
 )
 from bondflow.agents import AgentConfig, CeaseRule
-from bondflow.decision import BernoulliProvider, ProviderConfig
+from bondflow.decision import BernoulliProvider, LiveLLMProvider, ProviderConfig
 from bondflow.harness import (
     CONFIG_ECHO,
     DECISIONS_CSV,
@@ -291,20 +293,77 @@ def test_config_hash_tracks_experiment_not_execution():
     assert "parallelism" not in echo and "output_dir" not in echo
 
 
-@pytest.mark.parametrize(
-    ("valid", "bad"),
-    [
-        (LandscapeConfig(), {"availability_p": 1.5}),
-        (AgentConfig(), {"breadth_min": 0}),
-        (ProviderConfig(), {"bernoulli_p": -0.1}),
-        (ExperimentConfig(), {"n_simulations": 0}),
-    ],
-    ids=["landscape", "agents", "provider", "experiment"],
+# -- config bounds -------------------------------------------------------------
+
+# Each numeric field of each config is set to each probe in turn. A 5x5 grid
+# keeps the batches quick; the overflow holes the probes look for do not need
+# a larger one.
+_PROBES = (float("nan"), float("inf"), float("-inf"), -1, 0, 1e308)
+_PROBE_BASE = ExperimentConfig(
+    landscape=LandscapeConfig(grid_width=5, grid_height=5), n_simulations=2, max_steps=20
 )
-def test_configs_check_themselves_on_construction(valid, bad):
-    # A config that exists is valid, including one made by replace.
-    with pytest.raises(ConfigError):
-        dataclasses.replace(valid, **bad)
+_LIVE_FIELDS = ("temperature", "max_retries", "timeout_s", "rate_limit_rps")
+_CONFIGS = {
+    "landscape.": LandscapeConfig, "agents.": AgentConfig, "provider.": ProviderConfig, "": ExperimentConfig,
+}
+
+
+def _numeric_fields(cls):
+    hints = typing.get_type_hints(cls)
+    return [f.name for f in dataclasses.fields(cls) if hints[f.name] in (int, float)]
+
+
+def test_every_numeric_config_field_has_a_bounds_row():
+    # Each config's module holds its bounds table: one row per numeric field, no more.
+    for cls in _CONFIGS.values():
+        assert set(sys.modules[cls.__module__]._BOUNDS) == set(_numeric_fields(cls)), cls.__name__
+
+
+def _probe_config(key, value):
+    section, _, name = key.rpartition(".")
+    if not section:
+        return dataclasses.replace(_PROBE_BASE, **{name: value})
+    probed = dataclasses.replace(getattr(_PROBE_BASE, section), **{name: value})
+    return dataclasses.replace(_PROBE_BASE, **{section: probed})
+
+
+@pytest.mark.parametrize(
+    "key", [prefix + name for prefix, cls in _CONFIGS.items() for name in _numeric_fields(cls)]
+)
+def test_every_numeric_config_field_is_refused_or_runs(tmp_path, monkeypatch, key):
+    # A value is a ConfigError when the config is built, or it runs: a 2-sim
+    # batch to manifest ok whose tables rebuild byte for byte, or, for a
+    # live-provider field, two gateway decisions that are yes or no.
+    monkeypatch.setenv("TEST_GATEWAY_TOKEN", "tok")
+    name = key.rpartition(".")[2]
+    for i, value in enumerate(_PROBES):
+        try:
+            cfg = _probe_config(key, value)
+        except ConfigError:
+            continue
+        if name in _LIVE_FIELDS:
+            with GatewayStub([]) as stub:
+                # A high rate, so that the second request need not wait.
+                live = ProviderConfig(
+                    kind=ProviderKind.LIVE_LLM, endpoint_url=stub.url, token_env="TEST_GATEWAY_TOKEN",
+                    rate_limit_rps=10_000.0,
+                )
+                provider = LiveLLMProvider(dataclasses.replace(live, **{name: value}))
+                rng = np.random.default_rng(0)
+                queries = [DesireQuery(0, 0, 0, (1, 1), 1.0, 1.0, seq) for seq in (0, 1)]
+                states = {provider.decide(q, rng).state for q in queries}
+            assert states <= {DecisionState.YES, DecisionState.NO}, (key, value, states)
+            continue
+        if name.startswith("burst_stay"):
+            bursty = ProviderConfig(kind=ProviderKind.SYNTHETIC_BURSTY, **{name: value})
+            cfg = dataclasses.replace(cfg, provider=bursty)
+        out = tmp_path / str(i)
+        result = run_batch(dataclasses.replace(cfg, output_dir=str(out)))
+        manifest = json.loads((out / MANIFEST_JSON).read_text(encoding="utf-8"))
+        assert result.ok and manifest["status"] == "ok", (key, value, manifest)
+        tables = {path: path.read_bytes() for path in out.glob("stats_*")}
+        rebuild_tables(out)
+        assert {path: path.read_bytes() for path in tables} == tables, (key, value)
 
 
 # -- batch outputs -------------------------------------------------------------
