@@ -33,7 +33,9 @@ class CeaseRule(Enum):
 
 
 _BOUNDS = bounds_table({
-    "n_agents": "int [1, inf)", "breadth_min": "int [1, inf)", "breadth_max": "int [1, inf)",
+    "n_agents": "int [1, inf)",
+    # ``rng.integers(breadth_min, breadth_max + 1)`` takes int64 ends.
+    "breadth_min": f"int [1, {2**63 - 1}]", "breadth_max": f"int [1, {2**63 - 1}]",
     # Any finite cost is valid: one as large as 1e308 runs, its agent ceasing at once.
     "cost_min": "(0, inf)", "cost_max": "(0, inf)",
     # Endowments are not negative.

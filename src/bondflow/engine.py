@@ -29,9 +29,9 @@ Each random stream has one consumer. The contact stream is read ahead in
 blocks and the built-in providers read theirs the same way, with every
 draw equal to the scalar numpy call (see ``seeding``); the engine hands
 the provider its own ``np.random.Generator`` and draws nothing else from
-it. The step-rolls generator's ``(state, inc)`` is read once, by the
-landscape, under the same contract; each looked-up draw is then computed
-from it (see ``Landscape``).
+it. The step-rolls generator goes to the landscape when it is built; it
+reads the generator's ``(state, inc)`` there and computes each looked-up
+draw from them (see ``Landscape``).
 
 A run is strictly single-threaded; batch parallelism lives in the harness.
 """
@@ -175,11 +175,12 @@ class Simulation:
 
         # Named substreams: provider draws never perturb landscape draws.
         # The contact pick is the contact stream's one consumer, so it reads ahead.
-        self._rng_rolls = substream(seed, STREAM_STEP_ROLLS)
         self._contact_draws = BufferedIntegers(substream(seed, STREAM_CONTACT_SELECTION))
         self._rng_provider = substream(seed, STREAM_PROVIDER)
 
-        self.grid = Landscape(landscape_cfg, substream(seed, STREAM_LANDSCAPE_INIT))
+        self.grid = Landscape(
+            landscape_cfg, substream(seed, STREAM_LANDSCAPE_INIT), substream(seed, STREAM_STEP_ROLLS)
+        )
         dims = self.grid.shape
         self.mms: list[MarketMakerState] = init_market_makers(
             agent_cfg, dims, substream(seed, STREAM_AGENT_INIT)
@@ -209,7 +210,7 @@ class Simulation:
         assert active, "step() on a fully ceased society"
         assert self.step_no < self.max_steps, "step() past max_steps"
 
-        self.grid.begin_step(self._rng_rolls)
+        self.grid.begin_step()
 
         for mm in active:
             self._contact_client(mm)

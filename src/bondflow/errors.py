@@ -20,12 +20,14 @@ def bounds_table(rows: dict[str, str]) -> Bounds:
     A row reads ``"[0, 1]"``, ``"(0, 1)"``, ``"[1, inf)"`` or ``"[0, inf]"``.
     An open end excludes its value, so an open ``inf)`` end means finite,
     and a NaN fails every row. A row starting ``int`` takes only an int,
-    never a bool.
+    never a bool, and its finite ends are read as ints, so that an end
+    such as 2**63 - 1, which no float holds, is exact.
     """
     table: Bounds = {}
     for name, row in rows.items():
         interval = row.removeprefix("int ")
-        lo, hi = (float(end) for end in interval[1:-1].split(","))
+        exact = int if interval != row else float
+        lo, hi = (float(end) if "inf" in end else exact(end) for end in interval[1:-1].split(","))
         # An open end is the closed end one float inward: (0, inf) is [5e-324, 1.8e308].
         lo = math.nextafter(lo, math.inf) if interval[0] == "(" else lo
         hi = math.nextafter(hi, -math.inf) if interval[-1] == ")" else hi

@@ -141,8 +141,11 @@ class ExperimentConfig:
 
     def __post_init__(self) -> None:
         check_bounds(_BOUNDS, self)
-        # Every client at its cap and every agent at its largest endowment: the totals must be finite.
         grid, agents = self.landscape, self.agents
+        # A base can span the grid, and a contact pick draws below at most 2**32 (``BufferedIntegers``).
+        if grid.grid_width * grid.grid_height > 1 << 32:
+            raise ConfigError(f"a {grid.grid_width}x{grid.grid_height} grid has more than 2**32 cells")
+        # Every client at its cap and every agent at its largest endowment: the totals must be finite.
         for name in ("bonds", "cash"):
             worst = float(getattr(grid, f"max_{name}")) * grid.grid_width * grid.grid_height
             if not math.isfinite(worst + float(getattr(agents, f"init_{name}_max")) * agents.n_agents):
@@ -566,7 +569,8 @@ def run_batch(cfg: ExperimentConfig) -> BatchResult:
     """Run the whole batch and (if output_dir is set) write the artifact tree.
 
     The config echo is built once, before the sims, so an unreadable
-    replay corpus fails the batch before any sim runs. It is written, and
+    replay corpus fails the batch before any sim runs, as does one with
+    fewer simulation slices than sims. The echo is written, and
     ``journals/`` made, before the first sim.
 
     Each sim's rows of the four logs are appended, in sim order, as it
@@ -592,20 +596,16 @@ def run_batch(cfg: ExperimentConfig) -> BatchResult:
             raise ConfigError(f"cannot read replay corpus: {exc}") from exc
         replay_slices = split_journal(corpus)
         if len(replay_slices) < cfg.n_simulations:
-            logger.warning(
-                "replay corpus holds %d simulation slices for %d simulations; "
-                "extra simulations will replay empty journals (all Error)",
-                len(replay_slices), cfg.n_simulations,
+            raise ConfigError(
+                f"replay corpus {cfg.provider.replay_path} holds {len(replay_slices)} simulation slices "
+                f"for {cfg.n_simulations} simulations (a simulation that made no decision leaves no slice)"
             )
     if cfg.provider.kind is ProviderKind.LIVE_LLM:
         build_provider(cfg.provider)  # fail fast on missing credentials
 
-    tasks: list[_Task] = []
-    for i in range(cfg.n_simulations):
-        replay_slice: list[JournalRecord] | None = None
-        if replay_slices is not None:
-            replay_slice = replay_slices[i] if i < len(replay_slices) else []
-        tasks.append((cfg, i, replay_slice))
+    tasks: list[_Task] = [
+        (cfg, i, None if replay_slices is None else replay_slices[i]) for i in range(cfg.n_simulations)
+    ]
 
     batch = BatchResult(cfg, output_dir=out_dir)
     started_at = _dt.datetime.now(_dt.timezone.utc)

@@ -196,18 +196,20 @@ class Landscape:
     is the state ``hi[q](lo[r](base))``, where ``lo[r]`` jumps ``r + 1``
     steps and ``hi[q]`` jumps ``R*q``: about ``2*sqrt(2n)`` entries, whose
     multipliers and ``inc`` coefficients are cached per block size for the
-    process; only the products with ``inc`` are formed per generator. The
+    process; only the products with ``inc`` are formed per landscape. The
     output is XSL-RR of that state, and the uniform ``(u64 >> 11)*2**-53``,
     as numpy's ``random()``. Each ``begin_step`` moves ``base`` by one
     whole-block jump.
 
-    The generator's ``(state, inc)`` is read once, on the first
-    ``begin_step`` with it, and the generator itself is never advanced.
-    That is sound only under the one-consumer contract (see ``seeding``):
-    nothing else reads the step-rolls stream.
+    The step-rolls generator, *rolls*, is the stream's one consumer (see
+    ``seeding``): its ``(state, inc)`` is read once, here, and the landscape
+    keeps no generator, so nothing can draw from the stream after set-up.
     """
 
-    def __init__(self, cfg: LandscapeConfig, rng: np.random.Generator) -> None:
+    def __init__(self, cfg: LandscapeConfig, rng: np.random.Generator, rolls: np.random.Generator) -> None:
+        bitgen = rolls.bit_generator
+        if not isinstance(bitgen, np.random.PCG64):
+            raise TypeError(f"step lookups need a PCG64 generator, not {type(bitgen).__name__}")
         self.cfg = cfg
         h, w = cfg.grid_height, cfg.grid_width
         n = h * w
@@ -216,13 +218,15 @@ class Landscape:
         # Fixed draw order: all bonds, then all cash.
         self.bonds = sample_truncated_lognormal(bmu, bsig, cfg.max_bonds, rng, size=n).reshape(h, w)
         self.cash = sample_truncated_lognormal(cmu, csig, cfg.max_cash, rng, size=n).reshape(h, w)
-        self._rng: np.random.Generator | None = None  # step-rolls stream, set by begin_step
-        self._base = 0  # PCG64 state just before the current step's block
-        # Jump table with its inc products for ``_rng``; see the class docstring.
-        self._radix = 1
-        self._lo: list[tuple[int, int]] = []
-        self._hi: list[tuple[int, int]] = []
-        self._whole = (1, 0)
+        # Jump table with its inc products for *rolls*; see the class docstring.
+        pcg = bitgen.state["state"]
+        inc = pcg["inc"]
+        self._radix, lo, hi, (a, c) = _jump_table(2 * n)
+        self._lo = [(a_, c_ * inc & _MASK128) for a_, c_ in lo]
+        self._hi = [(a_, c_ * inc & _MASK128) for a_, c_ in hi]
+        self._whole = (a, c * inc & _MASK128)
+        # PCG64 states just before the current step's block and the next one's.
+        self._base = self._next = pcg["state"]
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -233,28 +237,10 @@ class Landscape:
     def n_cells(self) -> int:
         return self.cfg.grid_width * self.cfg.grid_height
 
-    def begin_step(self, rng: np.random.Generator) -> None:
-        """Open the next step's draw block on *rng*.
-
-        Each step starts ``2n`` draws after the one before, whichever cells
-        were looked up. A generator not seen before restarts the blocks
-        from its current state; it must be a PCG64.
-        """
-        if rng is self._rng:
-            a, c = self._whole
-            self._base = (a * self._base + c) & _MASK128
-            return
-        bitgen = rng.bit_generator
-        if not isinstance(bitgen, np.random.PCG64):
-            raise TypeError(f"step lookups need a PCG64 generator, not {type(bitgen).__name__}")
-        pcg = bitgen.state["state"]
-        inc = pcg["inc"]
-        self._radix, lo, hi, (a, c) = _jump_table(2 * self.n_cells)
-        self._lo = [(a_, c_ * inc & _MASK128) for a_, c_ in lo]
-        self._hi = [(a_, c_ * inc & _MASK128) for a_, c_ in hi]
-        self._whole = (a, c * inc & _MASK128)
-        self._rng = rng
-        self._base = pcg["state"]
+    def begin_step(self) -> None:
+        """Open the next step's draw block: ``2n`` draws after the last, whichever cells were looked up."""
+        a, c = self._whole
+        self._base, self._next = self._next, (a * self._next + c) & _MASK128
 
     def _draw(self, offset: int) -> float:
         """The uniform at *offset* in the current step's draw block."""

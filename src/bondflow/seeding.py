@@ -16,8 +16,8 @@ the scalar sequence would have handed out later.
 
 The step-rolls stream goes further under the same contract: its
 consumer, ``landscape.Landscape``, reads the generator's PCG64 ``(state,
-inc)`` once and computes every draw from it without touching the
-generator again (see ``Landscape`` for the jump-ahead and its table).
+inc)`` when it is built and computes every draw from them, keeping no
+generator (see ``Landscape`` for the jump-ahead and its table).
 """
 
 from __future__ import annotations

@@ -276,16 +276,25 @@ def test_replay_round_trip_reproduces_run(tmp_path):
     assert manifest["n_simulations"] == 2
 
 
-def test_replay_pads_short_corpus_with_error_journals(tmp_path):
-    # A 1-slice corpus under a 3-sim config: the extra sims replay empty
-    # journals (every request an Error) and the run still exits cleanly.
+def test_replay_of_a_corpus_short_of_slices_is_config_error(tmp_path, caplog):
+    # Sims 1 and 4 make no decision and write empty journals, so the
+    # concatenated corpus splits into 4 slices for 6 sims: exit 1, no tree.
+    sparse = {"preset": "exp3", "n_simulations": 6, "max_steps": 2, "master_seed": 5}
+    sparse["landscape"] = {"availability_p": 0.1}
+    config = tmp_path / "sparse.yaml"
+    config.write_text(yaml.safe_dump(sparse), encoding="utf-8")
     first_out = tmp_path / "first"
-    assert main(["run", "exp1", "--sims", "1", "--seed", "5", "--out", str(first_out)]) == EXIT_OK
-    corpus = next((first_out / JOURNAL_DIR).glob("*.jsonl"))
-    config = replay_config_file(tmp_path, sims=3, seed=5)
+    assert main(["run", str(config), "--out", str(first_out)]) == EXIT_OK
+    journals = sorted((first_out / JOURNAL_DIR).glob("*.jsonl"))
+    assert [len(p.read_text(encoding="utf-8").splitlines()) for p in journals] == [1, 0, 2, 2, 0, 1]
+    corpus = tmp_path / "corpus.jsonl"
+    corpus.write_text("".join(p.read_text(encoding="utf-8") for p in journals), encoding="utf-8")
     replay_out = tmp_path / "replayed"
-    rc = main(["replay", str(corpus), str(config), "--out", str(replay_out)])
-    assert rc == EXIT_OK
+    rc = main(["replay", str(corpus), str(first_out / CONFIG_ECHO), "--out", str(replay_out)])
+    assert rc == EXIT_CONFIG_ERROR
+    assert not replay_out.exists()
+    errors = [r.getMessage() for r in caplog.records if r.levelno == logging.ERROR]
+    assert any("4 simulation slices for 6 simulations" in m for m in errors)
 
 
 @pytest.mark.parametrize(

@@ -366,6 +366,28 @@ def test_every_numeric_config_field_is_refused_or_runs(tmp_path, monkeypatch, ke
         assert {path: path.read_bytes() for path in tables} == tables, (key, value)
 
 
+@pytest.mark.parametrize("name", ["breadth_min", "breadth_max"])
+def test_breadth_stops_at_what_rng_integers_takes(name):
+    # ``rng.integers(breadth_min, breadth_max + 1)`` takes int64 ends: the
+    # largest int64 runs to ok, and the next int is refused when resolved.
+    def agents(value):
+        # breadth_max is raised with breadth_min, so that min <= max holds.
+        return dataclasses.replace(_PROBE_BASE.agents, **{"breadth_max": value, name: value})
+
+    largest = 2**63 - 1
+    assert run_batch(dataclasses.replace(_PROBE_BASE, agents=agents(largest))).ok
+    with pytest.raises(ConfigError, match=name):
+        agents(largest + 1)
+
+
+def test_grid_stops_at_the_largest_base_a_contact_pick_draws_from():
+    # Resolved only: a batch on a grid this size would allocate gigabytes.
+    for width, height in ((1 << 16, 1 << 16), (1 << 32, 1)):
+        assert resolve_preset("exp1", {"landscape.grid_width": width, "landscape.grid_height": height})
+        with pytest.raises(ConfigError, match="2\\*\\*32"):
+            resolve_preset("exp1", {"landscape.grid_width": width + 1, "landscape.grid_height": height})
+
+
 # -- batch outputs -------------------------------------------------------------
 
 
@@ -802,21 +824,16 @@ def test_exp2_preset_runs_trade_free(tmp_path):
     assert not (tmp_path / "exp2" / JOURNAL_DIR).exists()
 
 
-def test_replay_shortfall_pads_with_error_journals(tmp_path, caplog):
-    import logging
-
-    corpus = shipped_aversion_corpus()
+def test_replay_shortfall_is_a_config_error(tmp_path):
+    # 200 slices for 201 sims: no sim runs, and no tree is written.
+    out = tmp_path / "short"
     cfg = resolve_preset(
         "exp2",
-        {"n_simulations": 201, "provider.replay_path": str(corpus)},
+        {"n_simulations": 201, "provider.replay_path": shipped_aversion_corpus(), "output_dir": str(out)},
     )
-    with caplog.at_level(logging.WARNING):
-        result = run_batch(cfg)
-    assert "201" in caplog.text
-    assert len(result.summaries) == 201
-    extra = result.summaries[-1]
-    assert extra.yes_count == 0
-    assert extra.error_count == extra.decision_requests  # nothing to replay
+    with pytest.raises(ConfigError, match="200 simulation slices for 201 simulations"):
+        run_batch(cfg)
+    assert not out.exists()
 
 
 def test_journal_capture_enables_round_trip(tmp_path):

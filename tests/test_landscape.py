@@ -123,7 +123,7 @@ def test_arithmetic_parameterization_conversion():
 
 def test_init_landscape_populates_every_cell():
     cfg = LandscapeConfig()
-    grid = Landscape(cfg, substream(6, 0))
+    grid = Landscape(cfg, substream(6, 0), substream(6, 1))
     assert grid.shape == (50, 50)
     assert grid.n_cells == 2500
     assert grid.bonds.shape == (50, 50)
@@ -133,15 +133,15 @@ def test_init_landscape_populates_every_cell():
 
 def test_init_landscape_bitwise_deterministic():
     cfg = LandscapeConfig()
-    a = Landscape(cfg, substream(7, 0))
-    b = Landscape(cfg, substream(7, 0))
+    a = Landscape(cfg, substream(7, 0), substream(7, 1))
+    b = Landscape(cfg, substream(7, 0), substream(7, 1))
     assert np.array_equal(a.bonds, b.bonds)
     assert np.array_equal(a.cash, b.cash)
 
 
 def test_one_by_one_grid():
     cfg = LandscapeConfig(grid_width=1, grid_height=1)
-    grid = Landscape(cfg, substream(8, 0))
+    grid = Landscape(cfg, substream(8, 0), substream(8, 1))
     assert grid.n_cells == 1
     assert grid.bonds.shape == (1, 1)
     assert 0 < grid.bonds[0, 0] <= cfg.max_bonds
@@ -172,24 +172,23 @@ def all_cells(grid):
 
 
 def test_roll_step_state_extremes():
-    grid = Landscape(LandscapeConfig(availability_p=0.0), substream(9, 0))
-    grid.begin_step(substream(9, 1))
+    grid = Landscape(LandscapeConfig(availability_p=0.0), substream(9, 0), substream(9, 1))
+    grid.begin_step()
     assert not any(grid.is_available(x, y) for x, y in all_cells(grid))
 
-    grid = Landscape(LandscapeConfig(availability_p=1.0), substream(9, 2))
-    grid.begin_step(substream(9, 3))
+    grid = Landscape(LandscapeConfig(availability_p=1.0), substream(9, 2), substream(9, 3))
+    grid.begin_step()
     assert all(grid.is_available(x, y) for x, y in all_cells(grid))
 
 
 def test_roll_step_state_frequencies():
     cfg = LandscapeConfig(availability_p=0.2, direction_p=0.5)
-    grid = Landscape(cfg, substream(10, 0))
-    rng = substream(10, 1)
+    grid = Landscape(cfg, substream(10, 0), substream(10, 1))
     cells = all_cells(grid)
     avail = sell = 0
     rounds = 400
     for _ in range(rounds):
-        grid.begin_step(rng)
+        grid.begin_step()
         avail += sum(grid.is_available(x, y) for x, y in cells)
         sell += sum(grid.direction_at(x, y) is Direction.SELL for x, y in cells)
     n = rounds * grid.n_cells
@@ -199,8 +198,8 @@ def test_roll_step_state_frequencies():
 
 def test_cell_direction_mapping():
     for direction_p, expected in ((0.0, Direction.BUY), (1.0, Direction.SELL)):
-        grid = Landscape(LandscapeConfig(direction_p=direction_p), substream(12, 0))
-        grid.begin_step(substream(12, 1))
+        grid = Landscape(LandscapeConfig(direction_p=direction_p), substream(12, 0), substream(12, 1))
+        grid.begin_step()
         assert {grid.direction_at(x, y) for x, y in all_cells(grid)} == {expected}
 
 
@@ -214,12 +213,12 @@ def test_step_lookups_match_full_grid_draws(width, height):
     has none at all, so every jump (forward, backward, skip-ahead) is used.
     """
     cfg = LandscapeConfig(grid_width=width, grid_height=height, availability_p=0.3, direction_p=0.6)
-    grid = Landscape(cfg, substream(16, 0))
-    rng, reference = substream(16, 1), substream(16, 1)
+    grid = Landscape(cfg, substream(16, 0), substream(16, 1))
+    reference = substream(16, 1)
     picker = np.random.default_rng(16)
     corners = [(width - 1, height - 1), (0, 0)]
     for step in range(6):
-        grid.begin_step(rng)
+        grid.begin_step()
         available = reference.random((height, width)) < cfg.availability_p
         sell = reference.random((height, width)) < cfg.direction_p
         if step == 2:
@@ -260,12 +259,12 @@ def test_jump_table_lookups_equal_numpy_draws(width, height):
     start 2n draws after step 1's block.
     """
     cfg = LandscapeConfig(grid_width=width, grid_height=height)
-    grid = Landscape(cfg, substream(21, 0))
-    rng, reference = substream(21, 1), substream(21, 1)
+    grid = Landscape(cfg, substream(21, 0), substream(21, 1))
+    reference = substream(21, 1)
     n = grid.n_cells
     offsets = seam_offsets(n)
     for step in range(4):
-        grid.begin_step(rng)
+        grid.begin_step()
         block = reference.random(2 * n)
         if step == 1:
             continue
@@ -283,10 +282,10 @@ def test_jump_table_lookups_equal_numpy_draws(width, height):
 
 def test_jump_table_stays_exact_over_a_long_run():
     # 1600 steps of a 3 x 2 grid: the whole-block jump is applied 1599 times.
-    grid = Landscape(LandscapeConfig(grid_width=3, grid_height=2), substream(22, 0))
-    rng, reference = substream(22, 1), substream(22, 1)
+    grid = Landscape(LandscapeConfig(grid_width=3, grid_height=2), substream(22, 0), substream(22, 1))
+    reference = substream(22, 1)
     for step in range(1600):
-        grid.begin_step(rng)
+        grid.begin_step()
         block = reference.random(12)
         if step % 7 == 3:
             continue
@@ -294,30 +293,30 @@ def test_jump_table_stays_exact_over_a_long_run():
             assert grid._draw(k) == block[k], (step, k)
 
 
-def test_begin_step_restarts_on_a_fresh_generator_and_never_advances_it():
-    grid = Landscape(LandscapeConfig(grid_width=4, grid_height=5), substream(23, 0))
-    first = substream(23, 1)
+def test_building_a_landscape_leaves_the_rolls_generator_alone_and_keeps_none():
+    rolls = substream(23, 1)
+    state = rolls.bit_generator.state
+    grid = Landscape(LandscapeConfig(grid_width=4, grid_height=5), substream(23, 0), rolls)
+    # The state is read, never written, and no generator is kept: after
+    # set-up, nothing can draw from the step-rolls stream.
+    assert rolls.bit_generator.state == state
+    assert not [name for name, value in vars(grid).items() if isinstance(value, np.random.Generator)]
+    reference = substream(23, 1)
     for _ in range(3):
-        grid.begin_step(first)
-        grid._draw(7)
-    fresh, reference = substream(23, 2), substream(23, 2)
-    state = fresh.bit_generator.state
-    for _ in range(3):
-        grid.begin_step(fresh)
+        grid.begin_step()
         block = reference.random(40)
         assert [grid._draw(k) for k in (39, 0, 20)] == [block[39], block[0], block[20]]
-    # The state is read, never written: the stream's one consumer is the table.
-    assert fresh.bit_generator.state == state
+    assert rolls.bit_generator.state == state
 
 
 def test_step_lookups_need_a_pcg64_generator():
-    grid = Landscape(LandscapeConfig(grid_width=2, grid_height=2), substream(24, 0))
+    mt19937 = np.random.Generator(np.random.MT19937(24))
     with pytest.raises(TypeError, match="PCG64"):
-        grid.begin_step(np.random.Generator(np.random.MT19937(24)))
+        Landscape(LandscapeConfig(grid_width=2, grid_height=2), substream(24, 0), mt19937)
 
 
 def test_apply_trade_updates_and_guards():
-    grid = Landscape(LandscapeConfig(), substream(13, 0))
+    grid = Landscape(LandscapeConfig(), substream(13, 0), substream(13, 1))
     b0, c0 = grid.bonds[2, 1], grid.cash[2, 1]
     grid.apply_trade(1, 2, -b0, 3.0)
     assert grid.bonds[2, 1] == 0.0
@@ -331,7 +330,7 @@ def test_apply_trade_updates_and_guards():
 
 
 def test_totals_sum_everything():
-    grid = Landscape(LandscapeConfig(grid_width=3, grid_height=2), substream(14, 0))
+    grid = Landscape(LandscapeConfig(grid_width=3, grid_height=2), substream(14, 0), substream(14, 1))
     tb, tc = grid.totals()
     assert tb == pytest.approx(float(grid.bonds.sum()))
     assert tc == pytest.approx(float(grid.cash.sum()))
