@@ -51,7 +51,7 @@ from bondflow.decision import (  # noqa: E402
 )
 from bondflow.engine import CounterpartyKind  # noqa: E402
 from bondflow.landscape import sample_truncated_lognormal  # noqa: E402
-from bondflow.seeding import substream  # noqa: E402
+from bondflow.seeding import STREAM_PROVIDER, substream  # noqa: E402
 
 FIXTURE_DIR = REPO / "src" / "bondflow" / "data" / "fixtures"
 
@@ -145,7 +145,8 @@ class ScriptedAverseProvider(DecisionProvider):
 
     kind = ProviderKind.LIVE_LLM
 
-    def __init__(self) -> None:
+    def __init__(self, rng: np.random.Generator) -> None:
+        self.rng = rng
         verbose = [f["raw"] for f in REPLY_FIXTURES if f["expected"] != "yes"]
         self.pool = TERSE_REFUSALS + OTHER_REFUSALS + verbose
         self.weights = np.array(
@@ -154,12 +155,12 @@ class ScriptedAverseProvider(DecisionProvider):
             * (len(self.pool) - len(TERSE_REFUSALS))
         )
 
-    def decide(self, q: DesireQuery, rng: np.random.Generator) -> DecisionOutcome:
-        raw = self.pool[int(rng.choice(len(self.pool), p=self.weights))]
+    def decide(self, q: DesireQuery) -> DecisionOutcome:
+        raw = self.pool[int(self.rng.choice(len(self.pool), p=self.weights))]
         state = normalize_response(raw)
         assert state is not DecisionState.YES, raw
         return DecisionOutcome(
-            state=state, raw_text=raw, provider=self.kind, latency_ms=int(rng.integers(180, 900))
+            state=state, raw_text=raw, provider=self.kind, latency_ms=int(self.rng.integers(180, 900))
         )
 
 
@@ -177,12 +178,13 @@ def build_aversion_corpus(out: Path) -> None:
     total = steps = 0
     with open(corpus_path, "w", encoding="utf-8", newline="") as fh:
         for sim_id in range(cfg.n_simulations):
+            seed = simulation_seed(cfg.master_seed, sim_id)
             result = Simulation(
                 sim_id,
-                simulation_seed(cfg.master_seed, sim_id),
+                seed,
                 cfg.landscape,
                 cfg.agents,
-                ScriptedAverseProvider(),
+                ScriptedAverseProvider(substream(seed, STREAM_PROVIDER)),
                 max_steps=cfg.max_steps,
                 interbank_runway_steps=cfg.interbank_runway_steps,
             ).run()
@@ -198,8 +200,7 @@ def build_aversion_corpus(out: Path) -> None:
 
 
 def build_timeliness_fixture(out: Path, n: int = 10_000, seed: int = 20240) -> None:
-    provider = SyntheticBurstyProvider(0.656, 0.544)
-    rng = substream(seed, 0)
+    provider = SyntheticBurstyProvider(0.656, 0.544, substream(seed, 0))
     holdings_rng = substream(seed, 1)
     bonds = sample_truncated_lognormal(2.5, 1.0, 100.0, holdings_rng, size=n)
     cash = sample_truncated_lognormal(1.0, 0.5, 5.0, holdings_rng, size=n)
@@ -216,7 +217,7 @@ def build_timeliness_fixture(out: Path, n: int = 10_000, seed: int = 20240) -> N
                 client_cash=float(cash[i]),
                 sequence_no=i,
             )
-            outcome = provider.decide(q, rng)
+            outcome = provider.decide(q)
             if outcome.state is DecisionState.YES:
                 yes += 1
             fh.write(journal_line(q, outcome, PromptTemplate.TIMELINESS))

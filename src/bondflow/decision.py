@@ -38,7 +38,7 @@ import numpy as np
 
 from .errors import ConfigError, ProviderHardFailure, bounds_table, check_bound, check_bounds
 from .prompts import PromptTemplate, render_template
-from .seeding import BufferedUniforms
+from .seeding import STREAM_PROVIDER, BufferedUniforms, substream
 
 logger = logging.getLogger(__name__)
 
@@ -205,15 +205,14 @@ def parse_journal_line(line: str) -> JournalRecord:
 
 
 def read_journal(path: Path | str) -> list[JournalRecord]:
-    """Every record of a journal file; a malformed line is a ``ConfigError``."""
+    """Every record of a journal file; a malformed or undecodable line is a ``ConfigError``."""
     records: list[JournalRecord] = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
+    with open(path, "rb") as fh:
+        for line_no, raw in enumerate(fh, start=1):
             try:
-                records.append(parse_journal_line(line))
+                line = raw.decode("utf-8").strip()
+                if line:
+                    records.append(parse_journal_line(line))
             except (ValueError, LookupError, TypeError, AttributeError) as exc:
                 raise ConfigError(f"{path}, line {line_no}: malformed journal record: {exc}") from exc
     return records
@@ -236,27 +235,14 @@ def split_journal(records: list[JournalRecord]) -> list[list[JournalRecord]]:
 class DecisionProvider:
     """Base: one provider instance serves one simulation, sequentially.
 
-    ``decide`` receives the simulation's provider stream as a plain
-    ``np.random.Generator``, the same object on every call, and is its
-    only consumer.
+    A provider that draws takes its generator when it is built and is its
+    only consumer; ``decide`` gets no generator.
     """
 
     kind: ProviderKind
-    _uniforms: BufferedUniforms | None = None
 
-    def decide(self, q: DesireQuery, rng: np.random.Generator) -> DecisionOutcome:
+    def decide(self, q: DesireQuery) -> DecisionOutcome:
         raise NotImplementedError
-
-    def _uniform(self, rng: np.random.Generator) -> float:
-        """The next ``rng.random()``, read ahead in blocks.
-
-        The read-ahead is dropped, and reading starts afresh, whenever a
-        different generator is passed.
-        """
-        uniforms = self._uniforms
-        if uniforms is None or uniforms.rng is not rng:
-            uniforms = self._uniforms = BufferedUniforms(rng)
-        return uniforms.random()
 
 
 # Coin-flip and bursty providers carry no reply text or latency, so every
@@ -270,30 +256,32 @@ _BURSTY_NO = DecisionOutcome(DecisionState.NO, "", ProviderKind.SYNTHETIC_BURSTY
 class BernoulliProvider(DecisionProvider):
     kind = ProviderKind.BERNOULLI
 
-    def __init__(self, p: float) -> None:
+    def __init__(self, p: float, rng: np.random.Generator) -> None:
         check_bound(_BOUNDS, "bernoulli_p", p)
         self.p = p
+        self._random = BufferedUniforms(rng).random
 
-    def decide(self, q: DesireQuery, rng: np.random.Generator) -> DecisionOutcome:
-        return _BERNOULLI_YES if self._uniform(rng) < self.p else _BERNOULLI_NO
+    def decide(self, q: DesireQuery) -> DecisionOutcome:
+        return _BERNOULLI_YES if self._random() < self.p else _BERNOULLI_NO
 
 
 class SyntheticBurstyProvider(DecisionProvider):
     """Two-state Markov chain over {Yes, No}: emit current state, then transition.
 
-    The initial state is drawn from the stationary distribution on the
-    first decide() call, using the same provider RNG stream, so long-run
-    frequencies are unbiased from the first sample.
+    The initial state is the stream's first draw, taken from the stationary
+    distribution when the provider is built, so long-run frequencies are
+    unbiased from the first sample.
     """
 
     kind = ProviderKind.SYNTHETIC_BURSTY
 
-    def __init__(self, stay_yes: float, stay_no: float) -> None:
+    def __init__(self, stay_yes: float, stay_no: float, rng: np.random.Generator) -> None:
         check_bound(_BOUNDS, "burst_stay_yes", stay_yes)
         check_bound(_BOUNDS, "burst_stay_no", stay_no)
         self.stay_yes = stay_yes
         self.stay_no = stay_no
-        self._state: DecisionState | None = None
+        self._random = BufferedUniforms(rng).random
+        self._state = DecisionState.YES if self._random() < self.stationary_yes else DecisionState.NO
 
     @property
     def stationary_yes(self) -> float:
@@ -301,14 +289,10 @@ class SyntheticBurstyProvider(DecisionProvider):
         flip_no = 1.0 - self.stay_no
         return flip_no / (flip_yes + flip_no)
 
-    def decide(self, q: DesireQuery, rng: np.random.Generator) -> DecisionOutcome:
-        if self._state is None:
-            self._state = (
-                DecisionState.YES if self._uniform(rng) < self.stationary_yes else DecisionState.NO
-            )
+    def decide(self, q: DesireQuery) -> DecisionOutcome:
         emitted = self._state
         stay = self.stay_yes if emitted is DecisionState.YES else self.stay_no
-        if self._uniform(rng) >= stay:
+        if self._random() >= stay:
             self._state = (
                 DecisionState.NO if emitted is DecisionState.YES else DecisionState.YES
             )
@@ -331,7 +315,7 @@ class ReplayProvider(DecisionProvider):
         self.template = template
         self._cursor = 0
 
-    def decide(self, q: DesireQuery, rng: np.random.Generator) -> DecisionOutcome:
+    def decide(self, q: DesireQuery) -> DecisionOutcome:
         if self._cursor >= len(self.records):
             return DecisionOutcome(state=DecisionState.ERROR, raw_text="", provider=self.kind)
         rec = self.records[self._cursor]
@@ -402,7 +386,7 @@ class LiveLLMProvider(DecisionProvider):
         self._session = requests.Session()
         self._limiter = _shared_rate_limiter(cfg.endpoint_url, cfg.rate_limit_rps)
 
-    def decide(self, q: DesireQuery, rng: np.random.Generator) -> DecisionOutcome:
+    def decide(self, q: DesireQuery) -> DecisionOutcome:
         import requests
 
         prompt = render_prompt(self.cfg.prompt_template, q)
@@ -458,18 +442,19 @@ class LiveLLMProvider(DecisionProvider):
 
 
 def build_provider(
-    cfg: ProviderConfig, replay_records: list[JournalRecord] | None = None
+    cfg: ProviderConfig, seed: int, replay_records: list[JournalRecord] | None = None
 ) -> DecisionProvider:
-    """Instantiate the provider for one simulation.
+    """Instantiate the provider for the simulation with this ``seed``.
 
-    A replay provider needs ``replay_records``, this simulation's slice of
-    the recorded corpus (the harness splits a concatenated corpus across
-    simulations).
+    The coin-flip and bursty providers draw from the seed's provider
+    substream. A replay provider needs ``replay_records``, this
+    simulation's slice of the recorded corpus (the harness splits a
+    concatenated corpus across simulations).
     """
     if cfg.kind is ProviderKind.BERNOULLI:
-        return BernoulliProvider(cfg.bernoulli_p)
+        return BernoulliProvider(cfg.bernoulli_p, substream(seed, STREAM_PROVIDER))
     if cfg.kind is ProviderKind.SYNTHETIC_BURSTY:
-        return SyntheticBurstyProvider(cfg.burst_stay_yes, cfg.burst_stay_no)
+        return SyntheticBurstyProvider(cfg.burst_stay_yes, cfg.burst_stay_no, substream(seed, STREAM_PROVIDER))
     if cfg.kind is ProviderKind.REPLAY:
         if replay_records is None:
             raise ConfigError("a replay provider needs its simulation's journal records")

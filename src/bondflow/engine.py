@@ -25,13 +25,13 @@ initial totals holds at every step. The engine audits it once, when a run
 ends: a relative drift above ``CONSERVATION_TOLERANCE`` aborts the run. The
 tests also check ``conservation_errors()`` after every step.
 
-Each random stream has one consumer. The contact stream is read ahead in
-blocks and the built-in providers read theirs the same way, with every
-draw equal to the scalar numpy call (see ``seeding``); the engine hands
-the provider its own ``np.random.Generator`` and draws nothing else from
-it. The step-rolls generator goes to the landscape when it is built; it
-reads the generator's ``(state, inc)`` there and computes each looked-up
-draw from them (see ``Landscape``).
+Each random stream has one consumer, which takes its generator when it is
+built. The contact stream is read ahead in blocks, and the coin-flip and
+bursty providers read the provider stream the same way, with every draw
+equal to the scalar numpy call (see ``seeding``); ``build_provider`` gives
+them that stream, so the engine never holds it. The step-rolls generator
+goes to the landscape; it reads the generator's ``(state, inc)`` there and
+computes each looked-up draw from them (see ``Landscape``).
 
 A run is strictly single-threaded; batch parallelism lives in the harness.
 """
@@ -63,7 +63,6 @@ from .seeding import (
     STREAM_AGENT_INIT,
     STREAM_CONTACT_SELECTION,
     STREAM_LANDSCAPE_INIT,
-    STREAM_PROVIDER,
     STREAM_STEP_ROLLS,
     BufferedIntegers,
     substream,
@@ -176,7 +175,6 @@ class Simulation:
         # Named substreams: provider draws never perturb landscape draws.
         # The contact pick is the contact stream's one consumer, so it reads ahead.
         self._contact_draws = BufferedIntegers(substream(seed, STREAM_CONTACT_SELECTION))
-        self._rng_provider = substream(seed, STREAM_PROVIDER)
 
         self.grid = Landscape(
             landscape_cfg, substream(seed, STREAM_LANDSCAPE_INIT), substream(seed, STREAM_STEP_ROLLS)
@@ -234,7 +232,7 @@ class Simulation:
         bonds, cash = self.grid.holdings(x, y)
         # Records are built by position on the hot path: half the cost of keywords.
         query = DesireQuery(self.sim_id, self.step_no, mm.id, (x, y), bonds, cash, len(self.decisions))
-        outcome = self.provider.decide(query, self._rng_provider)
+        outcome = self.provider.decide(query)
         self.decisions.append((query, outcome))
         if outcome.state is not DecisionState.YES:
             return

@@ -57,6 +57,7 @@ from .agents import AgentConfig
 from .decision import (
     DecisionState,
     JournalRecord,
+    LiveLLMProvider,
     ProviderConfig,
     ProviderKind,
     build_provider,
@@ -342,7 +343,7 @@ def resolve_config(
         raise ConfigError(f"{source!r} is neither a preset ({', '.join(PRESET_NAMES)}) nor a config file")
     try:
         data = yaml.safe_load(Path(source).read_text(encoding="utf-8")) or {}
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config file {source}: {exc}") from exc
     except yaml.YAMLError as exc:
         raise ConfigError(f"invalid YAML in {source}: {exc}") from exc
@@ -481,13 +482,14 @@ def _run_one_task(task: _Task) -> _SimDone | _SimRaised:
     parent only appends; a batch without a tree encodes nothing.
     """
     cfg, sim_id, replay_slice = task
+    seed = simulation_seed(cfg.master_seed, sim_id)
     try:
         result = Simulation(
             sim_id,
-            simulation_seed(cfg.master_seed, sim_id),
+            seed,
             cfg.landscape,
             cfg.agents,
-            build_provider(cfg.provider, replay_slice),
+            build_provider(cfg.provider, seed, replay_slice),
             max_steps=cfg.max_steps,
             interbank_runway_steps=cfg.interbank_runway_steps,
         ).run()
@@ -601,7 +603,7 @@ def run_batch(cfg: ExperimentConfig) -> BatchResult:
                 f"for {cfg.n_simulations} simulations (a simulation that made no decision leaves no slice)"
             )
     if cfg.provider.kind is ProviderKind.LIVE_LLM:
-        build_provider(cfg.provider)  # fail fast on missing credentials
+        LiveLLMProvider(cfg.provider)  # fail fast on missing credentials
 
     tasks: list[_Task] = [
         (cfg, i, None if replay_slices is None else replay_slices[i]) for i in range(cfg.n_simulations)
@@ -698,8 +700,12 @@ def _clear_tree(out: Path) -> None:
 
     Other files in the directory are left alone. So a rerun into the same
     directory leaves no earlier run's artifacts, whether it ends or fails.
+    An ``out`` that is, or lies under, a file is a ``ConfigError``.
     """
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except (FileExistsError, NotADirectoryError) as exc:
+        raise ConfigError(f"output directory {out} cannot be made: {exc}") from exc
     if (out / JOURNAL_DIR).exists():
         shutil.rmtree(out / JOURNAL_DIR)
     for name in _ARTIFACTS:
@@ -806,20 +812,23 @@ def _parse_summary_row(row: Mapping[str, str]) -> SimulationSummary:
 
 
 def _read_rows(path: Path, parse: Callable[[Mapping[str, str]], Any]) -> list[Any]:
-    """Each data row of a CSV log, parsed; a malformed row is a ``ConfigError``."""
+    """Each data row of a CSV log, parsed; an unreadable log or a malformed row is a ``ConfigError``."""
     import csv
 
-    with open(path, encoding="utf-8", newline="") as fh:
-        reader = csv.DictReader(fh)
-        rows = []
-        for row in reader:
-            try:
-                if None in row or None in row.values():
-                    raise ValueError("the row and the header have different numbers of cells")
-                rows.append(parse(row))
-            except (ValueError, LookupError, TypeError) as exc:
-                reason = f"{type(exc).__name__}: {exc}"
-                raise ConfigError(f"{path}, line {reader.line_num}: malformed row ({reason})") from exc
+    try:
+        with open(path, encoding="utf-8", newline="") as fh:
+            reader = csv.DictReader(fh)
+            rows = []
+            for row in reader:
+                try:
+                    if None in row or None in row.values():
+                        raise ValueError("the row and the header have different numbers of cells")
+                    rows.append(parse(row))
+                except (ValueError, LookupError, TypeError) as exc:
+                    reason = f"{type(exc).__name__}: {exc}"
+                    raise ConfigError(f"{path}, line {reader.line_num}: malformed row ({reason})") from exc
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read {path}: {exc}") from exc
     return rows
 
 

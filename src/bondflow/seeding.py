@@ -12,7 +12,9 @@ bit for bit, but the generator itself runs ahead of what has been handed
 out. That is invisible only under the one-consumer contract: a buffered
 generator is read through its buffer alone, by one consumer, for its whole
 life. Drawing from it directly, or through a second buffer, gets values
-the scalar sequence would have handed out later.
+the scalar sequence would have handed out later. So each consumer takes
+its generator when it is built: the engine's contact pick, and the
+coin-flip and bursty providers (``decision.build_provider``).
 
 The step-rolls stream goes further under the same contract: its
 consumer, ``landscape.Landscape``, reads the generator's PCG64 ``(state,
@@ -108,19 +110,18 @@ class BufferedUniforms:
 
     ``rng.random(k)`` hands out exactly the values of k scalar calls, so
     each block continues the scalar sequence. One consumer only (see the
-    module docstring); ``rng`` is kept so a caller can tell which
-    generator the buffer reads.
+    module docstring).
     """
 
-    __slots__ = ("rng", "_next")
+    __slots__ = ("_rng", "_next")
 
     def __init__(self, rng: np.random.Generator) -> None:
-        self.rng = rng
+        self._rng = rng
         self._next = iter(()).__next__
 
     def random(self) -> float:
         try:
             return self._next()
         except StopIteration:
-            self._next = iter(self.rng.random(BLOCK).tolist()).__next__
+            self._next = iter(self._rng.random(BLOCK).tolist()).__next__
             return self._next()

@@ -145,7 +145,7 @@ def yes_per_contact(cfg: ExperimentConfig) -> float:
     else:
         assert provider.kind is ProviderKind.SYNTHETIC_BURSTY, provider.kind
         yes = SyntheticBurstyProvider(
-            provider.burst_stay_yes, provider.burst_stay_no
+            provider.burst_stay_yes, provider.burst_stay_no, np.random.default_rng(0)
         ).stationary_yes
     return cfg.landscape.availability_p * yes
 
@@ -237,8 +237,8 @@ def test_criterion_4_bursty_fixture_ratio_statistics():
 
 
 def test_criterion_5_conservation_across_random_configs():
-    from bondflow import Simulation, simulation_seed
-    from bondflow.decision import BernoulliProvider
+    from bondflow import Simulation, build_provider, simulation_seed
+    from bondflow.decision import ProviderConfig
     from bondflow.landscape import LandscapeConfig
 
     def run_suite():
@@ -257,12 +257,13 @@ def test_criterion_5_conservation_across_random_configs():
                     CeaseRule.BOTH_EXHAUSTED if case % 2 else CeaseRule.EITHER_EXHAUSTED
                 ),
             )
+            seed = simulation_seed(10_000 + case, case)
             sim = Simulation(
                 case,
-                simulation_seed(10_000 + case, case),
+                seed,
                 landscape,
                 agents,
-                BernoulliProvider(float(rng.uniform(0.2, 0.9))),
+                build_provider(ProviderConfig(bernoulli_p=float(rng.uniform(0.2, 0.9))), seed),
                 max_steps=200,
             )
             while sim.any_active() and sim.step_no < sim.max_steps:

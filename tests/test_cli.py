@@ -156,13 +156,29 @@ def test_unexpected_exception_aborts_the_sim(tmp_path, monkeypatch, caplog):
         # and the arithmetic std/mean squared.
         "landscape: {bond_mu: 1.0e+308}\n",
         "landscape: {lognormal_params: arithmetic, bond_mu: 1, bond_sigma: 1.0e+200}\n",
+        # Not UTF-8 text at all.
+        b"n_simulations: 2\n# \xff\n",
     ],
 )
-def test_wrongly_typed_config_file_is_config_error(tmp_path, capfd, text):
+def test_wrongly_typed_config_file_is_config_error(tmp_path, capfd, caplog, text):
     path = tmp_path / "bad.yaml"
-    path.write_text(text, encoding="utf-8")
+    path.write_bytes(text if isinstance(text, bytes) else text.encode("utf-8"))
     assert main(["run", str(path), "--out", str(tmp_path / "x")]) == EXIT_CONFIG_ERROR
     assert "Traceback" not in capfd.readouterr().err
+    if isinstance(text, bytes):
+        assert f"cannot read config file {path}" in caplog.text
+
+
+@pytest.mark.parametrize("under", [False, True], ids=["a-file", "under-a-file"])
+def test_run_into_an_out_that_cannot_be_a_directory_is_config_error(tmp_path, caplog, under):
+    taken = tmp_path / "taken"
+    taken.write_text("not a directory\n", encoding="utf-8")
+    out = taken / "sub" if under else taken
+    assert main(["run", "exp1", "--sims", "2", "--out", str(out)]) == EXIT_CONFIG_ERROR
+    assert f"configuration error: output directory {out} cannot be made" in caplog.text
+    # Nothing was written.
+    assert taken.read_text(encoding="utf-8") == "not a directory\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["taken"]
 
 
 def test_live_flag_conflicts_with_locked_preset(tmp_path):
@@ -206,19 +222,22 @@ def test_tables_on_missing_dir_is_config_error(tmp_path):
 @pytest.mark.parametrize(
     "name, pattern, repl, where",
     [
-        (DECISIONS_CSV, r",(yes|no|error),(?=bernoulli\n)", ",maybe,", f"{DECISIONS_CSV}, line 2"),
-        (SUMMARIES_CSV, r"\n0,", "\nzero,", f"{SUMMARIES_CSV}, line 2"),
-        (SUMMARIES_CSV, r"\bterminal_reason\b", "terminal_cause", f"{SUMMARIES_CSV}, line 2"),
+        (DECISIONS_CSV, rb",(yes|no|error),(?=bernoulli\n)", b",maybe,", f"{DECISIONS_CSV}, line 2"),
+        (SUMMARIES_CSV, rb"\n0,", b"\nzero,", f"{SUMMARIES_CSV}, line 2"),
+        (SUMMARIES_CSV, rb"\bterminal_reason\b", b"terminal_cause", f"{SUMMARIES_CSV}, line 2"),
         # The 6th cell, mm_client_bond_pct: quartiles need finite values.
-        (SUMMARIES_CSV, r"(\n0(?:,[^,\n]*){4},)[^,\n]+", r"\1nan", f"{SUMMARIES_CSV}, line 2"),
-        (SUMMARIES_CSV, r"(\n0(?:,[^,\n]*){4},)[^,\n]+", r"\1inf", f"{SUMMARIES_CSV}, line 2"),
-        (DECISIONS_CSV, r"bernoulli\n", "bernoulli,extra\n", f"{DECISIONS_CSV}, line 2"),
-        (CONFIG_ECHO, r"rolling_window: \d+", "rolling_window: 0", CONFIG_ECHO),
-        (CONFIG_ECHO, r"rolling_window: \d+", "rolling_window: 2.5", CONFIG_ECHO),
+        (SUMMARIES_CSV, rb"(\n0(?:,[^,\n]*){4},)[^,\n]+", rb"\1nan", f"{SUMMARIES_CSV}, line 2"),
+        (SUMMARIES_CSV, rb"(\n0(?:,[^,\n]*){4},)[^,\n]+", rb"\1inf", f"{SUMMARIES_CSV}, line 2"),
+        (DECISIONS_CSV, rb"bernoulli\n", b"bernoulli,extra\n", f"{DECISIONS_CSV}, line 2"),
+        (CONFIG_ECHO, rb"rolling_window: \d+", b"rolling_window: 0", CONFIG_ECHO),
+        (CONFIG_ECHO, rb"rolling_window: \d+", b"rolling_window: 2.5", CONFIG_ECHO),
+        # A log that is not UTF-8 text.
+        (SUMMARIES_CSV, rb"\n0,", b"\n\xff,", SUMMARIES_CSV),
+        (DECISIONS_CSV, rb"\n0,", b"\n\xff,", DECISIONS_CSV),
     ],
     ids=[
         "unknown-state", "non-integer-cell", "missing-column", "nan-cell", "inf-cell", "extra-cell",
-        "window-0", "window-float",
+        "window-0", "window-float", "summaries-not-utf8", "decisions-not-utf8",
     ],
 )
 def test_tables_on_malformed_tree_is_config_error(tmp_path, name, pattern, repl, where):
@@ -227,9 +246,14 @@ def test_tables_on_malformed_tree_is_config_error(tmp_path, name, pattern, repl,
     out = tmp_path / "run"
     assert main(["run", "exp1", "--sims", "2", "--seed", "3", "--out", str(out)]) == EXIT_OK
     path = out / name
-    text, n = re.subn(pattern, repl, path.read_text(encoding="utf-8"), count=1)
+    data, n = re.subn(pattern, repl, path.read_bytes(), count=1)
     assert n == 1
-    path.write_text(text, encoding="utf-8")
+    path.write_bytes(data)
+    assert_tables_is_config_error(out, out / where)
+
+
+def assert_tables_is_config_error(out, where):
+    """``bondflow tables out`` in a process of its own: exit 1, naming ``where``, no traceback."""
     src = Path(__file__).resolve().parent.parent / "src"
     run = subprocess.run(
         [sys.executable, "-m", "bondflow.cli", "tables", str(out)],
@@ -237,8 +261,17 @@ def test_tables_on_malformed_tree_is_config_error(tmp_path, name, pattern, repl,
     )
     assert run.returncode == EXIT_CONFIG_ERROR, run.stderr
     assert "configuration error" in run.stderr
-    assert str(out / where) in run.stderr
+    assert str(where) in run.stderr
     assert "Traceback" not in run.stderr
+
+
+@pytest.mark.parametrize("name", [SUMMARIES_CSV, DECISIONS_CSV])
+def test_tables_on_a_log_that_is_a_directory_is_config_error(tmp_path, name):
+    out = tmp_path / "run"
+    assert main(["run", "exp1", "--sims", "2", "--seed", "3", "--out", str(out)]) == EXIT_OK
+    (out / name).unlink()
+    (out / name).mkdir()
+    assert_tables_is_config_error(out, out / name)
 
 
 def replay_config_file(tmp_path, sims, seed):
@@ -300,15 +333,16 @@ def test_replay_of_a_corpus_short_of_slices_is_config_error(tmp_path, caplog):
 @pytest.mark.parametrize(
     "bad_line",
     [
-        '{"seq":1,"prompt_hash":7,"state":"maybe","raw":"","latency_ms":null}',
-        '{"seq":1,"prompt_hash":7,"sta',
+        b'{"seq":1,"prompt_hash":7,"state":"maybe","raw":"","latency_ms":null}',
+        b'{"seq":1,"prompt_hash":7,"sta',
+        b'{"seq":1,"prompt_hash":7,"state":"no","raw":"\xff","latency_ms":null}',
     ],
-    ids=["unknown-state", "truncated"],
+    ids=["unknown-state", "truncated", "not-utf8"],
 )
 def test_malformed_journal_line_is_config_error(tmp_path, caplog, bad_line):
     corpus = tmp_path / "corpus.jsonl"
-    good = '{"seq":0,"prompt_hash":7,"state":"no","raw":"No","latency_ms":null}'
-    corpus.write_text(f"{good}\n{bad_line}\n", encoding="utf-8")
+    good = b'{"seq":0,"prompt_hash":7,"state":"no","raw":"No","latency_ms":null}'
+    corpus.write_bytes(good + b"\n" + bad_line + b"\n")
     config = replay_config_file(tmp_path, sims=1, seed=5)
     out = tmp_path / "replayed"
     rc = main(["replay", str(corpus), str(config), "--out", str(out)])

@@ -174,21 +174,20 @@ def test_templates_load_once_and_nonempty():
 
 
 def test_bernoulli_extremes_and_frequency():
-    rng = substream(1, 4)
-    always = BernoulliProvider(1.0)
-    never = BernoulliProvider(0.0)
+    always = BernoulliProvider(1.0, substream(1, 4))
+    never = BernoulliProvider(0.0, substream(2, 4))
     q = make_query()
-    assert all(always.decide(q, rng).state is DecisionState.YES for _ in range(50))
-    assert all(never.decide(q, rng).state is DecisionState.NO for _ in range(50))
+    assert all(always.decide(q).state is DecisionState.YES for _ in range(50))
+    assert all(never.decide(q).state is DecisionState.NO for _ in range(50))
 
     p = 0.5
     n = 100_000
-    coin = BernoulliProvider(p)
-    yes = sum(coin.decide(q, rng).state is DecisionState.YES for _ in range(n))
+    coin = BernoulliProvider(p, substream(3, 4))
+    yes = sum(coin.decide(q).state is DecisionState.YES for _ in range(n))
     sigma = (p * (1 - p) / n) ** 0.5
     assert abs(yes / n - p) < 3 * sigma
 
-    outcome = coin.decide(q, rng)
+    outcome = coin.decide(q)
     assert outcome.provider is ProviderKind.BERNOULLI
     assert outcome.raw_text == ""
     assert outcome.latency_ms is None
@@ -202,29 +201,27 @@ def test_bernoulli_rejects_bad_p():
 def test_scripted_providers_check_ranges_when_built_directly():
     # Library code may build a provider without a ProviderConfig.
     with pytest.raises(ConfigError, match="bernoulli_p"):
-        BernoulliProvider(1.5)
+        BernoulliProvider(1.5, substream(1, 4))
     with pytest.raises(ConfigError, match="burst_stay_yes"):
-        SyntheticBurstyProvider(1.0, 0.5)
+        SyntheticBurstyProvider(1.0, 0.5, substream(1, 4))
 
 
 def test_bursty_stationary_distribution():
-    provider = SyntheticBurstyProvider(0.656, 0.544)
+    provider = SyntheticBurstyProvider(0.656, 0.544, substream(2, 4))
     expected = (1 - 0.544) / ((1 - 0.656) + (1 - 0.544))
     assert provider.stationary_yes == pytest.approx(expected)
     assert provider.stationary_yes == pytest.approx(0.57)
 
-    rng = substream(2, 4)
     q = make_query()
     n = 100_000
-    yes = sum(provider.decide(q, rng).state is DecisionState.YES for _ in range(n))
+    yes = sum(provider.decide(q).state is DecisionState.YES for _ in range(n))
     assert yes / n == pytest.approx(expected, abs=0.01)
 
 
 def test_bursty_transition_frequencies():
-    provider = SyntheticBurstyProvider(0.656, 0.544)
-    rng = substream(3, 4)
+    provider = SyntheticBurstyProvider(0.656, 0.544, substream(3, 4))
     q = make_query()
-    states = [provider.decide(q, rng).state for _ in range(100_000)]
+    states = [provider.decide(q).state for _ in range(100_000)]
     yy = yn = ny = nn = 0
     for prev, cur in zip(states, states[1:]):
         if prev is DecisionState.YES:
@@ -239,17 +236,13 @@ def test_bursty_transition_frequencies():
 
 def test_bursty_is_deterministic_per_stream():
     q = make_query()
-    a = [
-        SyntheticBurstyProvider(0.656, 0.544).decide(q, substream(4, 4)).state
-        for _ in range(1)
-    ]
+    a = SyntheticBurstyProvider(0.656, 0.544, substream(4, 4)).decide(q).state
     runs = []
     for _ in range(2):
-        provider = SyntheticBurstyProvider(0.656, 0.544)
-        rng = substream(5, 4)
-        runs.append([provider.decide(q, rng).state for _ in range(200)])
+        provider = SyntheticBurstyProvider(0.656, 0.544, substream(5, 4))
+        runs.append([provider.decide(q).state for _ in range(200)])
     assert runs[0] == runs[1]
-    assert a  # smoke: single-draw path works too
+    assert a in (DecisionState.YES, DecisionState.NO)  # smoke: single-draw path works too
 
 
 # -- journals and replay -----------------------------------------------
@@ -336,16 +329,15 @@ def test_replay_reproduces_recorded_stream(tmp_path):
         journal_append(path, q, o, template=PromptTemplate.TIMELINESS)
 
     provider = ReplayProvider(read_journal(path), PromptTemplate.TIMELINESS)
-    rng = substream(6, 4)
     for q, o in zip(queries, outcomes):
-        got = provider.decide(q, rng)
+        got = provider.decide(q)
         assert got.state is o.state
         assert got.raw_text == o.raw_text
         assert got.latency_ms == o.latency_ms
         assert got.provider is ProviderKind.REPLAY
 
     # Exhausted journal: every further query is an error with empty raw.
-    extra = provider.decide(make_query(seq=3), rng)
+    extra = provider.decide(make_query(seq=3))
     assert extra.state is DecisionState.ERROR
     assert extra.raw_text == ""
 
@@ -356,28 +348,29 @@ def test_replay_flags_prompt_mismatch(tmp_path):
     journal_append(path, q, outcome_of(DecisionState.YES, "Yes"))
     provider = ReplayProvider(read_journal(path), PromptTemplate.TIMELINESS)
     tampered = make_query(seq=0, bonds=3.0)  # different prompt, same seq
-    got = provider.decide(tampered, substream(7, 4))
+    got = provider.decide(tampered)
     assert got.state is DecisionState.ERROR
     assert got.raw_text == "Yes"  # recorded raw kept for the audit trail
 
 
 def test_build_provider_dispatch(tmp_path):
     assert isinstance(
-        build_provider(ProviderConfig(kind=ProviderKind.BERNOULLI)), BernoulliProvider
+        build_provider(ProviderConfig(kind=ProviderKind.BERNOULLI), 7), BernoulliProvider
     )
     assert isinstance(
-        build_provider(ProviderConfig(kind=ProviderKind.SYNTHETIC_BURSTY)),
+        build_provider(ProviderConfig(kind=ProviderKind.SYNTHETIC_BURSTY), 7),
         SyntheticBurstyProvider,
     )
     path = tmp_path / "j.jsonl"
     journal_append(path, make_query(), outcome_of(DecisionState.NO, "No"))
     replay = build_provider(
         ProviderConfig(kind=ProviderKind.REPLAY, replay_path=str(path)),
+        7,
         replay_records=read_journal(path),
     )
     assert isinstance(replay, ReplayProvider)
     with pytest.raises(ConfigError):  # a replay provider needs its records
-        build_provider(ProviderConfig(kind=ProviderKind.REPLAY, replay_path=str(path)))
+        build_provider(ProviderConfig(kind=ProviderKind.REPLAY, replay_path=str(path)), 7)
 
 
 # -- live gateway ------------------------------------------------------
@@ -407,7 +400,7 @@ def test_live_wire_format(gateway_token):
     with GatewayStub([(200, {"choices": [{"message": {"content": "No thanks"}}]})]) as stub:
         provider = LiveLLMProvider(live_config(stub.url))
         q = make_query()
-        outcome = provider.decide(q, substream(8, 4))
+        outcome = provider.decide(q)
     assert outcome.state is DecisionState.NO
     assert outcome.raw_text == "No thanks"
     assert outcome.latency_ms is not None and outcome.latency_ms >= 0
@@ -424,7 +417,7 @@ def test_live_wire_format(gateway_token):
 def test_live_retries_transient_then_succeeds(gateway_token, transient):
     with GatewayStub([(transient, {}), (200, YES_PAYLOAD)]) as stub:
         provider = LiveLLMProvider(live_config(stub.url))
-        outcome = provider.decide(make_query(), substream(9, 4))
+        outcome = provider.decide(make_query())
     assert outcome.state is DecisionState.YES
     assert len(stub.requests) == 2
 
@@ -432,7 +425,7 @@ def test_live_retries_transient_then_succeeds(gateway_token, transient):
 def test_live_exhausted_retries_is_error_outcome(gateway_token):
     with GatewayStub([(500, {}), (500, {})]) as stub:
         provider = LiveLLMProvider(live_config(stub.url, max_retries=1))
-        outcome = provider.decide(make_query(), substream(10, 4))
+        outcome = provider.decide(make_query())
     assert outcome.state is DecisionState.ERROR
     assert outcome.raw_text == ""
     assert len(stub.requests) == 2
@@ -442,7 +435,7 @@ def test_live_connection_refused_is_error_outcome(gateway_token):
     provider = LiveLLMProvider(
         live_config("http://127.0.0.1:1/v1/chat/completions", max_retries=0, timeout_s=0.5)
     )
-    outcome = provider.decide(make_query(), substream(11, 4))
+    outcome = provider.decide(make_query())
     assert outcome.state is DecisionState.ERROR
 
 
@@ -451,7 +444,7 @@ def test_live_rejections_are_hard_failures(gateway_token, status):
     with GatewayStub([(status, {})]) as stub:
         provider = LiveLLMProvider(live_config(stub.url))
         with pytest.raises(ProviderHardFailure):
-            provider.decide(make_query(), substream(12, 4))
+            provider.decide(make_query())
 
 
 @pytest.mark.parametrize(
@@ -462,7 +455,7 @@ def test_live_malformed_reply_is_hard_failure(gateway_token, payload):
     with GatewayStub([(200, payload)]) as stub:
         provider = LiveLLMProvider(live_config(stub.url))
         with pytest.raises(ProviderHardFailure):
-            provider.decide(make_query(), substream(13, 4))
+            provider.decide(make_query())
 
 
 @pytest.mark.parametrize(
@@ -498,7 +491,7 @@ def test_live_token_never_logged_or_journaled(gateway_token, caplog, tmp_path):
         with GatewayStub([(500, {}), (200, YES_PAYLOAD)]) as stub:
             provider = LiveLLMProvider(live_config(stub.url))
             q = make_query()
-            outcome = provider.decide(q, substream(14, 4))
+            outcome = provider.decide(q)
     assert gateway_token not in caplog.text
     path = tmp_path / "journal.jsonl"
     journal_append(path, q, outcome)

@@ -7,18 +7,27 @@ import pickle
 import numpy as np
 import pytest
 
-from bondflow import DecisionState, DesireQuery, PromptTemplate, ProviderHardFailure, Simulation, simulation_seed
+from bondflow import (
+    DecisionProvider, DecisionState, DesireQuery, PromptTemplate, ProviderHardFailure, Simulation, simulation_seed,
+)
 from bondflow.agents import AgentConfig, CeaseRule
 from bondflow.decision import BernoulliProvider, ReplayProvider, journal_line, parse_journal_line
 from bondflow.engine import CounterpartyKind, TerminalReason, TradeRecord
 from bondflow.landscape import Direction, LandscapeConfig
+from bondflow.seeding import STREAM_PROVIDER, substream
 
 SMALL_LANDSCAPE = LandscapeConfig(grid_width=6, grid_height=6)
+
+
+def coin(p, seed):
+    """The coin flip a batch builds for the sim with this seed."""
+    return BernoulliProvider(p, substream(seed, STREAM_PROVIDER))
 
 
 def make_sim(
     provider=None,
     *,
+    p=1.0,
     seed=11,
     landscape=SMALL_LANDSCAPE,
     agents=None,
@@ -30,19 +39,16 @@ def make_sim(
         simulation_seed(seed, 0),
         landscape,
         agents or AgentConfig(),
-        provider or BernoulliProvider(1.0),
+        provider or coin(p, simulation_seed(seed, 0)),
         max_steps=max_steps,
         interbank_runway_steps=runway,
     )
 
 
-class ExplodingProvider(BernoulliProvider):
+class ExplodingProvider(DecisionProvider):
     """Fails the test if the engine consults it."""
 
-    def __init__(self):
-        super().__init__(1.0)
-
-    def decide(self, q, rng):
+    def decide(self, q):
         raise AssertionError("provider consulted when no client was available")
 
 
@@ -239,7 +245,7 @@ def test_unavailable_clients_are_never_asked():
 def test_every_decision_comes_from_an_available_active_slot():
     landscape = LandscapeConfig(grid_width=6, grid_height=6, availability_p=0.5)
     result = Simulation(
-        0, simulation_seed(21, 0), landscape, AgentConfig(), BernoulliProvider(0.5),
+        0, simulation_seed(21, 0), landscape, AgentConfig(), coin(0.5, simulation_seed(21, 0)),
         max_steps=60,
     ).run()
     ceased_at = {mm.id: mm.ceased_at_step for mm in result.mms}
@@ -256,7 +262,7 @@ def test_yes_obligates_a_trade_attempt():
     # Every client-leg trade pairs with a YES decision for the same
     # (mm, step, cell); every YES without a trade had nothing to move.
     result = Simulation(
-        0, simulation_seed(22, 0), SMALL_LANDSCAPE, AgentConfig(), BernoulliProvider(1.0),
+        0, simulation_seed(22, 0), SMALL_LANDSCAPE, AgentConfig(), coin(1.0, simulation_seed(22, 0)),
         max_steps=40,
     ).run()
     yes_keys = {
@@ -276,7 +282,7 @@ def test_yes_obligates_a_trade_attempt():
 def test_conservation_holds_after_every_step():
     for seed in (31, 32):
         sim = make_sim(
-            BernoulliProvider(0.7),
+            p=0.7,
             seed=seed,
             landscape=LandscapeConfig(grid_width=10, grid_height=10, availability_p=0.6),
             max_steps=100,
@@ -305,7 +311,7 @@ def test_run_is_deterministic():
     def once():
         return Simulation(
             3, simulation_seed(33, 3), SMALL_LANDSCAPE, AgentConfig(),
-            BernoulliProvider(0.5), max_steps=80,
+            coin(0.5, simulation_seed(33, 3)), max_steps=80,
         ).run()
 
     a, b = once(), once()
@@ -323,7 +329,7 @@ def test_all_refusals_collapse_in_metabolic_time():
     for i in range(20):
         result = Simulation(
             i, simulation_seed(44, i), LandscapeConfig(), AgentConfig(),
-            BernoulliProvider(0.0), max_steps=200,
+            coin(0.0, simulation_seed(44, i)), max_steps=200,
         ).run()
         assert result.terminal_reason is TerminalReason.ALL_CEASED
         assert all(
@@ -336,7 +342,7 @@ def test_all_refusals_collapse_in_metabolic_time():
 
 def test_max_steps_zero_and_step_limit_reason():
     result = Simulation(
-        0, simulation_seed(55, 0), SMALL_LANDSCAPE, AgentConfig(), BernoulliProvider(0.5),
+        0, simulation_seed(55, 0), SMALL_LANDSCAPE, AgentConfig(), coin(0.5, simulation_seed(55, 0)),
         max_steps=0,
     ).run()
     assert result.steps_executed == 0
@@ -345,7 +351,7 @@ def test_max_steps_zero_and_step_limit_reason():
     assert result.trades == [] and result.decisions == []
 
     capped = Simulation(
-        0, simulation_seed(56, 0), SMALL_LANDSCAPE, AgentConfig(), BernoulliProvider(0.5),
+        0, simulation_seed(56, 0), SMALL_LANDSCAPE, AgentConfig(), coin(0.5, simulation_seed(56, 0)),
         max_steps=5,
     ).run()
     if capped.terminal_reason is TerminalReason.STEP_LIMIT:
@@ -356,7 +362,7 @@ def test_max_steps_zero_and_step_limit_reason():
 def test_terminal_step_is_last_executed_index():
     result = Simulation(
         0, simulation_seed(57, 0), LandscapeConfig(grid_width=4, grid_height=4),
-        AgentConfig(), BernoulliProvider(0.0), max_steps=300,
+        AgentConfig(), coin(0.0, simulation_seed(57, 0)), max_steps=300,
     ).run()
     assert result.terminal_reason is TerminalReason.ALL_CEASED
     last_cease = max(mm.ceased_at_step for mm in result.mms)
@@ -379,7 +385,7 @@ def test_contact_selection_uniform_over_base():
     # Breadth 50 on a 3x3 grid clips to the full grid for any anchor.
     agents = AgentConfig(n_agents=1, breadth_min=50, breadth_max=50)
     sim = make_sim(
-        BernoulliProvider(0.0), seed=58, landscape=landscape, agents=agents,
+        p=0.0, seed=58, landscape=landscape, agents=agents,
         max_steps=20_000,
     )
     sim.mms[0].bonds_acc = sim.mms[0].cash_acc = 10_000.0  # outlive the sampling
@@ -428,14 +434,14 @@ class FailsAfter(BernoulliProvider):
     """A coin flip that fails hard after ``n`` decisions."""
 
     def __init__(self, n):
-        super().__init__(0.5)
+        super().__init__(0.5, substream(simulation_seed(11, 0), STREAM_PROVIDER))
         self.left = n
 
-    def decide(self, q, rng):
+    def decide(self, q):
         if self.left == 0:
             raise ProviderHardFailure("gateway gone")
         self.left -= 1
-        return super().decide(q, rng)
+        return super().decide(q)
 
 
 def test_results_round_trip_through_pickle():
@@ -447,11 +453,11 @@ def test_results_round_trip_through_pickle():
     def journal(result):
         return [journal_line(q, o, timeliness) for q, o in result.decisions]
 
-    journaled = make_sim(BernoulliProvider(0.5)).run()
+    journaled = make_sim(p=0.5).run()
     records = [parse_journal_line(line) for line in journal(journaled)]
     idle = LandscapeConfig(grid_width=6, grid_height=6, availability_p=0.0)
     cases = {
-        "coin flip": make_sim(BernoulliProvider(0.5)).run(),
+        "coin flip": make_sim(p=0.5).run(),
         "no trades, no decisions": make_sim(landscape=idle, agents=AgentConfig(n_agents=1)).run(),
         "aborted": make_sim(FailsAfter(5)).run(),
         "replay": make_sim(ReplayProvider(records, timeliness)).run(),

@@ -16,7 +16,6 @@ import threading
 import typing
 from pathlib import Path
 
-import numpy as np
 import pytest
 import yaml
 
@@ -53,6 +52,7 @@ from bondflow.harness import (
 )
 from bondflow import decision, engine, harness
 from bondflow.landscape import LandscapeConfig
+from bondflow.seeding import STREAM_PROVIDER, substream
 from gateway import GatewayStub
 from util import mini_config, run_mini
 
@@ -349,9 +349,8 @@ def test_every_numeric_config_field_is_refused_or_runs(tmp_path, monkeypatch, ke
                     rate_limit_rps=10_000.0,
                 )
                 provider = LiveLLMProvider(dataclasses.replace(live, **{name: value}))
-                rng = np.random.default_rng(0)
                 queries = [DesireQuery(0, 0, 0, (1, 1), 1.0, 1.0, seq) for seq in (0, 1)]
-                states = {provider.decide(q, rng).state for q in queries}
+                states = {provider.decide(q).state for q in queries}
             assert states <= {DecisionState.YES, DecisionState.NO}, (key, value, states)
             continue
         if name.startswith("burst_stay"):
@@ -729,22 +728,25 @@ def test_rerun_into_same_dir_leaves_no_stale_files(tmp_path, second_run):
 class FailsOnDecision(BernoulliProvider):
     """A coin flip that fails hard on its ``n``-th decision (0-based)."""
 
-    def __init__(self, n):
-        super().__init__(0.5)
+    def __init__(self, n, rng):
+        super().__init__(0.5, rng)
         self.left = n
 
-    def decide(self, q, rng):
+    def decide(self, q):
         if self.left == 0:
             raise ProviderHardFailure("gateway gone")
         self.left -= 1
-        return super().decide(q, rng)
+        return super().decide(q)
 
 
 def test_aborted_batch_keeps_what_ran(tmp_path, monkeypatch):
     # A serial batch builds its sims' providers in sim order: sim 1's fails
     # hard on its sixth decision, so no later sim builds one.
-    providers = iter([BernoulliProvider(0.5), FailsOnDecision(5)])
-    monkeypatch.setattr(harness, "build_provider", lambda config, replay_slice=None: next(providers))
+    providers = iter([lambda rng: BernoulliProvider(0.5, rng), lambda rng: FailsOnDecision(5, rng)])
+    monkeypatch.setattr(
+        harness, "build_provider",
+        lambda config, seed, replay_slice=None: next(providers)(substream(seed, STREAM_PROVIDER)),
+    )
     out = tmp_path / "partial"
     result = run_batch(mini_config(out))
     assert result.aborted == [(1, "gateway gone")]

@@ -3,24 +3,28 @@
 A seeded generator (criterion 5's, with its ranges widened to the edges)
 draws a few hundred configs; for each, the trades, decisions and lifecycle
 logs that ``run_batch`` writes must equal the reference engine's byte for
-byte. A failure names the first config and log line that differ, so the
-case can be rerun and shrunk by hand.
+byte. Every tenth config with at least two sims runs again at parallelism 2,
+and its tree must equal the serial one, manifest excluded. A failure names
+the first config and log line that differ, so the case can be rerun and
+shrunk by hand.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 
 from bondflow.agents import AgentConfig, CeaseRule
 from bondflow.decision import ProviderConfig, ProviderKind
-from bondflow.harness import ExperimentConfig, run_batch
+from bondflow.harness import MANIFEST_JSON, ExperimentConfig, run_batch
 from bondflow.landscape import LandscapeConfig
 from reference import reference_tables
 
 N_CONFIGS = 300
+POOL_EVERY = 10
 TIME_BUDGET_S = 10.0
 
 
@@ -83,6 +87,19 @@ def random_config(rng: np.random.Generator, case: int) -> ExperimentConfig:
     )
 
 
+def _tree(out: Path) -> dict[str, bytes]:
+    """Every file of an output tree but its manifest, by relative path."""
+    return {
+        str(path.relative_to(out)): path.read_bytes()
+        for path in sorted(out.rglob("*"))
+        if path.is_file() and path.name != MANIFEST_JSON
+    }
+
+
+def _differing(a: dict[str, bytes], b: dict[str, bytes]) -> list[str]:
+    return sorted(name for name in a.keys() | b.keys() if a.get(name) != b.get(name))
+
+
 def _first_difference(expected: str, actual: str) -> str:
     for no, (want, got) in enumerate(zip(expected.splitlines(), actual.splitlines()), start=1):
         if want != got:
@@ -93,6 +110,7 @@ def _first_difference(expected: str, actual: str) -> str:
 def test_run_batch_matches_reference_engine(tmp_path):
     rng = np.random.default_rng(5)
     started = time.perf_counter()
+    pooled_runs = 0
     for case in range(N_CONFIGS):
         cfg = random_config(rng, case)
         out = tmp_path / f"case{case:03d}"
@@ -100,5 +118,12 @@ def test_run_batch_matches_reference_engine(tmp_path):
         for name, expected in reference_tables(cfg).items():
             actual = (out / name).read_text(encoding="utf-8")
             assert actual == expected, f"case {case}, {name}, {_first_difference(expected, actual)}\n{cfg}"
+        if case % POOL_EVERY == 0 and cfg.n_simulations >= 2:
+            pooled = tmp_path / f"case{case:03d}-par2"
+            run_batch(replace(cfg, output_dir=str(pooled), parallelism=2))
+            serial, parallel = _tree(out), _tree(pooled)
+            assert serial == parallel, f"case {case}, parallelism 2 differs in {_differing(serial, parallel)}\n{cfg}"
+            pooled_runs += 1
     elapsed = time.perf_counter() - started
+    assert pooled_runs > 0
     assert elapsed < TIME_BUDGET_S, f"{N_CONFIGS} configs took {elapsed:.1f}s"

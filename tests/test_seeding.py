@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from bondflow import DesireQuery, simulation_seed
+from bondflow import DesireQuery, Simulation, build_provider, resolve_preset, simulation_seed
 from bondflow.decision import BernoulliProvider, SyntheticBurstyProvider
 from bondflow.seeding import (
     BLOCK,
@@ -152,15 +152,13 @@ def test_provider_uniforms_match_scalar_random():
     q = DesireQuery(0, 0, 0, (0, 0), 1.0, 1.0, 0)
     draws = 2 * BLOCK + 5
 
-    coin, reference = BernoulliProvider(0.37), np.random.default_rng(21)
-    rng = np.random.default_rng(21)
-    got = [coin.decide(q, rng).state.value for _ in range(draws)]
+    coin, reference = BernoulliProvider(0.37, np.random.default_rng(21)), np.random.default_rng(21)
+    got = [coin.decide(q).state.value for _ in range(draws)]
     assert got == ["yes" if reference.random() < 0.37 else "no" for _ in range(draws)]
 
-    # Bursty: a stationary draw, then one transition draw per decision.
-    bursty, reference = SyntheticBurstyProvider(0.656, 0.544), np.random.default_rng(22)
-    rng = np.random.default_rng(22)
-    got = [bursty.decide(q, rng).state.value for _ in range(draws)]
+    # Bursty: a stationary draw when built, then one transition draw per decision.
+    bursty, reference = SyntheticBurstyProvider(0.656, 0.544, np.random.default_rng(22)), np.random.default_rng(22)
+    got = [bursty.decide(q).state.value for _ in range(draws)]
     state = "yes" if reference.random() < bursty.stationary_yes else "no"
     want = []
     for _ in range(draws):
@@ -171,11 +169,15 @@ def test_provider_uniforms_match_scalar_random():
     assert got == want
 
 
-def test_provider_restarts_its_read_ahead_on_a_new_generator():
-    q = DesireQuery(0, 0, 0, (0, 0), 1.0, 1.0, 0)
-    coin = BernoulliProvider(0.5)
-    coin.decide(q, np.random.default_rng(1))
-    second = np.random.default_rng(2)
-    got = [coin.decide(q, second).state.value for _ in range(50)]
-    reference = np.random.default_rng(2)
-    assert got == ["yes" if reference.random() < 0.5 else "no" for _ in range(50)]
+def test_a_bursty_simulation_holds_no_generator():
+    # Every stream's consumer takes its generator when it is built; neither
+    # the sim nor anything it holds directly keeps one to hand out or draw from.
+    cfg = resolve_preset("exp3")
+    seed = simulation_seed(cfg.master_seed, 0)
+    sim = Simulation(0, seed, cfg.landscape, cfg.agents, build_provider(cfg.provider, seed), max_steps=5)
+    assert isinstance(sim.provider, SyntheticBurstyProvider)
+    held = [*vars(sim).values(), *vars(sim.provider).values(), *vars(sim.grid).values()]
+    assert not [v for v in held if isinstance(v, np.random.Generator)]
+    # The provider's first draw, its initial state, was taken from the provider substream.
+    first = substream(seed, STREAM_PROVIDER).random()
+    assert (sim.provider._state.value == "yes") == (first < sim.provider.stationary_yes)

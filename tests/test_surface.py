@@ -10,7 +10,7 @@ import bondflow
 README = Path(__file__).resolve().parent.parent / "README.md"
 
 # README "Library use", the names perfbench reads from the package root, and
-# the types a custom ``decide(q, rng)`` needs. Everything else is imported
+# the types a custom ``decide(q)`` needs. Everything else is imported
 # from its own module.
 ROOT_API = [
     "BatchResult",
