@@ -92,6 +92,23 @@ MUTANTS = (
         ),
     ),
     Mutant(
+        "read-ahead drops each block's last value",
+        "seeding.py",
+        "        yield from block().tolist()",
+        "        yield from block().tolist()[:-1]",
+        (
+            "tests/test_seeding.py::test_buffered_uniforms_match_scalar_random",
+            "tests/test_seeding.py::test_block_refill_in_the_middle_of_a_rejection_loop",
+        ),
+    ),
+    Mutant(
+        "word split yields each output's high half first",
+        "seeding.py",
+        'raw().astype("<u8", copy=False).view("<u4")',
+        'raw().astype(">u8", copy=False).view(">u4")',
+        ("tests/test_seeding.py::test_block_refill_in_the_middle_of_a_rejection_loop",),
+    ),
+    Mutant(
         "jump table's whole-block offset off by one",
         "landscape.py",
         "_then(hi[-1], lo[block - 1 - radix * (len(hi) - 1)])",
@@ -125,8 +142,8 @@ MUTANTS = (
     Mutant(
         "build_provider reads the contact-selection stream",
         "decision.py",
-        "from .seeding import STREAM_PROVIDER, BufferedUniforms, substream",
-        "from .seeding import STREAM_CONTACT_SELECTION as STREAM_PROVIDER, BufferedUniforms, substream",
+        "from .seeding import STREAM_PROVIDER, buffered_uniforms, substream",
+        "from .seeding import STREAM_CONTACT_SELECTION as STREAM_PROVIDER, buffered_uniforms, substream",
         ("tests/test_harness.py::test_whole_tree_bytes_pinned",),
     ),
     Mutant(
@@ -157,6 +174,14 @@ MUTANTS = (
         "    trades = list(map(new, repeat(TradeRecord), zip(*trade_columns)))",
         "    trades = list(zip(*trade_columns))",
         ("tests/test_engine.py::test_results_round_trip_through_pickle",),
+    ),
+    # The journal, which replay reads back.
+    Mutant(
+        "journal writes each decision's step as its seq",
+        "decision.py",
+        '{{"seq":{q.sequence_no},',
+        '{{"seq":{q.step},',
+        ("tests/test_reference.py",),
     ),
     # Hash-verified replay.
     Mutant(

@@ -38,7 +38,7 @@ import numpy as np
 
 from .errors import ConfigError, ProviderHardFailure, bounds_table, check_bound, check_bounds
 from .prompts import PromptTemplate, render_template
-from .seeding import STREAM_PROVIDER, BufferedUniforms, substream
+from .seeding import STREAM_PROVIDER, buffered_uniforms, substream
 
 logger = logging.getLogger(__name__)
 
@@ -236,7 +236,9 @@ class DecisionProvider:
     """Base: one provider instance serves one simulation, sequentially.
 
     A provider that draws takes its generator when it is built and is its
-    only consumer; ``decide`` gets no generator.
+    only consumer; ``decide`` gets no generator. The coin-flip and bursty
+    providers read theirs through ``seeding.buffered_uniforms``, whose draw
+    callable they hold as ``_random``.
     """
 
     kind: ProviderKind
@@ -259,7 +261,7 @@ class BernoulliProvider(DecisionProvider):
     def __init__(self, p: float, rng: np.random.Generator) -> None:
         check_bound(_BOUNDS, "bernoulli_p", p)
         self.p = p
-        self._random = BufferedUniforms(rng).random
+        self._random = buffered_uniforms(rng)
 
     def decide(self, q: DesireQuery) -> DecisionOutcome:
         return _BERNOULLI_YES if self._random() < self.p else _BERNOULLI_NO
@@ -280,7 +282,7 @@ class SyntheticBurstyProvider(DecisionProvider):
         check_bound(_BOUNDS, "burst_stay_no", stay_no)
         self.stay_yes = stay_yes
         self.stay_no = stay_no
-        self._random = BufferedUniforms(rng).random
+        self._random = buffered_uniforms(rng)
         self._state = DecisionState.YES if self._random() < self.stationary_yes else DecisionState.NO
 
     @property

@@ -19,9 +19,10 @@ def bounds_table(rows: dict[str, str]) -> Bounds:
 
     A row reads ``"[0, 1]"``, ``"(0, 1)"``, ``"[1, inf)"`` or ``"[0, inf]"``.
     An open end excludes its value, so an open ``inf)`` end means finite,
-    and a NaN fails every row. A row starting ``int`` takes only an int,
-    never a bool, and its finite ends are read as ints, so that an end
-    such as 2**63 - 1, which no float holds, is exact.
+    and a NaN fails every row. Every row takes only an int or a float,
+    never a bool, a None or a string. A row starting ``int`` takes only an
+    int, and its finite ends are read as ints, so that an end such as
+    2**63 - 1, which no float holds, is exact.
     """
     table: Bounds = {}
     for name, row in rows.items():
@@ -44,7 +45,7 @@ def check_bounds(table: Bounds, config: Any) -> None:
 def check_bound(table: Bounds, name: str, value: Any) -> None:
     """Refuse a *value* of field *name* that lies outside its row of *table*."""
     lo, hi, integral, row = table[name]
-    if integral and (type(value) is bool or not isinstance(value, int)) or not lo <= value <= hi:
+    if type(value) not in ((int,) if integral else (int, float)) or not lo <= value <= hi:
         raise ConfigError(f"{name} must lie in {row}, got {value!r}")
 
 

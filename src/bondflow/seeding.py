@@ -7,14 +7,18 @@ process count, wall clock, or Python's hash randomization, so a batch
 replays bit-identically on any platform numpy supports.
 
 Hot streams are read ahead in blocks (``BufferedIntegers``,
-``BufferedUniforms``): each draw equals the scalar numpy call it replaces,
-bit for bit, but the generator itself runs ahead of what has been handed
-out. That is invisible only under the one-consumer contract: a buffered
-generator is read through its buffer alone, by one consumer, for its whole
-life. Drawing from it directly, or through a second buffer, gets values
-the scalar sequence would have handed out later. So each consumer takes
-its generator when it is built: the engine's contact pick, and the
-coin-flip and bursty providers (``decision.build_provider``).
+``buffered_uniforms``): one private generator hands out a numpy block value
+by value, then draws the next. Each draw equals the scalar numpy call it
+replaces, bit for bit, but the numpy generator runs ahead of what has been
+handed out. That is invisible only under the one-consumer contract: a
+buffered generator is read through its reader alone, by one consumer, for
+its whole life. Drawing from it directly, or through a second reader, gets
+values the scalar sequence would have handed out later. So each consumer
+takes its generator when it is built: the engine's contact pick, and the
+coin-flip and bursty providers (``decision.build_provider``). A reader
+holds a Python generator, so it cannot be pickled. Nothing pickles one:
+providers and sims are built in the process that runs them, and a
+``SimulationResult`` holds no reader.
 
 The step-rolls stream goes further under the same contract: its
 consumer, ``landscape.Landscape``, reads the generator's PCG64 ``(state,
@@ -25,6 +29,8 @@ generator (see ``Landscape`` for the jump-ahead and its table).
 from __future__ import annotations
 
 import hashlib
+from collections.abc import Callable, Iterator
+from functools import partial
 
 import numpy as np
 
@@ -64,6 +70,12 @@ _WORD_MASK = 0xFFFFFFFF
 BLOCK = 256  # 64-bit outputs read per refill
 
 
+def _read_ahead(block: Callable[[], np.ndarray]) -> Iterator:
+    """Every value of one ``block()``, then of the next, for ever."""
+    while True:
+        yield from block().tolist()
+
+
 class BufferedIntegers:
     """Scalar ``rng.integers(n)`` for ``1 <= n <= 2**32``, read ahead in blocks.
 
@@ -78,50 +90,32 @@ class BufferedIntegers:
     only (see the module docstring).
     """
 
-    __slots__ = ("_bitgen", "_words", "_pos")
+    __slots__ = ("_word",)
 
     def __init__(self, rng: np.random.Generator) -> None:
-        self._bitgen = rng.bit_generator
-        self._words: list[int] = []
-        self._pos = 0
+        raw = partial(rng.bit_generator.random_raw, BLOCK)
+        # Little-endian 64-bit outputs read as 32-bit words: each output's low half, then its high half.
+        self._word = _read_ahead(lambda: raw().astype("<u8", copy=False).view("<u4")).__next__
 
     def integers(self, n: int) -> int:
         if n == 1:
             return 0
         if not 1 < n <= 1 << 32:
             raise ValueError(f"bound {n} outside [1, 2**32]")
-        words, pos = self._words, self._pos
+        word = self._word
         while True:
-            if pos == len(words):
-                raw = self._bitgen.random_raw(BLOCK)
-                words = self._words = np.stack((raw & _WORD_MASK, raw >> 32), axis=1).ravel().tolist()
-                pos = 0
-            m = words[pos] * n
-            pos += 1
+            m = word() * n
             low = m & _WORD_MASK
             # Only a low word below n can fall under the threshold.
             if low >= n or low >= ((1 << 32) - n) % n:
-                self._pos = pos
                 return m >> 32
 
 
-class BufferedUniforms:
-    """Scalar ``rng.random()`` read ahead in blocks.
+def buffered_uniforms(rng: np.random.Generator) -> Callable[[], float]:
+    """Scalar ``rng.random()``, read ahead in blocks.
 
     ``rng.random(k)`` hands out exactly the values of k scalar calls, so
     each block continues the scalar sequence. One consumer only (see the
     module docstring).
     """
-
-    __slots__ = ("_rng", "_next")
-
-    def __init__(self, rng: np.random.Generator) -> None:
-        self._rng = rng
-        self._next = iter(()).__next__
-
-    def random(self) -> float:
-        try:
-            return self._next()
-        except StopIteration:
-            self._next = iter(self._rng.random(BLOCK).tolist()).__next__
-            return self._next()
+    return _read_ahead(partial(rng.random, BLOCK)).__next__

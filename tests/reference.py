@@ -10,13 +10,20 @@ initial draws with the package; the holdings sampler and the step loop are
 its own. After every step it checks the closed-system law.
 
 ``reference_tables(cfg)`` renders a batch's ``trades.csv``, ``decisions.csv``
-and ``lifecycle.csv`` as ``run_batch`` would write them.
+and ``lifecycle.csv`` as ``run_batch`` would write them, and, for a batch
+that keeps a journal, each sim's ``journals/sim_NNNN.jsonl``: one
+``json.dumps`` line per decision, hashing the prompt that ``str.format``
+renders from the shipped template text. A sim that made no decision gets
+an empty journal.
 """
 
 from __future__ import annotations
 
 import csv
+import hashlib
 import io
+import json
+from importlib import resources
 
 import numpy as np
 
@@ -80,6 +87,13 @@ def _bursty(stay_yes, stay_no):
     return decide
 
 
+def _prompt_hash(text, bonds, cash, x, y):
+    """blake2b-64 of template *text*, its placeholders filled by ``str.format``."""
+    b, c = f"{bonds:.2f}", f"{cash:.2f}"
+    prompt = text.format(client_bonds=b, client_cash=c, bonds=b, cash=c, x=x, y=y)
+    return int.from_bytes(hashlib.blake2b(prompt.encode("utf-8"), digest_size=8).digest(), "big")
+
+
 def _check_conservation(clients, mms, consumed, initial):
     for key in ("bonds", "cash"):
         now = sum(c[key] for c in clients.values()) + sum(mm[key] for mm in mms) + consumed[key]
@@ -87,8 +101,8 @@ def _check_conservation(clients, mms, consumed, initial):
         assert drift <= CONSERVATION_TOLERANCE, f"reference lost {key}: relative drift {drift:.3e}"
 
 
-def run_reference(cfg: ExperimentConfig, sim_id: int) -> tuple[list[dict], list[dict], list[dict]]:
-    """One simulation's (trade, decision, lifecycle) rows, as dicts in log order."""
+def run_reference(cfg: ExperimentConfig, sim_id: int) -> tuple[list[dict], list[dict], list[dict], list[dict]]:
+    """One simulation's (trade, decision, lifecycle, journal) rows, as dicts in log order."""
     land, prov = cfg.landscape, cfg.provider
     seed = simulation_seed(cfg.master_seed, sim_id)
     w, h = land.grid_width, land.grid_height
@@ -120,6 +134,8 @@ def run_reference(cfg: ExperimentConfig, sim_id: int) -> tuple[list[dict], list[
         decide = _bursty(prov.burst_stay_yes, prov.burst_stay_no)
     else:
         raise ValueError(f"the reference engine has no {prov.kind.value} provider")
+    prompts = resources.files("bondflow").joinpath("data", "prompts")
+    template = prompts.joinpath(f"{prov.prompt_template.value}.txt").read_text(encoding="utf-8")
     either = cfg.agents.cease_rule is CeaseRule.EITHER_EXHAUSTED
     runway = cfg.interbank_runway_steps
 
@@ -129,6 +145,7 @@ def run_reference(cfg: ExperimentConfig, sim_id: int) -> tuple[list[dict], list[
     consumed = {"bonds": 0.0, "cash": 0.0}
     trades: list[dict] = []
     decisions: list[dict] = []
+    journal: list[dict] = []
 
     def trade(step, mm, kind, counterparty, direction, bond_qty, cash_qty):
         trades.append({
@@ -149,13 +166,18 @@ def run_reference(cfg: ExperimentConfig, sim_id: int) -> tuple[list[dict], list[
             if not u[i] < land.availability_p:
                 continue
             state = decide(provider_rng)
+            client = clients[(x, y)]
+            journal.append({
+                "seq": len(decisions),
+                "prompt_hash": _prompt_hash(template, client["bonds"], client["cash"], x, y),
+                "state": state, "raw": "", "latency_ms": None,
+            })
             decisions.append({
                 "sim_id": sim_id, "seq": len(decisions), "step": step, "mm_id": mm["id"],
                 "x": x, "y": y, "state": state, "provider": prov.kind.value,
             })
             if state != "yes":
                 continue
-            client = clients[(x, y)]
             if u[n + i] < land.direction_p:
                 # Sell: the client unloads every bond; the MM pays what it can, up to par.
                 bond_qty = client["bonds"]
@@ -214,7 +236,7 @@ def run_reference(cfg: ExperimentConfig, sim_id: int) -> tuple[list[dict], list[
         }
         for mm in mms
     ]
-    return trades, decisions, lifecycle
+    return trades, decisions, lifecycle, journal
 
 
 def _render(fields: list[str], rows: list[dict]) -> str:
@@ -226,17 +248,22 @@ def _render(fields: list[str], rows: list[dict]) -> str:
 
 
 def reference_tables(cfg: ExperimentConfig) -> dict[str, str]:
-    """The batch's trades, decisions and lifecycle CSV text, keyed by file name."""
+    """The batch's log CSV text and, if it keeps a journal, each sim's journal, keyed by path."""
     trades: list[dict] = []
     decisions: list[dict] = []
     lifecycle: list[dict] = []
+    journals: dict[str, str] = {}
     for sim_id in range(cfg.n_simulations):
-        sim_trades, sim_decisions, sim_lifecycle = run_reference(cfg, sim_id)
+        sim_trades, sim_decisions, sim_lifecycle, journal = run_reference(cfg, sim_id)
         trades += sim_trades
         decisions += sim_decisions
         lifecycle += sim_lifecycle
+        if cfg.journal_enabled():
+            lines = [json.dumps(record, ensure_ascii=False, separators=(",", ":")) + "\n" for record in journal]
+            journals[f"journals/sim_{sim_id:04d}.jsonl"] = "".join(lines)
     return {
         "trades.csv": _render(TRADE_FIELDS, trades),
         "decisions.csv": _render(DECISION_FIELDS, decisions),
         "lifecycle.csv": _render(LIFECYCLE_FIELDS, lifecycle),
+        **journals,
     }

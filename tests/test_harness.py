@@ -298,7 +298,7 @@ def test_config_hash_tracks_experiment_not_execution():
 # Each numeric field of each config is set to each probe in turn. A 5x5 grid
 # keeps the batches quick; the overflow holes the probes look for do not need
 # a larger one.
-_PROBES = (float("nan"), float("inf"), float("-inf"), -1, 0, 1e308)
+_PROBES = (float("nan"), float("inf"), float("-inf"), -1, 0, 1e308, True, None, "1")
 _PROBE_BASE = ExperimentConfig(
     landscape=LandscapeConfig(grid_width=5, grid_height=5), n_simulations=2, max_steps=20
 )
@@ -332,8 +332,9 @@ def _probe_config(key, value):
 )
 def test_every_numeric_config_field_is_refused_or_runs(tmp_path, monkeypatch, key):
     # A value is a ConfigError when the config is built, or it runs: a 2-sim
-    # batch to manifest ok whose tables rebuild byte for byte, or, for a
-    # live-provider field, two gateway decisions that are yes or no.
+    # batch to manifest ok whose tables rebuild byte for byte and whose echo
+    # loads back to the same config, and, for a live-provider field, two
+    # gateway decisions that are yes or no.
     monkeypatch.setenv("TEST_GATEWAY_TOKEN", "tok")
     name = key.rpartition(".")[2]
     for i, value in enumerate(_PROBES):
@@ -352,7 +353,6 @@ def test_every_numeric_config_field_is_refused_or_runs(tmp_path, monkeypatch, ke
                 queries = [DesireQuery(0, 0, 0, (1, 1), 1.0, 1.0, seq) for seq in (0, 1)]
                 states = {provider.decide(q).state for q in queries}
             assert states <= {DecisionState.YES, DecisionState.NO}, (key, value, states)
-            continue
         if name.startswith("burst_stay"):
             bursty = ProviderConfig(kind=ProviderKind.SYNTHETIC_BURSTY, **{name: value})
             cfg = dataclasses.replace(cfg, provider=bursty)
@@ -363,6 +363,7 @@ def test_every_numeric_config_field_is_refused_or_runs(tmp_path, monkeypatch, ke
         tables = {path: path.read_bytes() for path in out.glob("stats_*")}
         rebuild_tables(out)
         assert {path: path.read_bytes() for path in tables} == tables, (key, value)
+        assert config_to_dict(resolve_config(str(out / CONFIG_ECHO))) == config_to_dict(cfg), (key, value)
 
 
 @pytest.mark.parametrize("name", ["breadth_min", "breadth_max"])

@@ -3,10 +3,12 @@
 A seeded generator (criterion 5's, with its ranges widened to the edges)
 draws a few hundred configs; for each, the trades, decisions and lifecycle
 logs that ``run_batch`` writes must equal the reference engine's byte for
-byte. Every tenth config with at least two sims runs again at parallelism 2,
-and its tree must equal the serial one, manifest excluded. A failure names
-the first config and log line that differ, so the case can be rerun and
-shrunk by hand.
+byte. Every other config keeps a journal, under each of the four prompt
+templates in turn, and each sim's ``journals/sim_NNNN.jsonl`` must equal
+the reference's too. Every tenth config with at least two sims runs again
+at parallelism 2, and its tree must equal the serial one, manifest
+excluded. A failure names the first config and log line that differ, so
+the case can be rerun and shrunk by hand.
 """
 
 from __future__ import annotations
@@ -19,8 +21,9 @@ import numpy as np
 
 from bondflow.agents import AgentConfig, CeaseRule
 from bondflow.decision import ProviderConfig, ProviderKind
-from bondflow.harness import MANIFEST_JSON, ExperimentConfig, run_batch
+from bondflow.harness import JOURNAL_DIR, MANIFEST_JSON, ExperimentConfig, run_batch
 from bondflow.landscape import LandscapeConfig
+from bondflow.prompts import PromptTemplate
 from reference import reference_tables
 
 N_CONFIGS = 300
@@ -65,15 +68,19 @@ def random_config(rng: np.random.Generator, case: int) -> ExperimentConfig:
         **costs,
     )
 
+    # Journaled configs (the even cases) take each template in turn; no draw picks it.
+    template = list(PromptTemplate)[case // 2 % len(PromptTemplate)]
     if rng.random() < 0.5:
         provider = ProviderConfig(
-            kind=ProviderKind.BERNOULLI, bernoulli_p=_edge_or_uniform(rng, [0.0, 1.0], 0.0, 1.0)
+            kind=ProviderKind.BERNOULLI, bernoulli_p=_edge_or_uniform(rng, [0.0, 1.0], 0.0, 1.0),
+            prompt_template=template,
         )
     else:
         provider = ProviderConfig(
             kind=ProviderKind.SYNTHETIC_BURSTY,
             burst_stay_yes=float(rng.uniform(0.05, 0.95)),
             burst_stay_no=float(rng.uniform(0.05, 0.95)),
+            prompt_template=template,
         )
     return ExperimentConfig(
         landscape=landscape,
@@ -83,7 +90,7 @@ def random_config(rng: np.random.Generator, case: int) -> ExperimentConfig:
         n_simulations=int(rng.integers(1, 4)),
         master_seed=int(rng.integers(0, 2**31)),
         interbank_runway_steps=_edge_or_uniform(rng, [0.0, 50.0, 3.0], 0.0, 10.0),
-        journal=False,
+        journal=case % 2 == 0,
     )
 
 
@@ -115,7 +122,10 @@ def test_run_batch_matches_reference_engine(tmp_path):
         cfg = random_config(rng, case)
         out = tmp_path / f"case{case:03d}"
         run_batch(replace(cfg, output_dir=str(out)))
-        for name, expected in reference_tables(cfg).items():
+        reference = reference_tables(cfg)
+        journals = {path.relative_to(out).as_posix() for path in out.glob(f"{JOURNAL_DIR}/*")}
+        assert journals == {name for name in reference if name.startswith(f"{JOURNAL_DIR}/")}, f"case {case}\n{cfg}"
+        for name, expected in reference.items():
             actual = (out / name).read_text(encoding="utf-8")
             assert actual == expected, f"case {case}, {name}, {_first_difference(expected, actual)}\n{cfg}"
         if case % POOL_EVERY == 0 and cfg.n_simulations >= 2:

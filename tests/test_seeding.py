@@ -15,7 +15,7 @@ from bondflow.seeding import (
     STREAM_PROVIDER,
     STREAM_STEP_ROLLS,
     BufferedIntegers,
-    BufferedUniforms,
+    buffered_uniforms,
     stable_hash64,
     substream,
 )
@@ -141,10 +141,10 @@ def test_buffered_integers_refuse_bounds_numpy_draws_differently():
 
 
 def test_buffered_uniforms_match_scalar_random():
-    buffered = BufferedUniforms(np.random.default_rng(8))
+    draw = buffered_uniforms(np.random.default_rng(8))
     reference = np.random.default_rng(8)
     draws = 3 * BLOCK + 17
-    assert [buffered.random() for _ in range(draws)] == [reference.random() for _ in range(draws)]
+    assert [draw() for _ in range(draws)] == [reference.random() for _ in range(draws)]
 
 
 def test_provider_uniforms_match_scalar_random():

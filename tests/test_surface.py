@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import inspect
 import re
 from pathlib import Path
 
@@ -51,3 +52,16 @@ def test_readme_and_the_root_api_agree():
     code = "".join(re.findall(r"```python\n(.*?)```", readme, re.S))
     used = set(re.findall(r"\bbf\.(\w+)", code))
     assert used and used <= set(ROOT_API), sorted(used - set(ROOT_API))
+
+
+def test_readme_builds_one_sim_as_the_harness_does():
+    # README's one-sim example says it is what the batch harness does for
+    # each sim, so its ``bf.Simulation(...)`` call names every keyword-only
+    # parameter, each from the config.
+    readme = README.read_text(encoding="utf-8")
+    call = re.search(r"bf\.Simulation\((.*?)\n\)", readme, re.S)
+    assert call, "README has no bf.Simulation( call"
+    named = set(re.findall(r"(\w+)=cfg\.\1\b", call.group(1)))
+    params = inspect.signature(bondflow.Simulation.__init__).parameters.values()
+    keyword_only = {p.name for p in params if p.kind is inspect.Parameter.KEYWORD_ONLY}
+    assert keyword_only and sorted(keyword_only - named) == []
