@@ -3,29 +3,51 @@
 
 A mutant is one exact text replacement in one file under ``src/bondflow``,
 plus the pytest node ids that must catch it. The script copies ``src/``,
-``tests/``, ``scripts/``, ``README.md`` and ``pyproject.toml`` to a temporary
-directory once and checks that the named tests pass there. Then, for each
-mutant, it applies the replacement, runs the mutant's tests against the copy
-in a fresh interpreter, and restores the file.
+``tests/``, ``scripts/``, ``README.md`` and ``pyproject.toml`` to one
+temporary directory per job and checks that the named tests pass there; if
+they do not, it prints their pytest output. Then, for each mutant, a job
+applies the replacement to its copy, runs the mutant's tests there in a
+fresh interpreter, and restores the file.
 
 The old text must occur exactly once in its file, so a refactor that moves
 or rewrites it fails the gate until the table is updated in the same change.
 
-    python3 scripts/mutants.py
+    python3 scripts/mutants.py [--jobs N]
 
 Exit status: 0 if every mutant is killed; 1 if one survives, if its old
 text does not occur exactly once, or if the tests fail without a mutant.
+
+Sweep mode finds the code no test constrains; it is not part of the gate:
+
+    python3 scripts/mutants.py --sweep [MODULE ...] [--jobs N]
+
+It makes mutants of every module under ``src/bondflow`` (or of the named
+ones) with the operators of ``sweep_mutants``, deletions first, and runs each
+against the module's own test files (``SWEEP_TESTS``) with ``-x``. Every
+survivor is run again against all of ``tests/``. The survivors of both runs
+are printed with the old and new text the gate table takes. A sweep run
+has a wall-time limit and an address-space cap, since a mutant may loop
+for ever or allocate without end. Exit status: 0 once the sweep has run,
+1 if a module's tests fail without a mutant.
+
 Standard library only.
 """
 
 from __future__ import annotations
 
+import argparse
+import ast
+import concurrent.futures
+import contextlib
 import os
+import queue
 import shutil
+import signal
 import subprocess
 import sys
 import tempfile
 import time
+from collections.abc import Iterator
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -162,6 +184,20 @@ MUTANTS = (
         ("tests/test_metrics.py::test_percentile_helper_is_bit_identical_to_numpy",),
     ),
     Mutant(
+        "a sim's terminal step is at least 1",
+        "metrics.py",
+        "    terminal_step = max(0, steps_executed - 1)",
+        "    terminal_step = max(1, steps_executed - 1)",
+        ("tests/test_reference.py",),
+    ),
+    Mutant(
+        "cap_count counts the runs that stopped before the cap",
+        "metrics.py",
+        "s.terminal_reason is TerminalReason.STEP_LIMIT)",
+        "s.terminal_reason is not TerminalReason.STEP_LIMIT)",
+        ("tests/test_metrics.py::test_cap_count_counts_step_limited_runs",),
+    ),
+    Mutant(
         "trade-leg encoder compares quantities with == instead of is",
         "harness.py",
         "        cash = bond if cash_qty is bond_qty else repr(cash_qty)",
@@ -228,7 +264,385 @@ MUTANTS = (
         '_PARTIAL = ""',
         ("tests/test_harness.py::test_interrupt_between_sims_keeps_the_finished_ones",),
     ),
+    # Found by the sweep (--sweep): each mutant survived every test, until the
+    # test it names here was written or given one more input.
+    Mutant(
+        "the package has no version", "__init__.py",
+        "__version__ = \"0.1.0\"\n", "",
+        ("tests/test_surface.py::test_package_root_exports_exactly_the_api",),
+    ),
+    Mutant(
+        "an agent's breadth is a numpy int", "agents.py",
+        "breadth = int(rng.integers(cfg.breadth_min, cfg.breadth_max + 1))",
+        "breadth = rng.integers(cfg.breadth_min, cfg.breadth_max + 1)",
+        ("tests/test_agents.py::test_init_respects_config_ranges",),
+    ),
+    Mutant(
+        "an agent's anchor is numpy ints", "agents.py",
+        "anchor = (int(rng.integers(0, width)), int(rng.integers(0, height)))",
+        "anchor = (rng.integers(0, width), rng.integers(0, height))",
+        ("tests/test_agents.py::test_init_respects_config_ranges",),
+    ),
+    Mutant(
+        "--parallel is ignored", "cli.py",
+        "        overrides[\"parallelism\"] = args.parallel\n", "        pass\n",
+        ("tests/test_cli.py::test_default_out_dirs_and_the_provider_and_parallel_flags",),
+    ),
+    Mutant(
+        "--provider is ignored", "cli.py",
+        "        overrides[\"provider.kind\"] = ProviderKind(args.provider)\n", "        pass\n",
+        ("tests/test_cli.py::test_default_out_dirs_and_the_provider_and_parallel_flags",),
+    ),
+    Mutant(
+        "no default output directory", "cli.py",
+        "    if cfg.output_dir is None:\n", "    if False:\n",
+        ("tests/test_cli.py::test_default_out_dirs_and_the_provider_and_parallel_flags",),
+    ),
+    Mutant(
+        "the default output directory keeps a config file's suffix", "cli.py",
+        "Path(\"runs\") / Path(source).stem)", "Path(\"runs\") / source)",
+        ("tests/test_cli.py::test_default_out_dirs_and_the_provider_and_parallel_flags",),
+    ),
+    Mutant(
+        "a replay's default output directory has no -replay suffix", "cli.py",
+        "suffix = \"\" if replay_path is None else \"-replay\"", "suffix = \"\"",
+        ("tests/test_cli.py::test_default_out_dirs_and_the_provider_and_parallel_flags",),
+    ),
+    Mutant(
+        "skipped sims go unreported", "cli.py",
+        "        if result.skipped:\n", "        if False:\n",
+        ("tests/test_cli.py::test_live_rejection_mid_batch_is_partial",),
+    ),
+    Mutant(
+        "a partial batch with no skipped sim reports 0 skipped", "cli.py",
+        "        if result.skipped:\n", "        if True:\n",
+        ("tests/test_cli.py::test_conservation_drift_aborts_the_sim",),
+    ),
+    Mutant(
+        "a config file's output_dir is dropped when --out is not given", "cli.py",
+        "    if args.out is not None:\n", "    if True:\n",
+        ("tests/test_cli.py::test_default_out_dirs_and_the_provider_and_parallel_flags",),
+    ),
+    Mutant(
+        "a replay provider needs no corpus path", "decision.py",
+        "            if not getattr(self, name):\n", "            if False:\n",
+        ("tests/test_cli.py::test_wrongly_typed_config_file_is_config_error",),
+    ),
+    Mutant(
+        "a journal's seq is not checked to be an int", "decision.py",
+        "seq=int(obj[\"seq\"]),", "seq=obj[\"seq\"],",
+        ("tests/test_cli.py::test_malformed_journal_line_is_config_error",),
+    ),
+    Mutant(
+        "a journal's prompt hash is not checked to be an int", "decision.py",
+        "prompt_hash=int(obj[\"prompt_hash\"]),", "prompt_hash=obj[\"prompt_hash\"],",
+        ("tests/test_cli.py::test_malformed_journal_line_is_config_error",),
+    ),
+    Mutant(
+        "a journal's latency is not checked to be an int", "decision.py",
+        "latency_ms=None if latency is None else int(latency),", "latency_ms=None if latency is None else latency,",
+        ("tests/test_cli.py::test_malformed_journal_line_is_config_error",),
+    ),
+    Mutant(
+        "a blank journal line is a malformed record", "decision.py",
+        "                if line:\n", "                if True:\n",
+        ("tests/test_decision.py::test_split_journal_on_seq_reset",),
+    ),
+    Mutant(
+        "a corpus not starting at seq 0 has no first slice", "decision.py",
+        "        if rec.seq == 0 or not slices:\n", "        if rec.seq == 0:\n",
+        ("tests/test_decision.py::test_split_journal_on_seq_reset",),
+    ),
+    Mutant(
+        "the coin-flip provider names no kind", "decision.py",
+        "    kind = ProviderKind.BERNOULLI\n", "    pass\n",
+        ("tests/test_decision.py::test_build_provider_dispatch",),
+    ),
+    Mutant(
+        "the bursty provider names no kind", "decision.py",
+        "    kind = ProviderKind.SYNTHETIC_BURSTY\n", "    pass\n",
+        ("tests/test_decision.py::test_build_provider_dispatch",),
+    ),
+    Mutant(
+        "a bursty provider built directly skips its burst_stay_no row", "decision.py",
+        "        check_bound(_BOUNDS, \"burst_stay_no\", stay_no)\n", "        pass\n",
+        ("tests/test_decision.py::test_scripted_providers_check_ranges_when_built_directly",),
+    ),
+    Mutant(
+        "the rate limiter spaces requests from now, not from the last turn", "decision.py",
+        "self._next_at = max(now, self._next_at) + self.min_interval", "self._next_at = now + self.min_interval",
+        ("tests/test_decision.py::test_live_rate_limiter_spaces_requests",),
+    ),
+    Mutant(
+        "the rate limiter sleeps 0 s when a turn is due", "decision.py",
+        "        if wait > 0:\n", "        if wait >= 0:\n",
+        ("tests/test_decision.py::test_live_rate_limiter_spaces_requests",),
+    ),
+    Mutant(
+        "the rate limiter never sleeps", "decision.py",
+        "            time.sleep(wait)\n", "            pass\n",
+        ("tests/test_decision.py::test_live_rate_limiter_spaces_requests",),
+    ),
+    Mutant(
+        "a live request does not wait its turn", "decision.py",
+        "            self._limiter.acquire()\n", "            pass\n",
+        ("tests/test_decision.py::test_live_rate_limiter_spaces_requests",),
+    ),
+    Mutant(
+        "a live decision's latency is in seconds", "decision.py",
+        "started) * 1000.0)", "started) / 1000.0)",
+        ("tests/test_decision.py::test_live_wire_format",),
+    ),
+    Mutant(
+        "a non-200 reply is parsed as a reply", "decision.py",
+        "            if resp.status_code != 200:\n", "            if False:\n",
+        ("tests/test_decision.py::test_live_rejections_are_hard_failures",),
+    ),
+    Mutant(
+        "conservation audit checks cash only", "engine.py",
+        "if not (err_b <= CONSERVATION_TOLERANCE and err_c <= CONSERVATION_TOLERANCE):",
+        "if not (err_c <= CONSERVATION_TOLERANCE):",
+        ("tests/test_engine.py::test_a_nan_holding_fails_the_conservation_audit",),
+    ),
+    Mutant(
+        "conservation audit fails only when both resources drift", "engine.py",
+        "if not (err_b <= CONSERVATION_TOLERANCE and err_c <= CONSERVATION_TOLERANCE):",
+        "if not (err_b <= CONSERVATION_TOLERANCE or err_c <= CONSERVATION_TOLERANCE):",
+        ("tests/test_engine.py::test_a_nan_holding_fails_the_conservation_audit",),
+    ),
+    Mutant(
+        "conservation audit divides by a zero bond total", "engine.py",
+        "/ max(init_b, 1e-12)", "/ init_b",
+        ("tests/test_engine.py::test_a_society_holding_none_of_a_resource_passes_the_conservation_audit",),
+    ),
+    Mutant(
+        "conservation audit divides by a zero cash total", "engine.py",
+        "/ max(init_c, 1e-12)", "/ init_c",
+        ("tests/test_engine.py::test_a_society_holding_none_of_a_resource_passes_the_conservation_audit",),
+    ),
+    Mutant(
+        "worst-case client total divides by the grid height", "harness.py",
+        "* grid.grid_width * grid.grid_height", "* grid.grid_width / grid.grid_height",
+        ("tests/test_harness.py::test_worst_case_totals_must_be_floats",),
+    ),
+    Mutant(
+        "worst-case totals summed as ints", "harness.py",
+        "worst = float(getattr(grid, f\"max_{name}\"))", "worst = getattr(grid, f\"max_{name}\")",
+        ("tests/test_harness.py::test_worst_case_totals_must_be_floats",),
+    ),
+    Mutant(
+        "worst-case totals subtract the agents' endowments", "harness.py",
+        "math.isfinite(worst + float(", "math.isfinite(worst - float(",
+        ("tests/test_harness.py::test_worst_case_totals_must_be_floats",),
+    ),
+    Mutant(
+        "a float field takes any type", "harness.py",
+        "(t is float and type(value) is int)", "(t is float)",
+        ("tests/test_harness.py::test_wrongly_typed_values_rejected",),
+    ),
+    Mutant(
+        "an enum field calls its enum on any value", "harness.py",
+        "if issubclass(t, enum.Enum) and isinstance(value, str):", "if issubclass(t, enum.Enum):",
+        ("tests/test_harness.py::test_wrongly_typed_values_rejected",),
+    ),
+    Mutant(
+        "a type error names no null", "harness.py",
+        "\"null\" if t is type(None) else t.__name__", "t.__name__",
+        ("tests/test_harness.py::test_wrongly_typed_values_rejected",),
+    ),
+    Mutant(
+        "a sha256 mismatch names no corpus", "harness.py",
+        "shown = \" or \".join(corpora) or \"none given\"", "shown = \"none given\"",
+        ("tests/test_cli.py::test_echo_replay_sha256_must_match_the_corpus",),
+    ),
+    Mutant(
+        "an unknown source is reported as an unreadable file", "harness.py",
+        "    if not Path(source).exists():\n", "    if False:\n",
+        ("tests/test_harness.py::test_resolve_config_dispatches",),
+    ),
+    Mutant(
+        "an empty config file is refused", "harness.py",
+        ".read_text(encoding=\"utf-8\")) or {}", ".read_text(encoding=\"utf-8\"))",
+        ("tests/test_harness.py::test_resolve_config_dispatches",),
+    ),
+    Mutant(
+        "a config file need not hold a mapping", "harness.py",
+        "    if not isinstance(data, dict):\n", "    if False:\n",
+        ("tests/test_cli.py::test_wrongly_typed_config_file_is_config_error",),
+    ),
+    Mutant(
+        "a failed sim logs its traceback as an args tuple", "harness.py",
+        "    def __str__(self) -> str:\n        return self.traceback_text\n", "",
+        ("tests/test_cli.py::test_unexpected_exception_aborts_the_sim",),
+    ),
+    Mutant(
+        "a live batch without a token writes a tree first", "harness.py",
+        "        LiveLLMProvider(cfg.provider)  # fail fast on missing credentials\n", "        pass\n",
+        ("tests/test_cli.py::test_run_live_without_token_is_provider_failure",),
+    ),
+    Mutant(
+        "a batch with no decision writes a series", "harness.py",
+        "        if pooled_states:\n", "        if True:\n",
+        ("tests/test_harness.py::test_rerun_into_same_dir_leaves_no_stale_files",),
+    ),
+    Mutant(
+        "a failing batch without a tree writes a manifest", "harness.py",
+        "    except BaseException as exc:\n        if out_dir is not None:\n",
+        "    except BaseException as exc:\n        if True:\n",
+        ("tests/test_harness.py::test_failure_outside_the_sims_keeps_their_rows",),
+    ),
+    Mutant(
+        "the manifest has no final newline", "harness.py",
+        "        fh.write(\"\\n\")\n", "        pass\n",
+        ("tests/test_harness.py::test_manifest_contents",),
+    ),
+    Mutant(
+        "a row short of cells is read", "harness.py",
+        "if None in row or None in row.values():", "if None in row:",
+        ("tests/test_cli.py::test_tables_on_malformed_tree_is_config_error",),
+    ),
+    Mutant(
+        "load_output_dir takes only a Path", "harness.py",
+        "    out = Path(out)\n    summaries = _read_rows(", "    summaries = _read_rows(",
+        ("tests/test_harness.py::test_load_output_dir_round_trips",),
+    ),
+    Mutant(
+        "tables on a tree of no completed sim", "harness.py",
+        "    if not summaries:\n", "    if False:\n",
+        ("tests/test_cli.py::test_conservation_drift_aborts_the_sim",),
+    ),
+    Mutant(
+        "an explicit window's error names no source", "harness.py",
+        "    source: Path | str = \"the window argument\"\n", "",
+        ("tests/test_harness.py::test_rebuild_tables_matches_first_pass",),
+    ),
+    Mutant(
+        "an explicit window is ignored", "harness.py",
+        "        if window is None:\n", "        if True:\n",
+        ("tests/test_harness.py::test_rebuild_tables_matches_first_pass",),
+    ),
+    Mutant(
+        "a rebuild of a tree with no decision writes a yes-ratio table", "harness.py",
+        "yes_ratio_series(states, window) if states else None", "yes_ratio_series(states, window)",
+        ("tests/test_harness.py::test_rerun_into_same_dir_leaves_no_stale_files",),
+    ),
+    Mutant(
+        "arithmetic moments accept a zero std", "landscape.py",
+        "    if mean <= 0 or std <= 0:\n", "    if mean <= 0:\n",
+        ("tests/test_landscape.py::test_arithmetic_parameterization_conversion",),
+    ),
+    Mutant(
+        "arithmetic moments accept a zero mean", "landscape.py",
+        "    if mean <= 0 or std <= 0:\n", "    if mean < 0 or std <= 0:\n",
+        ("tests/test_landscape.py::test_arithmetic_parameterization_conversion",),
+    ),
+    Mutant(
+        "truncation accepts a zero sigma", "landscape.py",
+        "if not (sigma > 0 and cap > 0", "if not (sigma >= 0 and cap > 0",
+        ("tests/test_landscape.py::test_infeasible_truncation_is_rejected_when_the_config_is_built",),
+    ),
+    Mutant(
+        "truncation refuses a cap of exactly exp(mu - 6*sigma)", "landscape.py",
+        "mu - 6.0 * sigma <= math.log(cap)", "mu - 6.0 * sigma < math.log(cap)",
+        ("tests/test_landscape.py::test_infeasible_truncation_is_rejected_when_the_config_is_built",),
+    ),
+    Mutant(
+        "truncation lets exp(mu + 6*sigma) overflow", "landscape.py",
+        "mu + 6.0 * sigma <= _LOG_FLOAT_MAX", "mu - 6.0 * sigma <= _LOG_FLOAT_MAX",
+        ("tests/test_landscape.py::test_infeasible_truncation_is_rejected_when_the_config_is_built",),
+    ),
+    Mutant(
+        "truncation refuses exp(mu + 6*sigma) of exactly the largest float", "landscape.py",
+        "mu + 6.0 * sigma <= _LOG_FLOAT_MAX", "mu + 6.0 * sigma < _LOG_FLOAT_MAX",
+        ("tests/test_landscape.py::test_infeasible_truncation_is_rejected_when_the_config_is_built",),
+    ),
+    Mutant(
+        "a client's cash may go negative", "landscape.py",
+        "        if nb < -1e-12 or nc < -1e-12:\n", "        if nb < -1e-12:\n",
+        ("tests/test_landscape.py::test_apply_trade_updates_and_guards",),
+    ),
+    Mutant(
+        "a residue of exactly -1e-12 raises", "landscape.py",
+        "        if nb < -1e-12 or nc < -1e-12:\n", "        if nb <= -1e-12 or nc < -1e-12:\n",
+        ("tests/test_landscape.py::test_apply_trade_updates_and_guards",),
+    ),
+    Mutant(
+        "a cash residue of exactly -1e-12 raises", "landscape.py",
+        "        if nb < -1e-12 or nc < -1e-12:\n", "        if nb < -1e-12 or nc <= -1e-12:\n",
+        ("tests/test_landscape.py::test_apply_trade_updates_and_guards",),
+    ),
+    Mutant(
+        "a client's negative cash residue is kept", "landscape.py",
+        "        self.cash[y, x] = max(nc, 0.0)\n", "        self.cash[y, x] = nc\n",
+        ("tests/test_landscape.py::test_apply_trade_updates_and_guards",),
+    ),
+    Mutant(
+        "a batch mean is a numpy scalar", "metrics.py",
+        "            mean=float(xs.mean()),", "            mean=xs.mean(),",
+        ("tests/test_metrics.py::test_aggregate_percentiles_are_linear_interpolation",),
+    ),
+    Mutant(
+        "a batch std is a numpy scalar", "metrics.py",
+        "            std=float(xs.std()),", "            std=xs.std(),",
+        ("tests/test_metrics.py::test_aggregate_percentiles_are_linear_interpolation",),
+    ),
+    Mutant(
+        "a batch max is a numpy scalar", "metrics.py",
+        "            max=float(xs.max()),", "            max=xs.max(),",
+        ("tests/test_metrics.py::test_aggregate_percentiles_are_linear_interpolation",),
+    ),
+    Mutant(
+        "a rolling window of 0 is taken", "metrics.py",
+        "    if window < 1:\n", "    if False:\n",
+        ("tests/test_metrics.py::test_rolling_all_yes_is_exactly_one",),
+    ),
+    Mutant(
+        "a rolling window of 1 is refused", "metrics.py",
+        "    if window < 1:\n", "    if window <= 1:\n",
+        ("tests/test_metrics.py::test_rolling_all_yes_is_exactly_one",),
+    ),
+    Mutant(
+        "a stream shorter than its window gets rolling ratios", "metrics.py",
+        "    if k >= window:\n", "    if True:\n",
+        ("tests/test_metrics.py::test_rolling_all_yes_is_exactly_one",),
+    ),
+    Mutant(
+        "a series' yes count is a numpy scalar", "metrics.py",
+        "    yes_count = int(csum[-1])\n", "    yes_count = csum[-1]\n",
+        ("tests/test_metrics.py::test_rolling_all_yes_is_exactly_one",),
+    ),
+    Mutant(
+        "an empty series' stats come from numpy", "metrics.py",
+        "    if not values:\n", "    if False:\n",
+        ("tests/test_metrics.py::test_series_stats_population_std",),
+    ),
+    Mutant(
+        "a series' mean is a numpy scalar", "metrics.py",
+        "        mean=float(xs.mean()), std=float(xs.std()), min=float(xs.min()), max=float(xs.max())\n",
+        "        mean=xs.mean(), std=float(xs.std()), min=float(xs.min()), max=float(xs.max())\n",
+        ("tests/test_metrics.py::test_series_stats_population_std",),
+    ),
+    Mutant(
+        "a series' std is a numpy scalar", "metrics.py",
+        "        mean=float(xs.mean()), std=float(xs.std()), min=float(xs.min()), max=float(xs.max())\n",
+        "        mean=float(xs.mean()), std=xs.std(), min=float(xs.min()), max=float(xs.max())\n",
+        ("tests/test_metrics.py::test_series_stats_population_std",),
+    ),
+    Mutant(
+        "a series' min is a numpy scalar", "metrics.py",
+        "        mean=float(xs.mean()), std=float(xs.std()), min=float(xs.min()), max=float(xs.max())\n",
+        "        mean=float(xs.mean()), std=float(xs.std()), min=xs.min(), max=float(xs.max())\n",
+        ("tests/test_metrics.py::test_series_stats_population_std",),
+    ),
+    Mutant(
+        "a series' max is a numpy scalar", "metrics.py",
+        "        mean=float(xs.mean()), std=float(xs.std()), min=float(xs.min()), max=float(xs.max())\n",
+        "        mean=float(xs.mean()), std=float(xs.std()), min=float(xs.min()), max=xs.max()\n",
+        ("tests/test_metrics.py::test_series_stats_population_std",),
+    ),
 )
+
+
 
 
 def apply(path: Path, mutant: Mutant) -> str:
@@ -241,47 +655,328 @@ def apply(path: Path, mutant: Mutant) -> str:
     return text
 
 
-def run_tests(root: Path, tests: tuple[str, ...]) -> bool:
-    """Whether *tests* pass against the copy at *root*."""
+def copy_tree(root: Path) -> None:
+    """Copy what the tests need into *root*."""
+    ignore = shutil.ignore_patterns("__pycache__", "*.pyc")
+    for name in COPIED:
+        src = REPO / name
+        if src.is_dir():
+            shutil.copytree(src, root / name, ignore=ignore)
+        else:
+            shutil.copy2(src, root / name)
+
+
+# A sweep run's address-space cap, passed to pytest's interpreter before it imports anything.
+MEMORY_CAP = 3 << 30
+_CAPPED_PYTEST = (
+    "import resource, sys; cap = int(sys.argv.pop(1)); resource.setrlimit(resource.RLIMIT_AS, (cap, cap)); "
+    "import pytest; sys.exit(pytest.main(sys.argv[1:]))"
+)
+
+
+def run_tests(root: Path, tests: tuple[str, ...], timeout: float | None = None) -> tuple[bool, str]:
+    """Whether *tests* pass against the copy at *root*, and pytest's output.
+
+    With a *timeout* the run also gets ``MEMORY_CAP``, and one that takes
+    longer fails. The tests run in their own process group, which is killed
+    when they end, so no pool worker outlives them.
+    """
     env = {**os.environ, "PYTHONPATH": str(root / "src"), "PYTHONDONTWRITEBYTECODE": "1"}
-    cmd = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", *tests]
-    done = subprocess.run(cmd, cwd=root, env=env, capture_output=True, text=True)
-    return done.returncode == 0
+    launch = ["-m", "pytest"] if timeout is None else ["-c", _CAPPED_PYTEST, str(MEMORY_CAP)]
+    args = ["-q", "-x", "-p", "no:cacheprovider", f"--basetemp={root / '.pytest-tmp'}", *tests]
+    proc = subprocess.Popen(
+        [sys.executable, *launch, *args], cwd=root, env=env,
+        stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True, start_new_session=True,
+    )
+    try:
+        output, _ = proc.communicate(timeout=timeout)
+    except subprocess.TimeoutExpired:
+        output = f"timed out after {timeout:.0f}s"
+    finally:
+        with contextlib.suppress(ProcessLookupError):
+            os.killpg(proc.pid, signal.SIGKILL)
+        proc.wait()
+    return proc.returncode == 0, output
 
 
-def main() -> int:
-    failures = 0
-    started = time.perf_counter()
-    with tempfile.TemporaryDirectory(prefix="bondflow-mutants-") as tmp:
-        root = Path(tmp)
-        ignore = shutil.ignore_patterns("__pycache__", "*.pyc")
-        for name in COPIED:
-            src = REPO / name
-            if src.is_dir():
-                shutil.copytree(src, root / name, ignore=ignore)
+# --------------------------------------------------------------------------
+# Sweep: generated mutants, to find what no test constrains
+
+
+# Each module's own test files, fastest first, for the sweep's first run.
+SWEEP_TESTS = {
+    "__init__.py": ("tests/test_surface.py",),
+    "agents.py": ("tests/test_agents.py", "tests/test_engine.py"),
+    "cli.py": ("tests/test_cli.py",),
+    "decision.py": ("tests/test_decision.py",),
+    "engine.py": ("tests/test_engine.py", "tests/test_reference.py"),
+    "errors.py": ("tests/test_agents.py", "tests/test_landscape.py", "tests/test_harness.py"),
+    "harness.py": ("tests/test_harness.py", "tests/test_cli.py"),
+    "landscape.py": ("tests/test_landscape.py",),
+    "metrics.py": ("tests/test_metrics.py",),
+    "prompts.py": ("tests/test_decision.py",),
+    "seeding.py": ("tests/test_seeding.py",),
+}
+_SYMBOLS = {
+    ast.Lt: "<", ast.LtE: "<=", ast.Gt: ">", ast.GtE: ">=", ast.Eq: "==", ast.NotEq: "!=",
+    ast.Is: "is", ast.IsNot: "is not", ast.In: "in", ast.NotIn: "not in",
+    ast.And: "and", ast.Or: "or", ast.Add: "+", ast.Sub: "-", ast.Mult: "*", ast.Div: "/",
+}
+# Each flipped operator: a comparison to its neighbour or its negation, and/or, +/-, */.
+_FLIPS = {
+    ast.Lt: ast.LtE, ast.LtE: ast.Lt, ast.Gt: ast.GtE, ast.GtE: ast.Gt, ast.Eq: ast.NotEq, ast.NotEq: ast.Eq,
+    ast.Is: ast.IsNot, ast.IsNot: ast.Is, ast.In: ast.NotIn, ast.NotIn: ast.In,
+    ast.And: ast.Or, ast.Or: ast.And, ast.Add: ast.Sub, ast.Sub: ast.Add, ast.Mult: ast.Div, ast.Div: ast.Mult,
+}
+_UNWRAPPED = ("int", "float", "min", "max")
+
+
+def _kept(node: ast.AST) -> bool:
+    """Whether the sweep leaves *node* and all it holds alone: a docstring or safety code."""
+    if isinstance(node, (ast.Raise, ast.Assert)):
+        return True
+    value = getattr(node, "value", None) if isinstance(node, ast.Expr) else None
+    if isinstance(value, ast.Constant):
+        return isinstance(value.value, str)
+    if isinstance(value, ast.Call) and isinstance(value.func, ast.Attribute):
+        owner = value.func.value
+        return isinstance(owner, ast.Name) and owner.id in ("logger", "logging")
+    return False
+
+
+def _flip(op: ast.AST) -> tuple[str, ast.AST]:
+    flipped = _FLIPS[type(op)]
+    return f"{_SYMBOLS[type(op)]} -> {_SYMBOLS[flipped]}", flipped()
+
+
+def _variants(node: ast.AST) -> Iterator[tuple[ast.AST, str, ast.AST]]:
+    """Each (target, label, replacement) of *node*: deletions first, then flips."""
+    if isinstance(node, ast.stmt) and not isinstance(node, (ast.Pass, ast.Import, ast.ImportFrom)):
+        yield node, "statement -> pass", ast.Pass()
+    if isinstance(node, ast.BoolOp):
+        for i in range(len(node.values)):
+            rest = node.values[:i] + node.values[i + 1 :]
+            kept = rest[0] if len(rest) == 1 else ast.BoolOp(node.op, rest)
+            yield node, f"drop operand {i + 1} of {_SYMBOLS[type(node.op)]}", kept
+    if isinstance(node, (ast.If, ast.IfExp)):
+        for value in (True, False):
+            yield node.test, f"if test -> {value}", ast.Constant(value)
+    if (
+        isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id in _UNWRAPPED
+        and not node.keywords and not any(isinstance(a, ast.Starred) for a in node.args)
+    ):
+        for i, arg in enumerate(node.args):
+            yield node, f"{node.func.id}(...) -> argument {i + 1}", arg
+    if isinstance(node, ast.Compare):
+        for i, op in enumerate(node.ops):
+            if type(op) in _FLIPS:
+                label, flipped = _flip(op)
+                ops = [*node.ops[:i], flipped, *node.ops[i + 1 :]]
+                yield node, label, ast.Compare(node.left, ops, node.comparators)
+    if isinstance(node, ast.BoolOp):
+        label, flipped = _flip(node.op)
+        yield node, label, ast.BoolOp(flipped, node.values)
+    if isinstance(node, (ast.BinOp, ast.AugAssign)) and type(node.op) in _FLIPS:
+        label, flipped = _flip(node.op)
+        fields = {name: getattr(node, name) for name in node._fields}
+        yield node, label, type(node)(**{**fields, "op": flipped})
+
+
+def _slots(tree: ast.AST) -> dict[int, tuple[ast.AST, str, int | None]]:
+    """Where each node sits: ``id(node) -> (parent, field, index or None)``."""
+    slots = {}
+    for parent in ast.walk(tree):
+        for name, value in ast.iter_fields(parent):
+            for index, child in enumerate(value) if isinstance(value, list) else [(None, value)]:
+                if isinstance(child, ast.AST):
+                    slots[id(child)] = parent, name, index
+    return slots
+
+
+def _put(slot: tuple[ast.AST, str, int | None], node: ast.AST) -> None:
+    parent, name, index = slot
+    if index is None:
+        setattr(parent, name, node)
+    else:
+        getattr(parent, name)[index] = node
+
+
+def _walk_unkept(node: ast.AST) -> Iterator[ast.AST]:
+    """*node* and its descendants, skipping every subtree ``_kept`` leaves alone."""
+    if _kept(node):
+        return
+    yield node
+    for child in ast.iter_child_nodes(node):
+        yield from _walk_unkept(child)
+
+
+def sweep_mutants(file: str, text: str) -> tuple[list[Mutant], int]:
+    """The sweep's mutants of module *file* (source *text*), and how many variants could not be spliced.
+
+    Each variant replaces the source span of one node, so the rest of the
+    file keeps its bytes; the mutated file must parse to exactly the
+    mutated tree, or the variant is dropped. A mutant's old text is the
+    lines around the span, widened until they occur once, as the gate
+    table needs.
+    """
+    tree = ast.parse(text)
+    slots = _slots(tree)
+    starts = [0]
+    for line in text.splitlines(keepends=True):
+        starts.append(starts[-1] + len(line))
+    mutants: list[Mutant] = []
+    unspliced = 0
+    for node in list(_walk_unkept(tree)):
+        for target, label, replacement in _variants(node):
+            first = target
+            if isinstance(target, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)) and target.decorator_list:
+                first = target.decorator_list[0]
+            start = starts[first.lineno - 1] + first.col_offset - (first is not target)
+            end = starts[target.end_lineno - 1] + target.end_col_offset
+            if isinstance(target, ast.stmt):
+                # A deleted ``elif`` branch leaves an empty ``else``.
+                new = "else: pass" if text.startswith("elif", start) else ast.unparse(replacement)
             else:
-                shutil.copy2(src, root / name)
-        # A mutant is killed only if its tests pass without it.
-        if not run_tests(root, tuple(dict.fromkeys(t for m in MUTANTS for t in m.tests))):
-            print("the mutants' tests fail on the unmutated copy")
-            return 1
-        for mutant in MUTANTS:
-            path = root / "src" / "bondflow" / mutant.file
-            t0 = time.perf_counter()
+                new = f"({ast.unparse(replacement)})"
+            slot = slots[id(target)]
+            _put(slot, replacement)
+            expected = ast.dump(tree)
+            _put(slot, target)
+            mutated = text[:start] + new + text[end:]
             try:
-                original = apply(path, mutant)
-            except ValueError as exc:
-                print(f"STALE     {mutant.name}: {exc}")
-                failures += 1
+                spliced = ast.dump(ast.parse(mutated))
+            except SyntaxError:
+                spliced = None
+            if spliced != expected:
+                unspliced += 1
                 continue
+            a, b = first.lineno - 1, target.end_lineno  # the lines [a, b) hold the span
+            while text.count(text[starts[a] : starts[b]]) != 1:  # the whole file occurs once
+                a, b = max(a - 1, 0), min(b + 1, len(starts) - 1)
+            lo, hi = starts[a], starts[b]
+            delta = len(mutated) - len(text)
+            name = f"{file}:{target.lineno} {label}"
+            mutants.append(Mutant(name, file, text[lo:hi], mutated[lo : hi + delta], SWEEP_TESTS[file]))
+    return mutants, unspliced
+
+
+def _copies(stack: contextlib.ExitStack, jobs: int) -> queue.Queue:
+    """*jobs* copies of the tree, each removed when *stack* closes."""
+    roots: queue.Queue = queue.Queue()
+    for _ in range(jobs):
+        root = Path(stack.enter_context(tempfile.TemporaryDirectory(prefix="bondflow-mutants-")))
+        copy_tree(root)
+        roots.put(root)
+    return roots
+
+
+def _run_each(
+    mutants: list[Mutant], roots: queue.Queue, tests: tuple[str, ...] | None = None, timeout: float | None = None
+) -> Iterator[tuple[Mutant, bool | str, float]]:
+    """Each mutant, in order, with whether it survives *tests* (its own if None) and the seconds taken.
+
+    A mutant whose old text does not occur once gets the reason in place of
+    the flag. Each worker takes a copy of the tree from *roots* for a run.
+    """
+
+    def outcome(mutant: Mutant) -> tuple[bool | str, float]:
+        root = roots.get()
+        t0 = time.perf_counter()
+        path = root / "src" / "bondflow" / mutant.file
+        try:
+            original = apply(path, mutant)
+        except ValueError as exc:
+            return str(exc), 0.0
+        else:
             try:
-                survived = run_tests(root, mutant.tests)
+                return run_tests(root, tests or mutant.tests, timeout)[0], time.perf_counter() - t0
             finally:
                 path.write_text(original, encoding="utf-8")
-            print(f"{'SURVIVED' if survived else 'killed':9s} {mutant.name} ({time.perf_counter() - t0:.1f}s)")
-            failures += survived
+        finally:
+            roots.put(root)
+
+    with concurrent.futures.ThreadPoolExecutor(roots.qsize()) as pool:
+        for mutant, (result, seconds) in zip(mutants, pool.map(outcome, mutants)):
+            yield mutant, result, seconds
+
+
+def _limit(root: Path, tests: tuple[str, ...]) -> float | None:
+    """A mutant run's wall-time limit from the unmutated run of *tests*; None if they fail there."""
+    t0 = time.perf_counter()
+    ok, output = run_tests(root, tests)
+    if not ok:
+        print(f"{' '.join(tests)} fail on the unmutated copy:\n{output}")
+        return None
+    return 3 * (time.perf_counter() - t0) + 30
+
+
+def sweep(modules: list[str], jobs: int) -> int:
+    started = time.perf_counter()
+    survivors: list[Mutant] = []
+    with contextlib.ExitStack() as stack:
+        roots = _copies(stack, jobs)
+        root = roots.queue[0]
+        for module in modules:
+            t0 = time.perf_counter()
+            text = (REPO / "src" / "bondflow" / module).read_text(encoding="utf-8")
+            mutants, unspliced = sweep_mutants(module, text)
+            limit = _limit(root, SWEEP_TESTS[module])
+            if limit is None:
+                return 1
+            alive = [mutant for mutant, survived, _ in _run_each(mutants, roots, timeout=limit) if survived]
+            survivors += alive
+            print(
+                f"{module}: {len(mutants)} mutants, {len(alive)} survive {' '.join(SWEEP_TESTS[module])} "
+                f"({unspliced} not spliced, {time.perf_counter() - t0:.0f}s)",
+                *(f"  {mutant.name}" for mutant in alive),
+                sep="\n",
+                flush=True,
+            )
+        final: list[Mutant] = []
+        if survivors:
+            limit = _limit(root, ("tests",))
+            if limit is None:
+                return 1
+            final = [mutant for mutant, survived, _ in _run_each(survivors, roots, ("tests",), limit) if survived]
+    print(f"\n{len(final)} of {len(survivors)} survivors also survive all of tests/:")
+    for mutant in final:
+        print(f"\nSURVIVED  {mutant.name}\n  old: {mutant.old!r}\n  new: {mutant.new!r}")
+    print(f"\nsweep of {len(modules)} modules took {time.perf_counter() - started:.0f}s")
+    return 0
+
+
+def gate(jobs: int) -> int:
+    failures = 0
+    started = time.perf_counter()
+    with contextlib.ExitStack() as stack:
+        roots = _copies(stack, jobs)
+        # A mutant is killed only if its tests pass without it.
+        passed, output = run_tests(roots.queue[0], tuple(dict.fromkeys(t for m in MUTANTS for t in m.tests)))
+        if not passed:
+            print(f"the mutants' tests fail on the unmutated copy:\n{output}")
+            return 1
+        for mutant, survived, seconds in _run_each(list(MUTANTS), roots):
+            if isinstance(survived, str):
+                print(f"STALE     {mutant.name}: {survived}")
+            else:
+                print(f"{'SURVIVED' if survived else 'killed':9s} {mutant.name} ({seconds:.1f}s)", flush=True)
+            failures += survived is not False  # it survived, or it is stale
     print(f"{len(MUTANTS) - failures}/{len(MUTANTS)} mutants killed in {time.perf_counter() - started:.0f}s")
     return 1 if failures else 0
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description="Run the mutation gate, or sweep src/ for surviving mutants.")
+    parser.add_argument("--sweep", nargs="*", metavar="MODULE", help="sweep these modules (default: all)")
+    parser.add_argument("--jobs", type=int, default=2, help="mutant runs at once (default 2)")
+    args = parser.parse_args(argv)
+    if args.sweep is None:
+        return gate(args.jobs)
+    modules = args.sweep or sorted(SWEEP_TESTS)
+    unknown = sorted(set(modules) - set(SWEEP_TESTS))
+    if unknown:
+        parser.error(f"no such module: {', '.join(unknown)}")
+    return sweep(modules, args.jobs)
 
 
 if __name__ == "__main__":

@@ -88,10 +88,11 @@ def init_market_makers(
     width, height = grid_dims
     agents: list[MarketMakerState] = []
     for i in range(cfg.n_agents):
-        bonds = float(rng.uniform(cfg.init_bonds_min, cfg.init_bonds_max))
-        cash = float(rng.uniform(cfg.init_cash_min, cfg.init_cash_max))
-        bond_rate = float(rng.uniform(cfg.cost_min, cfg.cost_max))
-        cash_rate = float(rng.uniform(cfg.cost_min, cfg.cost_max))
+        # A scalar uniform draw is a Python float; a scalar integers draw is a numpy int.
+        bonds = rng.uniform(cfg.init_bonds_min, cfg.init_bonds_max)
+        cash = rng.uniform(cfg.init_cash_min, cfg.init_cash_max)
+        bond_rate = rng.uniform(cfg.cost_min, cfg.cost_max)
+        cash_rate = rng.uniform(cfg.cost_min, cfg.cost_max)
         breadth = int(rng.integers(cfg.breadth_min, cfg.breadth_max + 1))
         anchor = (int(rng.integers(0, width)), int(rng.integers(0, height)))
         agents.append(

@@ -92,9 +92,8 @@ def _run_and_report(
         overrides["parallelism"] = args.parallel
     cfg = resolve_config(source, overrides, replay_path=replay_path)
     if cfg.output_dir is None:
-        name = source if source in PRESET_NAMES else Path(source).stem
         suffix = "" if replay_path is None else "-replay"
-        cfg = replace(cfg, output_dir=str(Path("runs") / name) + suffix)
+        cfg = replace(cfg, output_dir=str(Path("runs") / Path(source).stem) + suffix)
     result = run_batch(cfg)
     n = len(result.summaries)
     if result.batch is not None:
@@ -104,8 +103,7 @@ def _run_and_report(
             f"median {life.p50:.1f}, max {life.max:.0f}; "
             f"{result.batch.cap_count} reached the step cap"
         )
-    if result.output_dir is not None:
-        print(f"outputs written to {result.output_dir}")
+    print(f"outputs written to {result.output_dir}")
     if not result.ok:
         # run_batch has logged each aborted sim already.
         if result.skipped:
@@ -136,10 +134,8 @@ def _cmd_replay(args: argparse.Namespace) -> int:
 
 
 def _cmd_tables(args: argparse.Namespace) -> int:
-    pretty = rebuild_tables(args.output_dir)
-    for kind in ("full", "client", "yes_ratio"):
-        if kind in pretty:
-            print(pretty[kind])
+    for pretty in rebuild_tables(args.output_dir).values():
+        print(pretty)
     return EXIT_OK
 
 

@@ -363,9 +363,10 @@ class LiveLLMProvider(DecisionProvider):
     """One chat-completion request per decision.
 
     Transport trouble (connection errors, timeouts, 429/5xx) is retried up
-    to max_retries and then recorded as an Error outcome. Credential
-    rejections and malformed replies are hard failures: they abort the
-    batch rather than silently degrade a live experiment.
+    to max_retries and then recorded as an Error outcome. Any other status
+    but 200 (a credential rejection among them) and a malformed reply are
+    hard failures: they abort the batch rather than silently degrade a live
+    experiment.
 
     The bearer token is read from the configured environment variable at
     construction (fail-fast) and is never logged or journaled.
@@ -414,11 +415,7 @@ class LiveLLMProvider(DecisionProvider):
                     q.sequence_no, attempt + 1, attempts, type(exc).__name__,
                 )
                 continue
-            latency_ms = max(0, int(round((time.perf_counter() - started) * 1000.0)))
-            if resp.status_code in (401, 403):
-                raise ProviderHardFailure(
-                    f"gateway rejected credentials (HTTP {resp.status_code})"
-                )
+            latency_ms = round((time.perf_counter() - started) * 1000.0)
             if resp.status_code == 429 or resp.status_code >= 500:
                 logger.warning(
                     "gateway transient HTTP %d (seq %d, attempt %d/%d)",

@@ -253,7 +253,7 @@ class Simulation:
         if direction is Direction.SELL:
             bond_qty = query.client_bonds
             cash_qty = min(mm.cash_acc, bond_qty)
-            if bond_qty <= 0.0 and cash_qty <= 0.0:
+            if bond_qty <= 0.0:
                 return None
             self.grid.apply_trade(x, y, -bond_qty, cash_qty)
             mm.bonds_acc += bond_qty

@@ -369,7 +369,7 @@ def config_to_dict(cfg: ExperimentConfig) -> dict[str, Any]:
     """
 
     def scrub(obj: Any) -> Any:
-        if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
+        if dataclasses.is_dataclass(obj):
             return {f.name: scrub(getattr(obj, f.name)) for f in dataclasses.fields(obj)}
         if isinstance(obj, enum.Enum):
             return obj.value
@@ -430,10 +430,7 @@ def _finite_float(raw: str) -> float:
 _SUMMARY_CELLS: dict[str, tuple[Callable[[Any], str], Callable[[str], Any]]] = {
     "int": (str, int),
     "float": (repr, _finite_float),
-    "TerminalReason | None": (
-        lambda reason: reason.value if reason else "",
-        lambda raw: TerminalReason(raw) if raw else None,
-    ),
+    "TerminalReason | None": (lambda reason: reason.value, TerminalReason),
 }
 _SUMMARY_FORMATS = [(f.name, _SUMMARY_CELLS[f.type][0]) for f in dataclasses.fields(SimulationSummary)]
 
@@ -464,7 +461,6 @@ class _SimRaised(Exception):
     """
 
     def __init__(self, sim_id: int, reason: str, traceback_text: str) -> None:
-        super().__init__(sim_id, reason, traceback_text)
         self.sim_id = sim_id
         self.reason = reason  # "<Type>: <first line of the message>"
         self.traceback_text = traceback_text
@@ -564,7 +560,7 @@ class BatchResult:
 
     @property
     def ok(self) -> bool:
-        return not self.aborted and not self.skipped
+        return not self.aborted
 
 
 def run_batch(cfg: ExperimentConfig) -> BatchResult:
@@ -835,15 +831,8 @@ def _read_rows(path: Path, parse: Callable[[Mapping[str, str]], Any]) -> list[An
 def load_output_dir(out: Path | str) -> tuple[list[SimulationSummary], list[DecisionState]]:
     """Summaries and the pooled decision stream from a finished output tree."""
     out = Path(out)
-    summaries_path = out / SUMMARIES_CSV
-    decisions_path = out / DECISIONS_CSV
-    if not summaries_path.exists():
-        raise ConfigError(f"{out} does not look like a batch output directory ({SUMMARIES_CSV} missing)")
-    summaries = _read_rows(summaries_path, _parse_summary_row)
-    states: list[DecisionState] = []
-    if decisions_path.exists():
-        states = _read_rows(decisions_path, lambda row: DecisionState(row["state"]))
-    return summaries, states
+    summaries = _read_rows(out / SUMMARIES_CSV, _parse_summary_row)
+    return summaries, _read_rows(out / DECISIONS_CSV, lambda row: DecisionState(row["state"]))
 
 
 def rebuild_tables(out: Path | str, window: int | None = None) -> dict[str, str]:

@@ -147,8 +147,9 @@ def _tally(
     """The summary count both the in-memory and the recount path use.
 
     Trade legs are (is_client, bond_qty, cash_qty) and, like the decision
-    states, come in log order; a cease step is None for an MM still alive.
-    The keyword fields are echoed into the summary.
+    states, come in log order; a cease step is None for an MM still alive,
+    and every sim has at least one MM. The keyword fields are echoed into
+    the summary.
     """
     terminal_step = max(0, steps_executed - 1)  # as SimulationResult.terminal_step
     client_bond_vol = client_cash_vol = 0.0
@@ -166,9 +167,7 @@ def _tally(
     counts = Counter(states)
     requests = sum(counts.values())
     yes, no = counts[DecisionState.YES], counts[DecisionState.NO]
-    max_life = 0
-    if steps_executed and cease_steps:
-        max_life = max(terminal_step if c is None else c for c in cease_steps)
+    max_life = max(terminal_step if c is None else c for c in cease_steps)
     return SimulationSummary(
         sim_id=sim_id,
         terminal_step=terminal_step,
@@ -248,7 +247,7 @@ def aggregate_batch(summaries: Sequence[SimulationSummary]) -> BatchSummary:
         raise ValueError("aggregate_batch needs at least one summary")
     metrics: dict[str, StatRow] = {}
     for name in BATCH_METRIC_FIELDS:
-        xs = np.array([float(getattr(s, name)) for s in summaries], dtype=np.float64)
+        xs = np.array([getattr(s, name) for s in summaries], dtype=np.float64)
         ordered = sorted(xs.tolist())
         metrics[name] = StatRow(
             mean=float(xs.mean()),
@@ -283,7 +282,7 @@ def yes_ratio_series(
     if k >= window:
         window_sums = csum[window - 1 :].copy()
         window_sums[1:] -= csum[: k - window]
-        rolling = (window_sums / float(window)).tolist()
+        rolling = (window_sums / window).tolist()
     yes_count = int(csum[-1])
     return YesRatioSeries(
         window=window,

@@ -74,4 +74,4 @@ def render_template(
     y: int,
 ) -> str:
     """Substitute a client's holdings and position into the template."""
-    return _compiled(template).format(b=client_bonds, c=client_cash, x=int(x), y=int(y))
+    return _compiled(template).format(b=client_bonds, c=client_cash, x=x, y=y)

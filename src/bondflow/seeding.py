@@ -90,8 +90,6 @@ class BufferedIntegers:
     only (see the module docstring).
     """
 
-    __slots__ = ("_word",)
-
     def __init__(self, rng: np.random.Generator) -> None:
         raw = partial(rng.bit_generator.random_raw, BLOCK)
         # Little-endian 64-bit outputs read as 32-bit words: each output's low half, then its high half.

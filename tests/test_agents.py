@@ -57,6 +57,9 @@ def test_init_respects_config_ranges():
         assert cfg.breadth_min <= a.breadth <= cfg.breadth_max
         assert 0 <= a.anchor[0] < 50 and 0 <= a.anchor[1] < 50
         assert a.ceased_at_step is None
+        # Plain Python numbers, not numpy scalars, for the engine's arithmetic and the logs.
+        assert {type(v) for v in (a.bonds_acc, a.cash_acc, a.bond_rate, a.cash_rate)} == {float}
+        assert {type(v) for v in (a.breadth, *a.anchor)} == {int}
 
 
 def test_init_breadth_bounds_inclusive():

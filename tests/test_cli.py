@@ -67,6 +67,7 @@ def test_run_live_without_token_is_provider_failure(tmp_path, monkeypatch):
         ["run", "exp2", "--live", "--sims", "1", "--out", str(tmp_path / "x")]
     )
     assert rc == EXIT_PROVIDER_FAILURE
+    assert not (tmp_path / "x").exists()  # refused before any file is written
 
 
 def test_live_rejection_mid_batch_is_partial(tmp_path, monkeypatch, caplog):
@@ -97,6 +98,7 @@ def test_live_rejection_mid_batch_is_partial(tmp_path, monkeypatch, caplog):
     # The aborted sim is logged once, by the harness, not again by the CLI.
     aborts = [r for r in caplog.records if r.levelno == logging.ERROR and " aborted: " in r.getMessage()]
     assert [r.getMessage().split(":")[0] for r in aborts] == ["simulation 0 aborted"]
+    assert "1 simulations skipped after abort" in caplog.text
 
 
 def test_conservation_drift_aborts_the_sim(tmp_path, monkeypatch, caplog):
@@ -118,6 +120,13 @@ def test_conservation_drift_aborts_the_sim(tmp_path, monkeypatch, caplog):
     assert manifest["aborted"][0]["reason"].startswith("conservation drift ")
     aborts = [r for r in caplog.records if r.levelno == logging.ERROR and " aborted: " in r.getMessage()]
     assert [r.getMessage().split(":")[0] for r in aborts] == ["simulation 0 aborted"]
+    # When the last sim aborts, none is skipped, and the CLI says nothing of skipped sims.
+    caplog.clear()
+    assert main(["run", "exp1", "--sims", "1", "--out", str(tmp_path / "y")]) == EXIT_PARTIAL_BATCH
+    assert "skipped" not in caplog.text
+    # No sim completed, so there is nothing to tabulate.
+    assert main(["tables", str(tmp_path / "y")]) == EXIT_CONFIG_ERROR
+    assert "holds no completed simulations" in caplog.text
 
 
 def test_unexpected_exception_aborts_the_sim(tmp_path, monkeypatch, caplog):
@@ -146,6 +155,9 @@ def test_unexpected_exception_aborts_the_sim(tmp_path, monkeypatch, caplog):
     assert [row.split(",")[0] for row in summary_rows] == ["0"]
     aborts = [r for r in caplog.records if r.levelno == logging.ERROR and " aborted: " in r.getMessage()]
     assert [r.getMessage() for r in aborts] == ["simulation 1 aborted: RuntimeError: cost model broke"]
+    # The log shows the traceback the worker raised, as the worker wrote it.
+    shown = logging.Formatter().formatException(aborts[0].exc_info)
+    assert "\nRuntimeError: cost model broke\nsecond line" in shown
 
 
 @pytest.mark.parametrize(
@@ -158,6 +170,9 @@ def test_unexpected_exception_aborts_the_sim(tmp_path, monkeypatch, caplog):
         "landscape: {lognormal_params: arithmetic, bond_mu: 1, bond_sigma: 1.0e+200}\n",
         # Not UTF-8 text at all.
         b"n_simulations: 2\n# \xff\n",
+        # Not YAML, not a mapping, an unknown enum value, a replay with no corpus.
+        "n_simulations: [2\n", "- n_simulations\n- 2\n", "provider: {kind: pigeon}\n",
+        "provider: {kind: replay}\n",
     ],
 )
 def test_wrongly_typed_config_file_is_config_error(tmp_path, capfd, caplog, text):
@@ -167,6 +182,27 @@ def test_wrongly_typed_config_file_is_config_error(tmp_path, capfd, caplog, text
     assert "Traceback" not in capfd.readouterr().err
     if isinstance(text, bytes):
         assert f"cannot read config file {path}" in caplog.text
+
+
+def test_default_out_dirs_and_the_provider_and_parallel_flags(tmp_path, monkeypatch, capsys):
+    # With no --out, a run writes under runs/<preset> or runs/<config file stem>,
+    # and a replay adds -replay to the name.
+    monkeypatch.chdir(tmp_path)
+    assert main(["run", "exp1", "--sims", "2"]) == EXIT_OK
+    Path("small.yaml").write_text("n_simulations: 2\nmax_steps: 20\n", encoding="utf-8")
+    assert main(["run", "small.yaml", "--provider", "bursty", "--parallel", "2"]) == EXIT_OK
+    assert main(["replay", shipped_aversion_corpus(), "exp2"]) == EXIT_OK
+    runs = Path("runs")
+    assert sorted(p.name for p in runs.iterdir()) == ["exp1", "exp2-replay", "small"]
+    assert all((runs / name / SUMMARIES_CSV).exists() for name in ("exp1", "exp2-replay", "small"))
+    # The file leaves the provider at the coin flip, so its echo's kind comes from --provider.
+    assert resolve_config(str(runs / "small" / CONFIG_ECHO)).provider.kind.value == "bursty"
+    assert json.loads((runs / "small" / MANIFEST_JSON).read_text(encoding="utf-8"))["parallelism"] == 2
+    assert f"outputs written to {Path('runs') / 'exp2-replay'}" in capsys.readouterr().out
+    # An output_dir in the config file stands when --out is not given.
+    Path("aimed.yaml").write_text("n_simulations: 1\nmax_steps: 5\noutput_dir: aimed-out\n", encoding="utf-8")
+    assert main(["run", "aimed.yaml"]) == EXIT_OK
+    assert (Path("aimed-out") / SUMMARIES_CSV).exists() and not (runs / "aimed").exists()
 
 
 @pytest.mark.parametrize("under", [False, True], ids=["a-file", "under-a-file"])
@@ -229,6 +265,7 @@ def test_tables_on_missing_dir_is_config_error(tmp_path):
         (SUMMARIES_CSV, rb"(\n0(?:,[^,\n]*){4},)[^,\n]+", rb"\1nan", f"{SUMMARIES_CSV}, line 2"),
         (SUMMARIES_CSV, rb"(\n0(?:,[^,\n]*){4},)[^,\n]+", rb"\1inf", f"{SUMMARIES_CSV}, line 2"),
         (DECISIONS_CSV, rb"bernoulli\n", b"bernoulli,extra\n", f"{DECISIONS_CSV}, line 2"),
+        (DECISIONS_CSV, rb",bernoulli\n", b"\n", f"{DECISIONS_CSV}, line 2"),
         (CONFIG_ECHO, rb"rolling_window: \d+", b"rolling_window: 0", CONFIG_ECHO),
         (CONFIG_ECHO, rb"rolling_window: \d+", b"rolling_window: 2.5", CONFIG_ECHO),
         # A log that is not UTF-8 text.
@@ -237,7 +274,7 @@ def test_tables_on_missing_dir_is_config_error(tmp_path):
     ],
     ids=[
         "unknown-state", "non-integer-cell", "missing-column", "nan-cell", "inf-cell", "extra-cell",
-        "window-0", "window-float", "summaries-not-utf8", "decisions-not-utf8",
+        "missing-cell", "window-0", "window-float", "summaries-not-utf8", "decisions-not-utf8",
     ],
 )
 def test_tables_on_malformed_tree_is_config_error(tmp_path, name, pattern, repl, where):
@@ -260,7 +297,7 @@ def assert_tables_is_config_error(out, where):
         env={**os.environ, "PYTHONPATH": str(src)}, capture_output=True, text=True, timeout=60,
     )
     assert run.returncode == EXIT_CONFIG_ERROR, run.stderr
-    assert "configuration error" in run.stderr
+    assert re.search(r"^ERROR \S+: configuration error", run.stderr, re.M), run.stderr
     assert str(where) in run.stderr
     assert "Traceback" not in run.stderr
 
@@ -336,8 +373,11 @@ def test_replay_of_a_corpus_short_of_slices_is_config_error(tmp_path, caplog):
         b'{"seq":1,"prompt_hash":7,"state":"maybe","raw":"","latency_ms":null}',
         b'{"seq":1,"prompt_hash":7,"sta',
         b'{"seq":1,"prompt_hash":7,"state":"no","raw":"\xff","latency_ms":null}',
+        b'{"seq":null,"prompt_hash":7,"state":"no","raw":"","latency_ms":null}',
+        b'{"seq":1,"prompt_hash":null,"state":"no","raw":"","latency_ms":null}',
+        b'{"seq":1,"prompt_hash":7,"state":"no","raw":"","latency_ms":"slow"}',
     ],
-    ids=["unknown-state", "truncated", "not-utf8"],
+    ids=["unknown-state", "truncated", "not-utf8", "seq-null", "hash-null", "latency-text"],
 )
 def test_malformed_journal_line_is_config_error(tmp_path, caplog, bad_line):
     corpus = tmp_path / "corpus.jsonl"
@@ -416,7 +456,7 @@ def test_recorded_journal_replays_with_its_echo(tmp_path, monkeypatch, live):
     assert (replayed / SUMMARIES_CSV).read_bytes() == (out / SUMMARIES_CSV).read_bytes()
 
 
-def test_echo_replay_sha256_must_match_the_corpus(tmp_path):
+def test_echo_replay_sha256_must_match_the_corpus(tmp_path, caplog):
     out = tmp_path / "run"
     run_batch(resolve_preset("exp2", {"n_simulations": 1, "max_steps": 20, "output_dir": str(out)}))
     echo = yaml.safe_load((out / CONFIG_ECHO).read_text(encoding="utf-8"))
@@ -426,11 +466,13 @@ def test_echo_replay_sha256_must_match_the_corpus(tmp_path):
     tampered = tmp_path / "tampered.yaml"
     tampered.write_text(yaml.safe_dump(echo), encoding="utf-8")
     assert main(["run", str(tampered), "--out", str(tmp_path / "x")]) == EXIT_CONFIG_ERROR
+    assert f"sha256 of the replay corpus ({shipped_aversion_corpus()})" in caplog.text
 
     # A sha256 with no corpus path to check it against is rejected too.
     pathless = tmp_path / "pathless.yaml"
     pathless.write_text(yaml.safe_dump({"provider": {"replay_sha256": sha}}), encoding="utf-8")
     assert main(["run", str(pathless), "--out", str(tmp_path / "y")]) == EXIT_CONFIG_ERROR
+    assert "sha256 of the replay corpus (none given)" in caplog.text
     assert not (tmp_path / "x").exists() and not (tmp_path / "y").exists()
 
     # Replay also checks the echo's sha256 against the corpus it is given:

@@ -5,7 +5,9 @@ from __future__ import annotations
 import json
 import logging
 import re
+import time
 from importlib import resources
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -22,6 +24,7 @@ from bondflow import (
     read_journal,
     split_journal,
 )
+from bondflow import decision
 from bondflow.decision import (
     BernoulliProvider,
     LiveLLMProvider,
@@ -204,6 +207,8 @@ def test_scripted_providers_check_ranges_when_built_directly():
         BernoulliProvider(1.5, substream(1, 4))
     with pytest.raises(ConfigError, match="burst_stay_yes"):
         SyntheticBurstyProvider(1.0, 0.5, substream(1, 4))
+    with pytest.raises(ConfigError, match="burst_stay_no"):
+        SyntheticBurstyProvider(0.5, 1.0, substream(1, 4))
 
 
 def test_bursty_stationary_distribution():
@@ -313,8 +318,12 @@ def test_split_journal_on_seq_reset(tmp_path):
     path = tmp_path / "corpus.jsonl"
     for seq in (0, 1, 2, 0, 1, 0):
         journal_append(path, make_query(seq=seq), outcome_of(DecisionState.NO, "No"))
-    slices = split_journal(read_journal(path))
-    assert [len(s) for s in slices] == [3, 2, 1]
+    # Blank lines are skipped.
+    path.write_text(path.read_text(encoding="utf-8").replace("\n", "\n\n", 1) + "\n", encoding="utf-8")
+    records = read_journal(path)
+    assert [len(s) for s in split_journal(records)] == [3, 2, 1]
+    # A corpus whose first record is not a seq 0 still opens a slice with it.
+    assert [len(s) for s in split_journal(records[1:])] == [2, 2, 1]
 
 
 def test_replay_reproduces_recorded_stream(tmp_path):
@@ -354,13 +363,12 @@ def test_replay_flags_prompt_mismatch(tmp_path):
 
 
 def test_build_provider_dispatch(tmp_path):
-    assert isinstance(
-        build_provider(ProviderConfig(kind=ProviderKind.BERNOULLI), 7), BernoulliProvider
-    )
-    assert isinstance(
-        build_provider(ProviderConfig(kind=ProviderKind.SYNTHETIC_BURSTY), 7),
-        SyntheticBurstyProvider,
-    )
+    # Each provider names its kind.
+    for kind, cls in (
+        (ProviderKind.BERNOULLI, BernoulliProvider), (ProviderKind.SYNTHETIC_BURSTY, SyntheticBurstyProvider),
+    ):
+        provider = build_provider(ProviderConfig(kind=kind), 7)
+        assert isinstance(provider, cls) and provider.kind is kind
     path = tmp_path / "j.jsonl"
     journal_append(path, make_query(), outcome_of(DecisionState.NO, "No"))
     replay = build_provider(
@@ -368,7 +376,7 @@ def test_build_provider_dispatch(tmp_path):
         7,
         replay_records=read_journal(path),
     )
-    assert isinstance(replay, ReplayProvider)
+    assert isinstance(replay, ReplayProvider) and replay.kind is ProviderKind.REPLAY
     with pytest.raises(ConfigError):  # a replay provider needs its records
         build_provider(ProviderConfig(kind=ProviderKind.REPLAY, replay_path=str(path)), 7)
 
@@ -396,14 +404,19 @@ def gateway_token(monkeypatch):
     return "tok-123-secret"
 
 
-def test_live_wire_format(gateway_token):
+def test_live_wire_format(gateway_token, monkeypatch):
+    # The request starts at 10 s and its reply comes 42.1 ms later.
+    clock = iter([10.0, 10.0421])
+    monkeypatch.setattr(decision, "time", SimpleNamespace(
+        monotonic=time.monotonic, sleep=time.sleep, perf_counter=lambda: next(clock),
+    ))
     with GatewayStub([(200, {"choices": [{"message": {"content": "No thanks"}}]})]) as stub:
         provider = LiveLLMProvider(live_config(stub.url))
         q = make_query()
         outcome = provider.decide(q)
     assert outcome.state is DecisionState.NO
     assert outcome.raw_text == "No thanks"
-    assert outcome.latency_ms is not None and outcome.latency_ms >= 0
+    assert outcome.latency_ms == 42
     body = stub.requests[0]
     assert body["model"] == "test-model"
     assert body["temperature"] == 0.7
@@ -443,7 +456,7 @@ def test_live_connection_refused_is_error_outcome(gateway_token):
 def test_live_rejections_are_hard_failures(gateway_token, status):
     with GatewayStub([(status, {})]) as stub:
         provider = LiveLLMProvider(live_config(stub.url))
-        with pytest.raises(ProviderHardFailure):
+        with pytest.raises(ProviderHardFailure, match=f"gateway returned HTTP {status}"):
             provider.decide(make_query())
 
 
@@ -507,6 +520,26 @@ def test_live_rate_limiter_shared_per_endpoint():
     d = _shared_rate_limiter("http://example.invalid/y", 4.0)
     assert a is b
     assert a is not c and a is not d
+
+
+def test_live_rate_limiter_spaces_requests(gateway_token, monkeypatch):
+    now = [100.0]
+    slept: list[float] = []
+    monkeypatch.setattr(decision, "time", SimpleNamespace(
+        monotonic=lambda: now[0], sleep=slept.append, perf_counter=time.perf_counter,
+    ))
+    limiter = decision._RateLimiter(2.0)
+    for _ in range(3):  # at once: the 2nd waits 0.5 s, the 3rd 1 s
+        limiter.acquire()
+    now[0] = 101.5  # the 4th comes when its turn is due: no wait
+    limiter.acquire()
+    assert slept == [0.5, 1.0]
+    # A live provider waits its turn before each request.
+    with GatewayStub([]) as stub:
+        provider = LiveLLMProvider(live_config(stub.url, rate_limit_rps=2.0))
+        provider.decide(make_query())
+        provider.decide(make_query())
+    assert slept == [0.5, 1.0, 0.5]
 
 
 def test_journal_files_are_utf8(tmp_path):

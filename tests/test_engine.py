@@ -296,15 +296,37 @@ def test_conservation_holds_after_every_step():
 
 def test_a_nan_holding_fails_the_conservation_audit():
     # `nan > tolerance` is False, and max((0.0, nan)) is 0.0: each drift is
-    # checked on its own with `<=`, which a NaN fails.
+    # checked on its own with `<=`, which a NaN fails. Each case leaves the
+    # other resource as it was, so only one of them drifts.
     idle = LandscapeConfig(grid_width=6, grid_height=6, availability_p=0.0)
-    for x, y, bonds, cash in [(0, 0, float("nan"), 1.0), (2, 3, 1.0, float("nan"))]:
+    for x, y, resource in [(0, 0, 0), (2, 3, 1)]:
         sim = make_sim(landscape=idle)
-        set_client(sim, x, y, bonds, cash)
+        holdings = list(sim.grid.holdings(x, y))
+        holdings[resource] = float("nan")
+        set_client(sim, x, y, *holdings)
         result = sim.run()
         assert result.aborted and result.terminal_reason is None
         assert result.abort_reason.startswith("conservation drift "), result.abort_reason
         assert "nan" in result.abort_reason
+
+
+@pytest.mark.parametrize(
+    "landscape, agents",
+    [
+        ({"bond_mu": -1000.0}, {"init_bonds_min": 0.0, "init_bonds_max": 0.0}),
+        ({"cash_mu": -1000.0}, {"init_cash_min": 0.0, "init_cash_max": 0.0}),
+    ],
+    ids=["no-bonds", "no-cash"],
+)
+def test_a_society_holding_none_of_a_resource_passes_the_conservation_audit(landscape, agents):
+    # Every client's holding underflows to 0.0 and no agent holds any: the
+    # audit's relative drift must not divide by a zero total.
+    sim = make_sim(
+        landscape=LandscapeConfig(grid_width=6, grid_height=6, **landscape), agents=AgentConfig(**agents)
+    )
+    assert 0.0 in sim.grid.totals()
+    result = sim.run()
+    assert not result.aborted and result.terminal_reason is not None
 
 
 def test_run_is_deterministic():

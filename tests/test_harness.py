@@ -10,6 +10,7 @@ import json
 import logging
 import multiprocessing
 import os
+import shutil
 import subprocess
 import sys
 import threading
@@ -215,8 +216,11 @@ def test_pins_hold_on_values_not_on_keys():
     ],
 )
 def test_wrongly_typed_values_rejected(overrides):
-    with pytest.raises(ConfigError):
+    # Refused for its type, before any bounds row sees it.
+    with pytest.raises(ConfigError, match="must be ") as refused:
         resolve_preset("exp1", overrides)
+    if "journal" in overrides:  # a field that may be None names null among its types
+        assert "journal must be bool or null, got 1" in str(refused.value)
 
 
 def test_int_for_float_field_kept_unconverted():
@@ -273,7 +277,10 @@ def test_resolve_config_dispatches(tmp_path):
     path = tmp_path / "c.yaml"
     path.write_text(yaml.safe_dump({"preset": "exp3"}), encoding="utf-8")
     assert resolve_config(str(path)).preset == "exp3"
-    with pytest.raises(ConfigError):
+    # An empty file is a config of defaults.
+    path.write_text("", encoding="utf-8")
+    assert resolve_config(str(path)) == ExperimentConfig()
+    with pytest.raises(ConfigError, match="neither a preset .* nor a config file"):
         resolve_config("no_such_preset_or_file")
 
 
@@ -388,6 +395,24 @@ def test_grid_stops_at_the_largest_base_a_contact_pick_draws_from():
             resolve_preset("exp1", {"landscape.grid_width": width + 1, "landscape.grid_height": height})
 
 
+@pytest.mark.parametrize(
+    "overrides",
+    [
+        # Tall and wide grids, whose product overflows alone.
+        {"landscape.max_bonds": 1e305, "landscape.grid_width": 1, "landscape.grid_height": 2000},
+        {"landscape.max_bonds": 1e305, "landscape.grid_width": 2000, "landscape.grid_height": 1},
+        # The clients' total is a float, the agents' total overflows it.
+        {"landscape.max_bonds": 1e306, "agents.init_bonds_max": 1e308, "agents.n_agents": 1},
+        # Int caps and endowments, past any float.
+        {"landscape.max_cash": 10**305, "landscape.grid_width": 2000, "landscape.grid_height": 1},
+        {"agents.init_cash_max": 10**308},
+    ],
+)
+def test_worst_case_totals_must_be_floats(overrides):
+    with pytest.raises(ConfigError, match="worst-case total"):
+        resolve_preset("exp1", {"landscape.grid_width": 10, "landscape.grid_height": 10, **overrides})
+
+
 # -- batch outputs -------------------------------------------------------------
 
 
@@ -432,7 +457,9 @@ def test_batch_csv_schemas(mini_batch):
 
 
 def test_manifest_contents(mini_batch):
-    manifest = json.loads((mini_batch.output_dir / MANIFEST_JSON).read_text("utf-8"))
+    text = (mini_batch.output_dir / MANIFEST_JSON).read_text("utf-8")
+    assert text.endswith("}\n")
+    manifest = json.loads(text)
     assert manifest["status"] == "ok"
     assert manifest["n_simulations"] == 4
     assert manifest["master_seed"] == 1234
@@ -450,7 +477,7 @@ def test_config_echo_round_trips(mini_batch):
 
 
 def test_load_output_dir_round_trips(mini_batch):
-    summaries, states = load_output_dir(mini_batch.output_dir)
+    summaries, states = load_output_dir(str(mini_batch.output_dir))
     assert summaries == mini_batch.summaries
     assert states == [
         o.state for r in mini_batch.results for _, o in r.decisions
@@ -469,6 +496,12 @@ def test_rebuild_tables_matches_first_pass(mini_batch, tmp_path):
     rebuild_tables(out)
     after = {name: (out / name).read_bytes() for name in before}
     assert after == before  # recount pipeline reproduces the live pipeline
+    # A window given explicitly is used, and checked as the config's is.
+    copy = tmp_path / "copy"
+    shutil.copytree(out, copy)
+    assert "Rolling 3 Requests (%)" in rebuild_tables(copy, window=3)["yes_ratio"]
+    with pytest.raises(ConfigError, match="from the window argument"):
+        rebuild_tables(copy, window=0)
 
 
 def test_parallel_batches_are_byte_identical(tmp_path):
@@ -724,6 +757,9 @@ def test_rerun_into_same_dir_leaves_no_stale_files(tmp_path, second_run):
     run_batch(exp3(2, fresh, second_run))
     assert tree_bytes(reused) == tree_bytes(fresh)
     assert not [p.name for p in reused.rglob(f"*{harness._PARTIAL}")]
+    if second_run:  # no decision, so no series and no yes-ratio table, nor after a rebuild
+        assert not (fresh / SERIES_CSV).exists()
+        assert "yes_ratio" not in rebuild_tables(fresh) and not (fresh / TABLE_FILES["yes_ratio"][0]).exists()
 
 
 class FailsOnDecision(BernoulliProvider):
@@ -784,6 +820,9 @@ def test_failure_outside_the_sims_keeps_their_rows(tmp_path, monkeypatch, mini_b
     for name in (TRADES_CSV, DECISIONS_CSV, LIFECYCLE_CSV, SUMMARIES_CSV, CONFIG_ECHO, *journals):
         assert (out / name).read_bytes() == (mini_batch.output_dir / name).read_bytes(), name
     assert not [p.name for p in out.rglob(f"*{harness._PARTIAL}")]
+    if broken_step == "yes_ratio_series":  # a batch that writes no tree raises it as it is
+        with pytest.raises(OSError, match="disk full"):
+            run_batch(mini_config())
 
 
 def test_interrupt_between_sims_keeps_the_finished_ones(tmp_path, monkeypatch, mini_batch):

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import sys
 from statistics import NormalDist
 
 import numpy as np
@@ -15,6 +16,7 @@ from bondflow.landscape import (
     LandscapeConfig,
     LognormalParams,
     arithmetic_to_underlying,
+    check_truncation,
     sample_truncated_lognormal,
 )
 from bondflow.seeding import substream
@@ -117,8 +119,9 @@ def test_arithmetic_parameterization_conversion():
     assert got[0] == pytest.approx(mu, rel=1e-12)
     assert got[1] == pytest.approx(sigma, rel=1e-12)
 
-    with pytest.raises(ConfigError):
-        arithmetic_to_underlying(-1.0, 1.0)
+    for moments in ((-1.0, 1.0), (0.0, 1.0), (1.0, 0.0), (1.0, -1.0)):
+        with pytest.raises(ConfigError):
+            arithmetic_to_underlying(*moments)
 
 
 def test_init_landscape_populates_every_cell():
@@ -164,6 +167,17 @@ def test_infeasible_truncation_is_rejected_when_the_config_is_built():
         resolve_preset("exp1", {"landscape.max_cash": 0.01})
     with pytest.raises(ConfigError):  # an arithmetic mean must be > 0
         LandscapeConfig(bond_mu=-1.0, lognormal_params=LognormalParams.ARITHMETIC)
+    # exp(mu + 6*sigma) must be a float: exp(1200) is not.
+    with pytest.raises(ConfigError, match="truncation cap"):
+        LandscapeConfig(bond_mu=0.0, bond_sigma=200.0, max_bonds=1e300)
+    # Each bound, tested directly: a sigma of 0 fails; a cap of exactly
+    # exp(mu - 6*sigma), and an exp(mu + 6*sigma) of exactly the largest float, pass.
+    with pytest.raises(ConfigError, match="truncation cap"):
+        check_truncation(0.0, 0.0, 1.0)
+    check_truncation(6.0, 1.0, 1.0)
+    largest = math.log(sys.float_info.max)
+    assert (largest - 6.0) + 6.0 == largest
+    check_truncation(largest - 6.0, 1.0, 1e308)
 
 
 def all_cells(grid):
@@ -327,6 +341,12 @@ def test_apply_trade_updates_and_guards():
     assert grid.bonds[2, 1] == 0.0
     with pytest.raises(AssertionError):
         grid.apply_trade(1, 2, -1.0, 0.0)
+    # The same for cash; a residue of exactly -1e-12 still floors to zero.
+    with pytest.raises(AssertionError):
+        grid.apply_trade(1, 2, 0.0, -(grid.cash[2, 1] + 1.0))
+    grid.apply_trade(1, 2, 0.0, -grid.cash[2, 1])
+    grid.apply_trade(1, 2, -1e-12, -1e-12)
+    assert grid.bonds[2, 1] == 0.0 and grid.cash[2, 1] == 0.0
 
 
 def test_totals_sum_everything():

@@ -186,6 +186,8 @@ def test_aggregate_percentiles_are_linear_interpolation():
     assert stat.max == 40.0
     # Population std, not sample std.
     assert stat.std == pytest.approx(float(np.std([10, 20, 30, 40])))
+    # Plain floats, not numpy scalars.
+    assert {type(v) for v in dataclasses.astuple(stat)} == {float}
 
 
 def _summary_like_values(rng, n):
@@ -232,13 +234,14 @@ def test_aggregate_rejects_empty():
 
 
 def test_cap_count_counts_step_limited_runs():
-    capped = make_result(
+    capped = summarize_simulation(make_result(
         mms=[_mk_mm(0, None)], terminal_reason=TerminalReason.STEP_LIMIT,
         steps_executed=60,
-    )
-    done = make_result(mms=[_mk_mm(0, 5)], steps_executed=6)
-    batch = aggregate_batch([summarize_simulation(capped), summarize_simulation(done)])
-    assert batch.cap_count == 1
+    ))
+    done = summarize_simulation(make_result(mms=[_mk_mm(0, 5)], steps_executed=6))
+    # An uneven batch too: in an even one, counting the other runs gives the same count.
+    for summaries, n_capped in (([capped, done], 1), ([capped, capped, done], 2)):
+        assert aggregate_batch(summaries).cap_count == n_capped
 
 
 # -- yes-ratio series -----------------------------------------------------
@@ -249,6 +252,13 @@ def test_rolling_all_yes_is_exactly_one():
     assert series.rolling == [1.0]
     assert series.rolling[0] == 1.0  # exact, not 0.999...
     assert series.cumulative[-1] == 1.0
+    assert type(series.yes_count) is int and series.yes_count == 10
+    # The smallest window is one decision; a smaller one is refused.
+    assert yes_ratio_series([Y], window=1).rolling == [1.0]
+    # A stream shorter than its window has no rolling ratio.
+    assert yes_ratio_series([Y] * 5, window=6).rolling == []
+    with pytest.raises(ValueError, match="window"):
+        yes_ratio_series([Y], window=0)
 
 
 def test_rolling_alternating_is_exactly_half():
@@ -296,6 +306,9 @@ def test_series_stats_population_std():
     assert stats.std == pytest.approx((1 / 6) ** 0.5)
     assert stats.min == 0.0
     assert stats.max == 1.0
+    assert {type(v) for v in dataclasses.astuple(stats)} == {float}  # not numpy scalars
+    # A series with no value (no full rolling window) has all-zero stats.
+    assert dataclasses.astuple(series_stats([])) == (0.0, 0.0, 0.0, 0.0)
 
 
 # -- recounting from the CSV logs -----------------------------------------

@@ -1,9 +1,9 @@
 """Differential test: ``run_batch`` against the naive engine in ``reference.py``.
 
 A seeded generator (criterion 5's, with its ranges widened to the edges)
-draws a few hundred configs; for each, the trades, decisions and lifecycle
-logs that ``run_batch`` writes must equal the reference engine's byte for
-byte. Every other config keeps a journal, under each of the four prompt
+draws a few hundred configs; for each, the trades, decisions, lifecycle and
+summaries logs that ``run_batch`` writes must equal the reference engine's
+byte for byte. Every other config keeps a journal, under each of the four prompt
 templates in turn, and each sim's ``journals/sim_NNNN.jsonl`` must equal
 the reference's too. Every tenth config with at least two sims runs again
 at parallelism 2, and its tree must equal the serial one, manifest

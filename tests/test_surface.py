@@ -9,6 +9,7 @@ from pathlib import Path
 import bondflow
 
 README = Path(__file__).resolve().parent.parent / "README.md"
+PYPROJECT = README.parent / "pyproject.toml"
 
 # README "Library use", the names perfbench reads from the package root, and
 # the types a custom ``decide(q)`` needs. Everything else is imported
@@ -41,6 +42,9 @@ ROOT_API = [
 def test_package_root_exports_exactly_the_api():
     assert sorted(bondflow.__all__) == ROOT_API
     assert all(hasattr(bondflow, name) for name in ROOT_API)
+    # The package's version is the one it is built under.
+    built = re.search(r'^version = "(.*)"$', PYPROJECT.read_text(encoding="utf-8"), re.M)
+    assert built and bondflow.__version__ == built.group(1)
 
 
 def test_readme_and_the_root_api_agree():
