@@ -573,12 +573,15 @@ def run_batch(cfg: ExperimentConfig) -> BatchResult:
 
     Each sim's rows of the four logs are appended, in sim order, as it
     finishes, and its journal is written then. The first sim that aborts
-    (its result says so, or it raised an exception other than
-    ``ProviderHardFailure``, recorded as ``"<Type>: <message>"``) ends the
-    batch: the later sims are skipped, and the tree holds the sims before
-    it, with manifest status ``partial``. An exception outside every sim
-    propagates, after the logs finished so far are moved into place and a
-    manifest with status ``failed`` names it.
+    ends the batch, with manifest status ``partial``; the later sims are
+    skipped. A sim whose result says it aborted (a hard provider failure
+    mid-run, conservation drift) keeps its rows up to the failure and its
+    journal, but no ``summaries.csv`` row; one that raised an exception
+    other than ``ProviderHardFailure`` (recorded as ``"<Type>: <message>"``)
+    leaves nothing. An exception outside every sim propagates, after the
+    logs finished so far are moved into place. The manifest is written
+    last, however the batch ends (status ``failed`` and a one-line
+    ``error`` if an exception ended it); ``finished_at`` is when.
 
     Every sim runs the configured provider. A custom provider runs one sim
     at a time through ``Simulation(...).run()``.
@@ -613,17 +616,20 @@ def run_batch(cfg: ExperimentConfig) -> BatchResult:
             yaml.safe_dump(echo, fh, sort_keys=True, default_flow_style=False)
         if cfg.journal_enabled():
             (out_dir / JOURNAL_DIR).mkdir()
-    try:
+    with contextlib.ExitStack() as tree:
+        if out_dir is not None:
+            # Runs last, however the batch ends; an exception goes on as it is.
+            tree.push(lambda _, exc, __: _write_manifest(batch, echo, started_at, exc and _one_line(exc)))
         with contextlib.ExitStack() as stack:
             logs = []
             if out_dir is not None:
-                # Runs last, once every log is closed, however the sims end.
+                # Runs once every log is closed, however the sims end.
                 stack.callback(_publish_logs, out_dir)
                 for name, header in _LOG_HEADERS.items():
                     fh = stack.enter_context(open(out_dir / (name + _PARTIAL), "w", encoding="utf-8", newline=""))
                     fh.write(header)
                     logs.append(fh)
-            if cfg.parallelism <= 1 or cfg.n_simulations == 1:
+            if cfg.parallelism <= 1:
                 runs = map(_run_one_task, tasks)
             else:
                 # Threads for live runs, so the request-rate limiter is really
@@ -658,22 +664,15 @@ def run_batch(cfg: ExperimentConfig) -> BatchResult:
                     logger.error("simulation %d aborted: %s", result.sim_id, result.abort_reason)
                     break
                 batch.summaries.append(summary)
-        finished_at = _dt.datetime.now(_dt.timezone.utc)
 
         # Pooled decision stream in (sim_id, seq) order, over everything logged.
-        pooled_states: list[DecisionState] = []
-        for r in batch.results:
-            pooled_states.extend(outcome.state for _, outcome in r.decisions)
+        pooled_states = [outcome.state for r in batch.results for _, outcome in r.decisions]
         if batch.summaries:
             batch.batch = aggregate_batch(batch.summaries)
         if pooled_states:
             batch.series = yes_ratio_series(pooled_states, cfg.rolling_window)
         if out_dir is not None:
-            write_outputs(batch, echo, started_at, finished_at)
-    except BaseException as exc:
-        if out_dir is not None:
-            _write_manifest(batch, echo, started_at, _dt.datetime.now(_dt.timezone.utc), _one_line(exc))
-        raise
+            write_outputs(batch)
     return batch
 
 
@@ -715,17 +714,8 @@ def _publish_logs(out: Path) -> None:
             os.replace(out / (name + _PARTIAL), out / name)
 
 
-def write_outputs(
-    batch: BatchResult,
-    echo: dict[str, Any],
-    started_at: _dt.datetime,
-    finished_at: _dt.datetime,
-) -> None:
-    """Write a batch's series, tables and manifest; its per-sim files are in place.
-
-    ``echo`` is ``config_to_dict(batch.config)``, hashed for the manifest's
-    ``config_sha256``.
-    """
+def write_outputs(batch: BatchResult) -> None:
+    """Write a batch's series and tables; its per-sim files are in place."""
     assert batch.output_dir is not None
     out = batch.output_dir
 
@@ -742,22 +732,15 @@ def write_outputs(
             fh.writelines(f"{pos},{c!r},{rolling[r]}\n" for (pos, c), r in zip(rows, series.rolling))
 
     write_tables(out, batch.batch, batch.series)
-    _write_manifest(batch, echo, started_at, finished_at)
 
 
-def _write_manifest(
-    batch: BatchResult,
-    echo: dict[str, Any],
-    started_at: _dt.datetime,
-    finished_at: _dt.datetime,
-    error: str | None = None,
-) -> None:
-    """The run's metadata; ``error`` names the exception that failed the batch."""
+def _write_manifest(batch: BatchResult, echo: dict[str, Any], started_at: _dt.datetime, error: str | None) -> None:
+    """The run's metadata; ``echo`` is hashed for ``config_sha256``, ``error`` names what failed the batch."""
     cfg = batch.config
     manifest = {
         "schema_version": 1,
         "started_at": started_at.isoformat(),
-        "finished_at": finished_at.isoformat(),
+        "finished_at": _dt.datetime.now(_dt.timezone.utc).isoformat(),
         "master_seed": cfg.master_seed,
         "provider_kind": cfg.provider.kind.value,
         "preset": cfg.preset,

@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import concurrent.futures
 import csv
 import dataclasses
+import datetime
 import filecmp
 import hashlib
 import json
@@ -469,6 +471,9 @@ def test_manifest_contents(mini_batch):
     assert manifest["aborted"] == [] and manifest["skipped"] == []
     assert manifest["config_sha256"] == config_hash(mini_batch.config)
     assert manifest["output_dir"] == str(mini_batch.output_dir)
+    started = datetime.datetime.fromisoformat(manifest["started_at"])
+    finished = datetime.datetime.fromisoformat(manifest["finished_at"])
+    assert started.tzinfo is not None and started <= finished
 
 
 def test_config_echo_round_trips(mini_batch):
@@ -504,39 +509,51 @@ def test_rebuild_tables_matches_first_pass(mini_batch, tmp_path):
         rebuild_tables(copy, window=0)
 
 
-def test_parallel_batches_are_byte_identical(tmp_path):
-    serial_dir = tmp_path / "serial"
-    pooled_dir = tmp_path / "pooled"
-    serial = run_batch(mini_config(serial_dir))
-    pooled = run_batch(
-        resolve_preset(
-            "exp1",
-            {
-                "n_simulations": 4,
-                "max_steps": 60,
-                "master_seed": 1234,
-                "output_dir": str(pooled_dir),
-                "parallelism": 2,
-            },
+def test_parallel_batches_are_byte_identical(tmp_path, monkeypatch):
+    # The pool is chosen by parallelism alone: a one-sim batch runs there too.
+    pools = []
+
+    class CountedPool(concurrent.futures.ProcessPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            pools.append(kwargs["max_workers"])
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", CountedPool)
+    for n_simulations in (4, 1):
+        serial_dir = tmp_path / f"serial{n_simulations}"
+        pooled_dir = tmp_path / f"pooled{n_simulations}"
+        serial = run_batch(dataclasses.replace(mini_config(serial_dir), n_simulations=n_simulations))
+        pooled = run_batch(
+            resolve_preset(
+                "exp1",
+                {
+                    "n_simulations": n_simulations,
+                    "max_steps": 60,
+                    "master_seed": 1234,
+                    "output_dir": str(pooled_dir),
+                    "parallelism": 2,
+                },
+            )
         )
-    )
-    assert serial.summaries == pooled.summaries
-    # Pooled results come back pickled; a NamedTuple equals a plain tuple,
-    # so the record types are checked too.
-    assert pooled.results == serial.results
-    assert all(type(t) is engine.TradeRecord for r in pooled.results for t in r.trades)
-    assert all(type(q) is DesireQuery for r in pooled.results for q, _ in r.decisions)
-    names = sorted(
-        p.relative_to(serial_dir).as_posix() for p in serial_dir.rglob("*") if p.is_file()
-    )
-    pooled_names = sorted(
-        p.relative_to(pooled_dir).as_posix() for p in pooled_dir.rglob("*") if p.is_file()
-    )
-    assert names == pooled_names
-    for name in names:
-        if name == MANIFEST_JSON:  # timestamps and worker count differ by design
-            continue
-        assert filecmp.cmp(serial_dir / name, pooled_dir / name, shallow=False), name
+        assert len(serial.summaries) == n_simulations
+        assert serial.summaries == pooled.summaries
+        # Pooled results come back pickled; a NamedTuple equals a plain tuple,
+        # so the record types are checked too.
+        assert pooled.results == serial.results
+        assert all(type(t) is engine.TradeRecord for r in pooled.results for t in r.trades)
+        assert all(type(q) is DesireQuery for r in pooled.results for q, _ in r.decisions)
+        names = sorted(
+            p.relative_to(serial_dir).as_posix() for p in serial_dir.rglob("*") if p.is_file()
+        )
+        pooled_names = sorted(
+            p.relative_to(pooled_dir).as_posix() for p in pooled_dir.rglob("*") if p.is_file()
+        )
+        assert names == pooled_names
+        for name in names:
+            if name == MANIFEST_JSON:  # timestamps and worker count differ by design
+                continue
+            assert filecmp.cmp(serial_dir / name, pooled_dir / name, shallow=False), name
+    assert pools == [2, 2]
 
 
 def test_encoded_trade_quantities_keep_their_sign(mini_batch):
@@ -823,6 +840,23 @@ def test_failure_outside_the_sims_keeps_their_rows(tmp_path, monkeypatch, mini_b
     if broken_step == "yes_ratio_series":  # a batch that writes no tree raises it as it is
         with pytest.raises(OSError, match="disk full"):
             run_batch(mini_config())
+
+
+def test_failure_while_the_logs_are_published_fails_the_manifest(tmp_path, monkeypatch):
+    # The logs are moved into place before the manifest is written, so an
+    # error there propagates and the manifest names it.
+    def broken(out):
+        raise OSError("rename refused\nsecond line")
+
+    monkeypatch.setattr(harness, "_publish_logs", broken)
+    out = tmp_path / "failed"
+    with pytest.raises(OSError, match="rename refused"):
+        run_batch(mini_config(out))
+    manifest = json.loads((out / MANIFEST_JSON).read_text("utf-8"))
+    assert manifest["status"] == "failed"
+    assert manifest["error"] == "OSError: rename refused"
+    assert manifest["completed"] == 4 and manifest["skipped"] == []
+    assert not (out / SERIES_CSV).exists()  # nothing after the sims ran
 
 
 def test_interrupt_between_sims_keeps_the_finished_ones(tmp_path, monkeypatch, mini_batch):
