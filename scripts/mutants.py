@@ -474,8 +474,13 @@ MUTANTS = (
         ("tests/test_cli.py::test_wrongly_typed_config_file_is_config_error",),
     ),
     Mutant(
-        "a failed sim logs its traceback as an args tuple", "harness.py",
-        "    def __str__(self) -> str:\n        return self.traceback_text\n", "",
+        "the abort log drops the worker's traceback", "harness.py",
+        "reason, \"\\n\" + raised if raised else \"\")", "reason, \"\")",
+        ("tests/test_cli.py::test_unexpected_exception_aborts_the_sim",),
+    ),
+    Mutant(
+        "a raised sim's empty result is kept", "harness.py",
+        "                if result is not None:\n", "                if True:\n",
         ("tests/test_cli.py::test_unexpected_exception_aborts_the_sim",),
     ),
     Mutant(

@@ -413,9 +413,12 @@ def config_hash(cfg: ExperimentConfig) -> str:
 
 # One simulation of a batch: (config, sim_id, its replay slice or None).
 _Task = tuple[ExperimentConfig, int, list[JournalRecord] | None]
-# What a worker hands back for a sim that ran: its result, its summary (None
-# if it aborted) and, for a batch that writes a tree, its rows and journal.
-_SimDone = tuple[SimulationResult, SimulationSummary | None, tuple[str, str, str, str, str | None] | None]
+# What a worker hands back for every sim, however it ended: (sim_id, result,
+# summary, rows and journal if the batch writes a tree, abort reason, worker
+# traceback). A sim that finished has no reason, one aborted by its result no
+# summary, and one that raised only its reason and traceback.
+_SimDone = tuple[int, SimulationResult | None, SimulationSummary | None,
+                 tuple[str, str, str, str, str | None] | None, str | None, str | None]
 
 def _finite_float(raw: str) -> float:
     """A summaries.csv float cell; a run never writes NaN or an infinity."""
@@ -451,31 +454,17 @@ def _one_line(exc: BaseException) -> str:
     return f"{type(exc).__name__}: {(str(exc).splitlines() or [''])[0]}"
 
 
-class _SimRaised(Exception):
-    """A sim that raised an exception other than ``ProviderHardFailure``: a bug.
-
-    Returned, not raised, by the worker, so each outcome carries its own
-    sim_id even when the pool runs several sims as one chunk. The worker's
-    traceback comes along as text (a traceback object does not pickle) and
-    is what this exception prints as.
-    """
-
-    def __init__(self, sim_id: int, reason: str, traceback_text: str) -> None:
-        self.sim_id = sim_id
-        self.reason = reason  # "<Type>: <first line of the message>"
-        self.traceback_text = traceback_text
-
-    def __str__(self) -> str:
-        return self.traceback_text
-
-
-def _run_one_task(task: _Task) -> _SimDone | _SimRaised:
+def _run_one_task(task: _Task) -> _SimDone:
     """Worker entry point; must stay module-level and picklable.
 
     Runs one sim of the batch with the configured provider, summarizes it
     and, if the batch writes a tree, encodes its log rows and its journal.
     So a pooled batch does all of a sim's work in the worker, and the
     parent only appends; a batch without a tree encodes nothing.
+
+    Each sim, even in a pooled chunk, comes back as one ``_SimDone``. A bug
+    (any exception but ``ProviderHardFailure``) is returned, not raised, with
+    its traceback as text: a traceback object does not pickle.
     """
     cfg, sim_id, replay_slice = task
     seed = simulation_seed(cfg.master_seed, sim_id)
@@ -491,11 +480,12 @@ def _run_one_task(task: _Task) -> _SimDone | _SimRaised:
         ).run()
         summary = None if result.aborted else summarize_simulation(result)
         template = cfg.provider.prompt_template if cfg.journal_enabled() else None
-        return result, summary, _encode_rows(result, summary, template) if cfg.output_dir else None
+        rows = _encode_rows(result, summary, template) if cfg.output_dir else None
+        return sim_id, result, summary, rows, result.abort_reason, None
     except ProviderHardFailure:
         raise  # outside a run (building its provider): the whole batch fails
     except Exception as exc:
-        return _SimRaised(sim_id, _one_line(exc), traceback.format_exc())
+        return sim_id, None, None, None, _one_line(exc), traceback.format_exc().rstrip()
 
 
 _VALUE = {e: e.value for enum_cls in (Direction, DecisionState, ProviderKind) for e in enum_cls}
@@ -645,23 +635,19 @@ def run_batch(cfg: ExperimentConfig) -> BatchResult:
                 stack.callback(pool.shutdown, cancel_futures=True)
                 chunk = max(1, cfg.n_simulations // (cfg.parallelism * 4))
                 runs = pool.map(_run_one_task, tasks, chunksize=chunk)
-            for done in runs:
-                if isinstance(done, _SimRaised):
-                    batch.aborted.append((done.sim_id, done.reason))
-                    logger.error("simulation %d aborted: %s", done.sim_id, done.reason, exc_info=done)
-                    break
-                result, summary, rows = done
-                batch.results.append(result)
-                if out_dir is not None:
+            for sim_id, result, summary, rows, reason, raised in runs:
+                if result is not None:
+                    batch.results.append(result)
+                if rows is not None:
                     *log_rows, journal = rows
                     for fh, text in zip(logs, log_rows):
                         fh.write(text)
                     if journal is not None:
-                        path = out_dir / JOURNAL_DIR / f"sim_{result.sim_id:04d}.jsonl"
+                        path = out_dir / JOURNAL_DIR / f"sim_{sim_id:04d}.jsonl"
                         path.write_text(journal, encoding="utf-8", newline="")
-                if summary is None:
-                    batch.aborted.append((result.sim_id, result.abort_reason))
-                    logger.error("simulation %d aborted: %s", result.sim_id, result.abort_reason)
+                if reason is not None:
+                    batch.aborted.append((sim_id, reason))
+                    logger.error("simulation %d aborted: %s%s", sim_id, reason, "\n" + raised if raised else "")
                     break
                 batch.summaries.append(summary)
 

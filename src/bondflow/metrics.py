@@ -135,7 +135,6 @@ def _share_pct(part: float, total: float) -> float:
 def _tally(
     legs: Iterable[tuple[bool, float, float]],
     states: Iterable[DecisionState],
-    cease_steps: Sequence[int | None],
     *,
     sim_id: int,
     terminal_reason: TerminalReason | None,
@@ -147,9 +146,9 @@ def _tally(
     """The summary count both the in-memory and the recount path use.
 
     Trade legs are (is_client, bond_qty, cash_qty) and, like the decision
-    states, come in log order; a cease step is None for an MM still alive,
-    and every sim has at least one MM. The keyword fields are echoed into
-    the summary.
+    states, come in log order. The keyword fields are echoed into the
+    summary. ``max_life`` is the terminal step: a run ends at the step its
+    last MM ceases, or at the step cap with an MM alive.
     """
     terminal_step = max(0, steps_executed - 1)  # as SimulationResult.terminal_step
     client_bond_vol = client_cash_vol = 0.0
@@ -167,13 +166,12 @@ def _tally(
     counts = Counter(states)
     requests = sum(counts.values())
     yes, no = counts[DecisionState.YES], counts[DecisionState.NO]
-    max_life = max(terminal_step if c is None else c for c in cease_steps)
     return SimulationSummary(
         sim_id=sim_id,
         terminal_step=terminal_step,
         terminal_reason=terminal_reason,
         steps_executed=steps_executed,
-        max_life=max_life,
+        max_life=terminal_step,
         mm_client_bond_pct=_client_pct(client_bond_vol, initial_client_bonds),
         mm_client_cash_pct=_client_pct(client_cash_vol, initial_client_cash),
         interbank_bond_pct=_share_pct(ib_bond_vol, client_bond_vol + ib_bond_vol),
@@ -196,7 +194,6 @@ def summarize_simulation(result: SimulationResult) -> SimulationSummary:
     return _tally(
         ((t.counterparty_kind is client, t.bond_qty, t.cash_qty) for t in result.trades),
         (outcome.state for _, outcome in result.decisions),
-        [mm.ceased_at_step for mm in result.mms],
         sim_id=result.sim_id,
         terminal_reason=result.terminal_reason,
         steps_executed=result.steps_executed,
@@ -344,7 +341,6 @@ def recount_simulation(
             for row in own(trade_rows)
         ),
         (DecisionState(row["state"]) for row in own(decision_rows)),
-        cease_steps,
         sim_id=sim_id,
         terminal_reason=terminal_reason,
         steps_executed=steps_executed,

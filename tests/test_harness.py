@@ -665,7 +665,7 @@ def test_unexpected_exception_in_a_pooled_sim_is_partial(tmp_path, monkeypatch, 
     manifest = json.loads((out / MANIFEST_JSON).read_text(encoding="utf-8"))
     assert manifest["status"] == "partial" and manifest["completed"] == 3
     aborts = [r for r in caplog.records if r.levelno == logging.ERROR and " aborted: " in r.getMessage()]
-    assert [r.getMessage() for r in aborts] == ["simulation 3 aborted: ValueError: bad state"]
+    assert [r.getMessage().split("\n")[0] for r in aborts] == ["simulation 3 aborted: ValueError: bad state"]
     assert "in broken_in_sim_3" in caplog.text and "ValueError: bad state" in caplog.text
 
 
@@ -814,6 +814,30 @@ def test_aborted_batch_keeps_what_ran(tmp_path, monkeypatch):
     with open(out / DECISIONS_CSV, encoding="utf-8", newline="") as fh:
         sim1 = [row["seq"] for row in csv.DictReader(fh) if row["sim_id"] == "1"]
     assert sim1 == ["0", "1", "2", "3", "4"]  # the decisions made before the failure
+
+
+def test_failure_after_a_sim_ran_leaves_nothing_of_it(tmp_path, monkeypatch):
+    # Sim 1 runs to its end, then encoding its rows raises: the sim is
+    # aborted like one that raised mid-run, and none of its files is written.
+    encode = harness._encode_rows
+
+    def broken_for_sim_1(r, summary, template):
+        if r.sim_id == 1:
+            raise OSError("encoder broke")
+        return encode(r, summary, template)
+
+    monkeypatch.setattr(harness, "_encode_rows", broken_for_sim_1)
+    out = tmp_path / "partial"
+    result = run_batch(resolve_preset("exp3", {"n_simulations": 3, "max_steps": 30, "output_dir": str(out)}))
+    assert result.aborted == [(1, "OSError: encoder broke")]
+    assert [r.sim_id for r in result.results] == [0]
+    assert result.skipped == [2]
+    assert json.loads((out / MANIFEST_JSON).read_text("utf-8"))["status"] == "partial"
+    for name in (TRADES_CSV, DECISIONS_CSV, LIFECYCLE_CSV, SUMMARIES_CSV):
+        with open(out / name, encoding="utf-8", newline="") as fh:
+            assert {row["sim_id"] for row in csv.DictReader(fh)} <= {"0"}, name
+    assert (out / JOURNAL_DIR / "sim_0000.jsonl").exists()
+    assert not (out / JOURNAL_DIR / "sim_0001.jsonl").exists()
 
 
 @pytest.mark.parametrize("broken_step", ["yes_ratio_series", "write_tables"])
