@@ -611,14 +611,15 @@ MUTANTS = (
         ("tests/test_metrics.py::test_rolling_all_yes_is_exactly_one",),
     ),
     Mutant(
-        "a stream shorter than its window gets rolling ratios", "metrics.py",
-        "    if k >= window:\n", "    if True:\n",
+        "the first rolling window starts one outcome early", "metrics.py",
+        "for j in range(window, k + 1)]", "for j in range(window - 1, k + 1)]",
         ("tests/test_metrics.py::test_rolling_all_yes_is_exactly_one",),
     ),
     Mutant(
-        "a series' yes count is a numpy scalar", "metrics.py",
-        "    yes_count = int(csum[-1])\n", "    yes_count = csum[-1]\n",
-        ("tests/test_metrics.py::test_rolling_all_yes_is_exactly_one",),
+        "errors enter the cumulative ratio's denominator", "metrics.py",
+        "    cumulative = [yes_after[j] / j for j in range(1, k + 1)]\n",
+        "    cumulative = [yes_after[j] / (positions[j - 1] + 1) for j in range(1, k + 1)]\n",
+        ("tests/test_metrics.py::test_errors_are_excluded_from_both_series",),
     ),
     Mutant(
         "an empty series' stats come from numpy", "metrics.py",

@@ -9,9 +9,9 @@ Everything here is a pure function over logs. Two properties matter:
   through shortest-repr formatting, so the recount matches the summary
   EXACTLY. Since the tally is shared, the recount's exact-equality test
   checks that the logs carry every input it needs.
-- Ratio arithmetic: rolling-window yes ratios are integer window counts
-  divided once, so an all-yes window is exactly 1.0 and an all-no window
-  exactly 0.0 (float convolution would give 0.9999999999999999).
+- Ratio arithmetic: both yes ratios, cumulative and rolling, are integer
+  counts divided once, so an all-yes window is exactly 1.0 and an all-no
+  window exactly 0.0 (float convolution would give 0.9999999999999999).
 
 Error outcomes are excluded from both ratio series (yes/(yes+no)
 semantics) and tallied separately.
@@ -19,10 +19,9 @@ semantics) and tallied separately.
 
 from __future__ import annotations
 
-import csv
-import io
 from collections import Counter
 from dataclasses import astuple, dataclass
+from itertools import accumulate
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -261,35 +260,23 @@ def aggregate_batch(summaries: Sequence[SimulationSummary]) -> BatchSummary:
 def yes_ratio_series(
     states: Sequence[DecisionState], window: int = DEFAULT_ROLLING_WINDOW
 ) -> YesRatioSeries:
-    """Cumulative and rolling yes ratios over an ordered decision stream."""
+    """Cumulative and rolling yes ratios over an ordered decision stream.
+
+    ``yes_after[j]`` counts the yes outcomes among the first ``j`` non-errors;
+    each ratio is such a count divided once by an int. Python's int/int division
+    rounds the exact quotient, as numpy's int64 division does for counts below
+    2**53, so every float equals numpy's.
+    """
     if window < 1:
         raise ValueError("window must be >= 1")
-    positions = [i for i, s in enumerate(states) if s is not DecisionState.ERROR]
-    flags = np.array(
-        [1 if states[i] is DecisionState.YES else 0 for i in positions], dtype=np.int64
-    )
-    error_count = len(states) - len(positions)
-    k = len(flags)
-    if k == 0:
-        return YesRatioSeries(window, [], [], [], 0, 0, error_count)
-    csum = np.cumsum(flags)
-    denominators = np.arange(1, k + 1, dtype=np.int64)
-    cumulative = (csum / denominators).tolist()
-    rolling: list[float] = []
-    if k >= window:
-        window_sums = csum[window - 1 :].copy()
-        window_sums[1:] -= csum[: k - window]
-        rolling = (window_sums / window).tolist()
-    yes_count = int(csum[-1])
-    return YesRatioSeries(
-        window=window,
-        positions=positions,
-        cumulative=cumulative,
-        rolling=rolling,
-        yes_count=yes_count,
-        no_count=k - yes_count,
-        error_count=error_count,
-    )
+    yes_state, error = DecisionState.YES, DecisionState.ERROR
+    positions = [i for i, s in enumerate(states) if s is not error]
+    yes_after = list(accumulate((states[i] is yes_state for i in positions), initial=0))
+    k = len(positions)
+    yes = yes_after[-1]
+    cumulative = [yes_after[j] / j for j in range(1, k + 1)]
+    rolling = [(yes_after[j] - yes_after[j - window]) / window for j in range(window, k + 1)]
+    return YesRatioSeries(window, positions, cumulative, rolling, yes, k - yes, len(states) - k)
 
 
 def series_stats(values: Sequence[float]) -> SeriesStats:
@@ -359,11 +346,8 @@ def _format_value(v: float) -> str:
 
 
 def _render_csv(columns: Sequence[str], rows: Sequence[Sequence[str]]) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(columns)
-    writer.writerows(rows)
-    return buf.getvalue()
+    """Plain joined cells: each is a constant label or a ``%.6g`` number, so none needs quoting."""
+    return "".join(",".join(row) + "\n" for row in [columns, *rows])
 
 
 def _render_pretty(columns: Sequence[str], rows: Sequence[Sequence[str]]) -> str:

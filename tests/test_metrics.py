@@ -293,11 +293,16 @@ def test_empty_and_all_error_streams():
 
 def test_window_sums_match_bruteforce():
     rng = np.random.default_rng(5)
-    states = [Y if rng.random() < 0.57 else N for _ in range(500)]
-    series = yes_ratio_series(states, window=10)
-    flags = [1 if s is Y else 0 for s in states]
-    brute = [sum(flags[i : i + 10]) / 10 for i in range(len(flags) - 9)]
-    assert series.rolling == brute
+    states = [(Y, N, E)[i] for i in rng.choice(3, size=500, p=[0.5, 0.35, 0.15])]
+    flags = [1 if s is Y else 0 for s in states if s is not E]
+    k, yes = len(flags), sum(flags)
+    # Both ratios are exact integer counts divided once, as Python divides them.
+    for window in (1, 10, k + 1):
+        series = yes_ratio_series(states, window=window)
+        assert series.positions == [i for i, s in enumerate(states) if s is not E]
+        assert series.cumulative == [sum(flags[: i + 1]) / (i + 1) for i in range(k)]
+        assert series.rolling == [sum(flags[i : i + window]) / window for i in range(k - window + 1)]
+        assert (series.yes_count, series.no_count, series.error_count) == (yes, k - yes, len(states) - k)
 
 
 def test_series_stats_population_std():
