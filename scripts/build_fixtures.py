@@ -14,9 +14,6 @@ Produces, under src/bondflow/data/fixtures/:
   Because refusals never mutate the landscape, the replayed exp2 batch
   issues byte-for-byte the same query stream, so the corpus covers its
   demand exactly.
-- timeliness_10k.jsonl: 10,000 decisions from the calibrated bursty
-  provider over synthetic timeliness queries, used for ratio-statistics
-  tests.
 
 Deterministic: rerunning this script reproduces identical files.
 """
@@ -39,18 +36,12 @@ from bondflow import (  # noqa: E402
     DecisionState,
     DesireQuery,
     ProviderKind,
-    PromptTemplate,
     Simulation,
     resolve_preset,
     simulation_seed,
 )
-from bondflow.decision import (  # noqa: E402
-    SyntheticBurstyProvider,
-    journal_line,
-    normalize_response,
-)
+from bondflow.decision import journal_line, normalize_response  # noqa: E402
 from bondflow.engine import CounterpartyKind  # noqa: E402
-from bondflow.landscape import sample_truncated_lognormal  # noqa: E402
 from bondflow.seeding import STREAM_PROVIDER, substream  # noqa: E402
 
 FIXTURE_DIR = REPO / "src" / "bondflow" / "data" / "fixtures"
@@ -199,31 +190,6 @@ def build_aversion_corpus(out: Path) -> None:
     )
 
 
-def build_timeliness_fixture(out: Path, n: int = 10_000, seed: int = 20240) -> None:
-    provider = SyntheticBurstyProvider(0.656, 0.544, substream(seed, 0))
-    holdings_rng = substream(seed, 1)
-    bonds = sample_truncated_lognormal(2.5, 1.0, 100.0, holdings_rng, size=n)
-    cash = sample_truncated_lognormal(1.0, 0.5, 5.0, holdings_rng, size=n)
-    path = out / "timeliness_10k.jsonl"
-    yes = 0
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        for i in range(n):
-            q = DesireQuery(
-                sim_id=0,
-                step=i,
-                mm_id=0,
-                client_position=(i % 50, (i // 50) % 50),
-                client_bonds=float(bonds[i]),
-                client_cash=float(cash[i]),
-                sequence_no=i,
-            )
-            outcome = provider.decide(q)
-            if outcome.state is DecisionState.YES:
-                yes += 1
-            fh.write(journal_line(q, outcome, PromptTemplate.TIMELINESS))
-    print(f"wrote {path} ({n} records, yes fraction {yes / n:.4f})")
-
-
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument(
@@ -233,7 +199,6 @@ def main() -> None:
     args.out.mkdir(parents=True, exist_ok=True)
     build_reply_fixtures(args.out)
     build_aversion_corpus(args.out)
-    build_timeliness_fixture(args.out)
 
 
 if __name__ == "__main__":

@@ -172,6 +172,13 @@ MUTANTS = (
         ("tests/test_seeding.py::test_provider_uniforms_match_scalar_random",),
     ),
     Mutant(
+        "the bursty chain forgets its state",
+        "decision.py",
+        "        stay = self.stay_yes if emitted is DecisionState.YES else self.stay_no",
+        "        stay = self.stationary_yes if emitted is DecisionState.YES else 1.0 - self.stationary_yes",
+        ("tests/test_acceptance.py::test_criterion_4_bursty_chain_ratio_statistics",),
+    ),
+    Mutant(
         "build_provider reads the contact-selection stream",
         "decision.py",
         "from .seeding import STREAM_PROVIDER, buffered_uniforms, substream",

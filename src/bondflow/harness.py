@@ -112,11 +112,6 @@ def shipped_aversion_corpus() -> str:
     return str(resources.files("bondflow").joinpath("data", "fixtures", "aversion_replay.jsonl"))
 
 
-def shipped_timeliness_fixture() -> str:
-    """Path of the 10k-decision bursty fixture shipped as package data."""
-    return str(resources.files("bondflow").joinpath("data", "fixtures", "timeliness_10k.jsonl"))
-
-
 _BOUNDS = bounds_table({
     "max_steps": "int [0, inf)", "n_simulations": "int [1, inf)", "master_seed": "int [-inf, inf]",
     "parallelism": "int [1, inf)", "rolling_window": "int [1, inf)",

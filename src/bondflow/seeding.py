@@ -3,8 +3,11 @@
 Every random draw in a simulation comes from a named substream of a
 per-simulation seed, which is itself derived from the batch master seed and
 the simulation index by a stable cryptographic hash. Nothing depends on
-process count, wall clock, or Python's hash randomization, so a batch
-replays bit-identically on any platform numpy supports.
+process count, wall clock, or Python's hash randomization. The bytes do
+depend on numpy, though: on its SIMD ``exp`` kernel, which rounds some
+holdings an ulp apart on CPUs with and without AVX-512 (ROADMAP item 13),
+and on the ``Generator`` methods and the seeding that
+``tests/test_canaries.py`` pins.
 
 Hot streams are read ahead in blocks (``BufferedIntegers``,
 ``buffered_uniforms``): one private generator hands out a numpy block value

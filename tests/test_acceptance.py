@@ -29,6 +29,7 @@ import pytest
 from bondflow import (
     BatchResult,
     DecisionState,
+    DesireQuery,
     ExperimentConfig,
     ProviderKind,
     read_journal,
@@ -39,12 +40,7 @@ from bondflow import (
 from bondflow.agents import AgentConfig, CeaseRule
 from bondflow.decision import SyntheticBurstyProvider, normalize_response
 from bondflow.engine import TerminalReason
-from bondflow.harness import (
-    MANIFEST_JSON,
-    TABLE_FILES,
-    shipped_aversion_corpus,
-    shipped_timeliness_fixture,
-)
+from bondflow.harness import MANIFEST_JSON, TABLE_FILES, shipped_aversion_corpus
 from bondflow.landscape import Direction
 from bondflow.metrics import (
     CLIENT_TABLE_COLUMNS,
@@ -52,6 +48,7 @@ from bondflow.metrics import (
     YES_RATIO_TABLE_COLUMNS,
     series_stats,
 )
+from bondflow.seeding import substream
 from util import GOLDEN_DIR, run_mini
 
 
@@ -211,28 +208,54 @@ def test_criterion_3_check_rejects_swapped_batches(exp1_50, exp3_50):
     assert not passed, f"criterion 3 passes with the batches swapped: {detail}"
 
 
-def test_criterion_4_bursty_fixture_ratio_statistics():
+def test_criterion_4_bursty_chain_ratio_statistics():
+    """exp3's bursty chain, at its configured stays, over 10,000 decisions.
+
+    The bounds follow from the two stays alone (Kemeny & Snell, Finite
+    Markov Chains, 1960): the stationary yes rate pi, the lag-1
+    autocorrelation lam = s_yes + s_no - 1, and their standard errors over
+    n states. The lag-1 clause is what tells the chain from a coin flip at
+    the same yes rate, whose lag-1 is 0.
+    """
+    provider_cfg = resolve_preset("exp3").provider
+    s_yes, s_no = provider_cfg.burst_stay_yes, provider_cfg.burst_stay_no
+    n = 10_000
+    pi = (1 - s_no) / ((1 - s_yes) + (1 - s_no))
+    lam = s_yes + s_no - 1
+    yes_se = math.sqrt(pi * (1 - pi) * (1 + lam) / ((1 - lam) * n))
+    lag1_se = math.sqrt((1 - lam**2) / n)
+
     def compute():
-        states = [r.state for r in read_journal(shipped_timeliness_fixture())]
-        assert len(states) == 10_000
+        provider = SyntheticBurstyProvider(s_yes, s_no, substream(20240, 0))
+        q = DesireQuery(
+            sim_id=0, step=0, mm_id=0, client_position=(0, 0),
+            client_bonds=1.0, client_cash=1.0, sequence_no=0,
+        )
+        states = [provider.decide(q).state for _ in range(n)]
         series = yes_ratio_series(states, window=10)
         roll = series_stats(series.rolling)
         yes_fraction = series.yes_count / (series.yes_count + series.no_count)
-        return yes_fraction, roll
+        dev = [(state is DecisionState.YES) - yes_fraction for state in states]
+        lag1 = sum(a * b for a, b in zip(dev, dev[1:])) / sum(d * d for d in dev)
+        return yes_fraction, roll, lag1
 
-    (yes_fraction, roll), elapsed = timed(compute)
+    (yes_fraction, roll, lag1), elapsed = timed(compute)
+    yes_lo, yes_hi = pi - 4 * yes_se, pi + 4 * yes_se
+    lag1_lo, lag1_hi = lam - 4 * lag1_se, lam + 4 * lag1_se
     passed = (
-        0.54 <= yes_fraction <= 0.60
+        yes_lo <= yes_fraction <= yes_hi
         and 0.11 <= roll.std <= 0.21
         and roll.min == 0.0
         and roll.max == 1.0
+        and lag1_lo <= lag1 <= lag1_hi
         and elapsed < 5.0
     )
     report(
-        "criterion-4 bursty fixture ratio statistics",
+        "criterion-4 bursty chain ratio statistics",
         passed,
-        f"yes fraction {yes_fraction:.4f} in [0.54, 0.60], rolling std {roll.std:.4f} "
-        f"in [0.11, 0.21], rolling min {roll.min} / max {roll.max}, in {elapsed:.2f}s",
+        f"yes fraction {yes_fraction:.4f} in [{yes_lo:.4f}, {yes_hi:.4f}], rolling std "
+        f"{roll.std:.4f} in [0.11, 0.21], rolling min {roll.min} / max {roll.max}, lag-1 "
+        f"{lag1:.4f} in [{lag1_lo:.4f}, {lag1_hi:.4f}], in {elapsed:.2f}s",
     )
 
 

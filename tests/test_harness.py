@@ -51,7 +51,6 @@ from bondflow.harness import (
     config_to_dict,
     load_output_dir,
     shipped_aversion_corpus,
-    shipped_timeliness_fixture,
 )
 from bondflow import decision, engine, harness
 from bondflow.landscape import LandscapeConfig
@@ -95,7 +94,6 @@ def test_exp3_preset_shape():
 
 def test_shipped_fixture_paths_exist():
     assert Path(shipped_aversion_corpus()).exists()
-    assert Path(shipped_timeliness_fixture()).exists()
 
 
 def test_unknown_preset_rejected():
@@ -1040,7 +1038,7 @@ def test_build_fixtures_reproduces_shipped_corpora(tmp_path):
     assert run.returncode == 0, run.stderr
     shipped = repo / "src" / "bondflow" / "data" / "fixtures"
     names = sorted(p.name for p in shipped.iterdir())
-    assert names == ["aversion_replay.jsonl", "reply_fixtures.json", "timeliness_10k.jsonl"]
+    assert names == ["aversion_replay.jsonl", "reply_fixtures.json"]
     for name in names:
         assert (tmp_path / name).read_bytes() == (shipped / name).read_bytes(), name
 
