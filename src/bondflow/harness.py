@@ -44,6 +44,8 @@ import json
 import logging
 import math
 import os
+import pickle
+import platform
 import shutil
 import traceback
 from dataclasses import dataclass, field, replace
@@ -51,7 +53,12 @@ from importlib import resources
 from pathlib import Path
 from typing import Any, Callable, Mapping, get_args, get_type_hints
 
+import numpy
 import yaml
+try:
+    from numpy._core._multiarray_umath import __cpu_features__
+except ImportError:  # numpy 1.x
+    from numpy.core._multiarray_umath import __cpu_features__
 
 from .agents import AgentConfig
 from .decision import (
@@ -409,10 +416,11 @@ def config_hash(cfg: ExperimentConfig) -> str:
 # One simulation of a batch: (config, sim_id, its replay slice or None).
 _Task = tuple[ExperimentConfig, int, list[JournalRecord] | None]
 # What a worker hands back for every sim, however it ended: (sim_id, result,
-# summary, rows and journal if the batch writes a tree, abort reason, worker
-# traceback). A sim that finished has no reason, one aborted by its result no
-# summary, and one that raised only its reason and traceback.
-_SimDone = tuple[int, SimulationResult | None, SimulationSummary | None,
+# summary, decision states, rows and journal if the batch writes a tree, abort
+# reason, worker traceback; a pooled sim's result comes back pickled). A sim
+# that finished has no reason, one aborted by its result no summary, and one
+# that raised only its reason and traceback.
+_SimDone = tuple[int, SimulationResult | bytes | None, SimulationSummary | None, list[DecisionState] | None,
                  tuple[str, str, str, str, str | None] | None, str | None, str | None]
 
 def _finite_float(raw: str) -> float:
@@ -476,11 +484,17 @@ def _run_one_task(task: _Task) -> _SimDone:
         summary = None if result.aborted else summarize_simulation(result)
         template = cfg.provider.prompt_template if cfg.journal_enabled() else None
         rows = _encode_rows(result, summary, template) if cfg.output_dir else None
-        return sim_id, result, summary, rows, result.abort_reason, None
+        return sim_id, result, summary, [o.state for _, o in result.decisions], rows, result.abort_reason, None
     except ProviderHardFailure:
         raise  # outside a run (building its provider): the whole batch fails
     except Exception as exc:
-        return sim_id, None, None, None, _one_line(exc), traceback.format_exc().rstrip()
+        return sim_id, None, None, None, None, _one_line(exc), traceback.format_exc().rstrip()
+
+
+def _run_pooled(task: _Task) -> _SimDone:
+    """A pool's entry point: ``_run_one_task``, its result pickled so the parent decodes it only if read."""
+    sim_id, result, summary, states, rows, reason, raised = _run_one_task(task)
+    return sim_id, result and pickle.dumps(result, pickle.HIGHEST_PROTOCOL), summary, states, rows, reason, raised
 
 
 _VALUE = {e: e.value for enum_cls in (Direction, DecisionState, ProviderKind) for e in enum_cls}
@@ -527,20 +541,26 @@ def _encode_rows(
 
 @dataclass
 class BatchResult:
-    """A batch as far as it ran, filled in as its sims finish."""
+    """A batch as far as it ran, filled in as its sims finish; a pooled one decodes its results on first read."""
 
     config: ExperimentConfig
-    results: list[SimulationResult] = field(default_factory=list)
     summaries: list[SimulationSummary] = field(default_factory=list)
     batch: BatchSummary | None = None
     series: YesRatioSeries | None = None
     aborted: list[tuple[int, str]] = field(default_factory=list)
     output_dir: Path | None = None
+    _results: list[SimulationResult | bytes] = field(default_factory=list, repr=False)
+
+    @property
+    def results(self) -> list[SimulationResult]:
+        """Each sim's result that ran, in sim order."""
+        self._results[:] = [pickle.loads(r) if type(r) is bytes else r for r in self._results]
+        return self._results
 
     @property
     def skipped(self) -> list[int]:
         """The sims never run: after the first abort, or after the last result."""
-        handled = self.aborted[0][0] + 1 if self.aborted else len(self.results)
+        handled = self.aborted[0][0] + 1 if self.aborted else len(self._results)
         return list(range(handled, self.config.n_simulations))
 
     @property
@@ -607,6 +627,7 @@ def run_batch(cfg: ExperimentConfig) -> BatchResult:
             tree.push(lambda _, exc, __: _write_manifest(batch, echo, started_at, exc and _one_line(exc)))
         with contextlib.ExitStack() as stack:
             logs = []
+            pooled_states: list[DecisionState] = []  # in (sim_id, seq) order, over everything logged
             if out_dir is not None:
                 # Runs once every log is closed, however the sims end.
                 stack.callback(_publish_logs, out_dir)
@@ -629,10 +650,11 @@ def run_batch(cfg: ExperimentConfig) -> BatchResult:
                 # Leaving early (an abort) cancels the sims no worker has started.
                 stack.callback(pool.shutdown, cancel_futures=True)
                 chunk = max(1, cfg.n_simulations // (cfg.parallelism * 4))
-                runs = pool.map(_run_one_task, tasks, chunksize=chunk)
-            for sim_id, result, summary, rows, reason, raised in runs:
+                runs = pool.map(_run_pooled, tasks, chunksize=chunk)
+            for sim_id, result, summary, states, rows, reason, raised in runs:
                 if result is not None:
-                    batch.results.append(result)
+                    batch._results.append(result)
+                    pooled_states += states
                 if rows is not None:
                     *log_rows, journal = rows
                     for fh, text in zip(logs, log_rows):
@@ -646,8 +668,6 @@ def run_batch(cfg: ExperimentConfig) -> BatchResult:
                     break
                 batch.summaries.append(summary)
 
-        # Pooled decision stream in (sim_id, seq) order, over everything logged.
-        pooled_states = [outcome.state for r in batch.results for _, outcome in r.decisions]
         if batch.summaries:
             batch.batch = aggregate_batch(batch.summaries)
         if pooled_states:
@@ -735,6 +755,10 @@ def _write_manifest(batch: BatchResult, echo: dict[str, Any], started_at: _dt.da
         "config_sha256": _echo_hash(echo),
         "status": "failed" if error else "ok" if batch.ok else "partial",
         "error": error,
+        "python_version": platform.python_version(),
+        "numpy_version": numpy.__version__,
+        "pyyaml_version": yaml.__version__,
+        "numpy_cpu_features": sorted(name for name, enabled in __cpu_features__.items() if enabled),
     }
     with open(batch.output_dir / MANIFEST_JSON, "w", encoding="utf-8", newline="") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)

@@ -7,11 +7,13 @@ import csv
 import dataclasses
 import datetime
 import filecmp
+import functools
 import hashlib
 import json
 import logging
 import multiprocessing
 import os
+import platform
 import shutil
 import subprocess
 import sys
@@ -19,6 +21,7 @@ import threading
 import typing
 from pathlib import Path
 
+import numpy
 import pytest
 import yaml
 
@@ -34,6 +37,7 @@ from bondflow import (
     resolve_config,
     resolve_preset,
     run_batch,
+    simulation_seed,
 )
 from bondflow.agents import AgentConfig, CeaseRule
 from bondflow.decision import BernoulliProvider, LiveLLMProvider, ProviderConfig
@@ -474,6 +478,22 @@ def test_manifest_contents(mini_batch):
     assert started.tzinfo is not None and started <= finished
 
 
+def test_manifest_records_the_versions_the_bytes_depend_on(mini_batch):
+    # The manifest names the interpreter, the libraries and the SIMD features
+    # numpy dispatches on, so a tree whose bytes moved says what ran it.
+    manifest = json.loads((mini_batch.output_dir / MANIFEST_JSON).read_text("utf-8"))
+    assert manifest["python_version"] == platform.python_version()
+    assert manifest["numpy_version"] == numpy.__version__
+    assert manifest["pyyaml_version"] == yaml.__version__
+    try:
+        from numpy._core._multiarray_umath import __cpu_features__ as reported
+    except ImportError:  # numpy 1.x
+        from numpy.core._multiarray_umath import __cpu_features__ as reported
+    features = manifest["numpy_cpu_features"]
+    assert all(type(name) is str for name in features) and features == sorted(features)
+    assert features == sorted(name for name, enabled in reported.items() if enabled)
+
+
 def test_config_echo_round_trips(mini_batch):
     echoed = yaml.safe_load((mini_batch.output_dir / CONFIG_ECHO).read_text("utf-8"))
     assert echoed == config_to_dict(mini_batch.config)
@@ -552,6 +572,32 @@ def test_parallel_batches_are_byte_identical(tmp_path, monkeypatch):
                 continue
             assert filecmp.cmp(serial_dir / name, pooled_dir / name, shallow=False), name
     assert pools == [2, 2]
+
+
+def test_a_pooled_batch_decodes_its_results_on_first_read(monkeypatch):
+    # A pooled sim's result comes back as the bytes its worker pickled. The
+    # parent decodes none of them until .results is read, then each once.
+    decoded = []
+    unpickle = engine._unpickle_result
+
+    @functools.wraps(unpickle)  # so a worker's pickle still names engine._unpickle_result
+    def counted(*args):
+        decoded.append(args[-1]["sim_id"])
+        return unpickle(*args)
+
+    monkeypatch.setattr(engine, "_unpickle_result", counted)
+    cfg = resolve_preset("exp3", {"n_simulations": 4, "max_steps": 40, "parallelism": 2})
+    pooled = run_batch(cfg)
+    assert pooled.ok and pooled.skipped == []
+    assert decoded == []
+    first = list(pooled.results)
+    assert sorted(decoded) == [0, 1, 2, 3]
+    second = pooled.results
+    assert len(decoded) == 4
+    assert all(a is b for a, b in zip(first, second, strict=True))
+    serial = run_batch(dataclasses.replace(cfg, parallelism=1))
+    assert second == serial.results
+    assert pooled.summaries == serial.summaries and pooled.series == serial.series
 
 
 def test_encoded_trade_quantities_keep_their_sign(mini_batch):
@@ -812,6 +858,37 @@ def test_aborted_batch_keeps_what_ran(tmp_path, monkeypatch):
     with open(out / DECISIONS_CSV, encoding="utf-8", newline="") as fh:
         sim1 = [row["seq"] for row in csv.DictReader(fh) if row["sim_id"] == "1"]
     assert sim1 == ["0", "1", "2", "3", "4"]  # the decisions made before the failure
+
+
+@pytest.mark.skipif(
+    multiprocessing.get_start_method() != "fork", reason="the patched builder reaches workers only by fork"
+)
+def test_a_pooled_sim_aborted_by_its_result_writes_the_serial_tree(tmp_path, monkeypatch):
+    # Sim 2's provider fails hard on its sixth decision, in a worker as in the
+    # serial batch. Both keep its five decisions, in the logs, its journal and
+    # the series, and skip sims 3-5: the trees are equal.
+    cfg = resolve_preset("exp3", {"n_simulations": 6, "max_steps": 60})
+    doomed = simulation_seed(cfg.master_seed, 2)
+    build = harness.build_provider
+
+    def failing_in_sim_2(config, seed, replay_slice=None):
+        if seed == doomed:
+            return FailsOnDecision(5, substream(seed, STREAM_PROVIDER))
+        return build(config, seed, replay_slice)
+
+    monkeypatch.setattr(harness, "build_provider", failing_in_sim_2)
+    trees = []
+    for parallelism in (1, 2):
+        out = tmp_path / f"p{parallelism}"
+        result = run_batch(dataclasses.replace(cfg, parallelism=parallelism, output_dir=str(out)))
+        assert result.aborted == [(2, "gateway gone")] and result.skipped == [3, 4, 5]
+        assert json.loads((out / MANIFEST_JSON).read_text("utf-8"))["status"] == "partial"
+        trees.append(tree_bytes(out))
+    serial, pooled = trees
+    assert pooled == serial
+    decisions = serial[DECISIONS_CSV].decode().splitlines()[1:]
+    assert sum(row.startswith("2,") for row in decisions) == 5 and "journals/sim_0002.jsonl" in serial
+    assert len(serial[SERIES_CSV].decode().splitlines()) == len(decisions) + 1
 
 
 def test_failure_after_a_sim_ran_leaves_nothing_of_it(tmp_path, monkeypatch):
