@@ -188,8 +188,8 @@ MUTANTS = (
     Mutant(
         "pool runs the sims in reverse order",
         "harness.py",
-        "                runs = pool.map(_run_pooled, tasks, chunksize=chunk)",
-        "                runs = pool.map(_run_pooled, tasks[::-1], chunksize=chunk)",
+        "                runs = pool.map(_run_one_task, tasks, chunksize=chunk)",
+        "                runs = pool.map(_run_one_task, tasks[::-1], chunksize=chunk)",
         ("tests/test_reference.py",),
     ),
     # Output encoding and aggregation, bit for bit.
@@ -229,18 +229,18 @@ MUTANTS = (
         ("tests/test_engine.py::test_results_round_trip_through_pickle",),
     ),
     Mutant(
-        "a pooled result comes back live",
+        "a result comes back live",
         "harness.py",
-        "result and pickle.dumps(result, pickle.HIGHEST_PROTOCOL)",
-        "result",
-        ("tests/test_harness.py::test_a_pooled_batch_decodes_its_results_on_first_read",),
+        "        encoded = pickle.dumps(result, pickle.HIGHEST_PROTOCOL)\n",
+        "        encoded = result\n",
+        ("tests/test_harness.py::test_a_batch_decodes_its_results_on_first_read",),
     ),
     Mutant(
-        "a pooled sim's states are left out of the series",
+        "a sim's states are left out of the series",
         "harness.py",
-        "pickle.HIGHEST_PROTOCOL), summary, states, rows",
-        "pickle.HIGHEST_PROTOCOL), summary, [], rows",
-        ("tests/test_harness.py::test_a_pooled_batch_decodes_its_results_on_first_read",),
+        "summary, [o.state for _, o in result.decisions], rows",
+        "summary, [], rows",
+        ("tests/test_harness.py::test_a_batch_decodes_its_results_on_first_read",),
     ),
     # The journal, which replay reads back.
     Mutant(

@@ -131,8 +131,8 @@ class SimulationResult:
         A record pickled alone costs a Python-level ``__getnewargs__`` call
         to dump and a ``__new__`` call to load; columns of plain values pickle
         in C. The outcomes go as a list, so the shared outcome objects of the
-        scripted providers are memoized. A pooled worker pickles each result;
-        its batch keeps the bytes and decodes them on first read of ``results``.
+        scripted providers are memoized. Every batch, serial or pooled, pickles
+        each result; it keeps the bytes and decodes them on first read of ``results``.
         """
         state = dict(vars(self))
         trades = state.pop("trades")

@@ -81,7 +81,7 @@ from .engine import (
     TerminalReason,
 )
 from .errors import ConfigError, ProviderHardFailure, bounds_table, check_bound, check_bounds
-from .landscape import Direction, LandscapeConfig
+from .landscape import LandscapeConfig
 from .metrics import (
     DEFAULT_ROLLING_WINDOW,
     BatchSummary,
@@ -415,12 +415,12 @@ def config_hash(cfg: ExperimentConfig) -> str:
 
 # One simulation of a batch: (config, sim_id, its replay slice or None).
 _Task = tuple[ExperimentConfig, int, list[JournalRecord] | None]
-# What a worker hands back for every sim, however it ended: (sim_id, result,
-# summary, decision states, rows and journal if the batch writes a tree, abort
-# reason, worker traceback; a pooled sim's result comes back pickled). A sim
-# that finished has no reason, one aborted by its result no summary, and one
-# that raised only its reason and traceback.
-_SimDone = tuple[int, SimulationResult | bytes | None, SimulationSummary | None, list[DecisionState] | None,
+# What a worker hands back for every sim, however it ended, serial or pooled:
+# (sim_id, pickled result, summary, decision states, rows and journal if the
+# batch writes a tree, abort reason, worker traceback). A sim that finished
+# has no reason, one aborted by its result no summary, and one that raised
+# only its reason and traceback.
+_SimDone = tuple[int, bytes | None, SimulationSummary | None, list[DecisionState] | None,
                  tuple[str, str, str, str, str | None] | None, str | None, str | None]
 
 def _finite_float(raw: str) -> float:
@@ -458,12 +458,14 @@ def _one_line(exc: BaseException) -> str:
 
 
 def _run_one_task(task: _Task) -> _SimDone:
-    """Worker entry point; must stay module-level and picklable.
+    """Every batch's entry point, serial or pooled; must stay module-level and picklable.
 
     Runs one sim of the batch with the configured provider, summarizes it
     and, if the batch writes a tree, encodes its log rows and its journal.
     So a pooled batch does all of a sim's work in the worker, and the
-    parent only appends; a batch without a tree encodes nothing.
+    parent only appends; a batch without a tree encodes nothing. The result
+    comes back pickled, so no batch holds a live result until ``results``
+    is read.
 
     Each sim, even in a pooled chunk, comes back as one ``_SimDone``. A bug
     (any exception but ``ProviderHardFailure``) is returned, not raised, with
@@ -484,20 +486,12 @@ def _run_one_task(task: _Task) -> _SimDone:
         summary = None if result.aborted else summarize_simulation(result)
         template = cfg.provider.prompt_template if cfg.journal_enabled() else None
         rows = _encode_rows(result, summary, template) if cfg.output_dir else None
-        return sim_id, result, summary, [o.state for _, o in result.decisions], rows, result.abort_reason, None
+        encoded = pickle.dumps(result, pickle.HIGHEST_PROTOCOL)
+        return sim_id, encoded, summary, [o.state for _, o in result.decisions], rows, result.abort_reason, None
     except ProviderHardFailure:
         raise  # outside a run (building its provider): the whole batch fails
     except Exception as exc:
         return sim_id, None, None, None, None, _one_line(exc), traceback.format_exc().rstrip()
-
-
-def _run_pooled(task: _Task) -> _SimDone:
-    """A pool's entry point: ``_run_one_task``, its result pickled so the parent decodes it only if read."""
-    sim_id, result, summary, states, rows, reason, raised = _run_one_task(task)
-    return sim_id, result and pickle.dumps(result, pickle.HIGHEST_PROTOCOL), summary, states, rows, reason, raised
-
-
-_VALUE = {e: e.value for enum_cls in (Direction, DecisionState, ProviderKind) for e in enum_cls}
 
 
 def _encode_rows(
@@ -512,19 +506,20 @@ def _encode_rows(
     str(float(x)) gives; no field can need csv quoting. A trade leg whose
     two quantities are one float object (an interbank leg, a client buy)
     formats it once; identity, not equality, so 0.0 and -0.0 stay apart.
+    An enum's value is read as ``_value_``, which runs no Python-level hash.
     """
-    sid, value, client = r.sim_id, _VALUE, CounterpartyKind.CLIENT
+    sid, client = r.sim_id, CounterpartyKind.CLIENT
     trades = []
     for step, mm_id, kind, counterparty, direction, bond_qty, cash_qty in r.trades:
         bond = repr(bond_qty)
         cash = bond if cash_qty is bond_qty else repr(cash_qty)
         if kind is client:
             x, y = counterparty
-            trades.append(f"{sid},{step},{mm_id},client,{x}:{y},{value[direction]},{bond},{cash}\n")
+            trades.append(f"{sid},{step},{mm_id},client,{x}:{y},{direction._value_},{bond},{cash}\n")
         else:
             trades.append(f"{sid},{step},{mm_id},mm,{counterparty},,{bond},{cash}\n")
     decisions = [
-        f"{q_sim},{seq},{step},{mm_id},{x},{y},{value[o.state]},{value[o.provider]}\n"
+        f"{q_sim},{seq},{step},{mm_id},{x},{y},{o.state._value_},{o.provider._value_}\n"
         for (q_sim, step, mm_id, (x, y), _, _, seq), o in r.decisions
     ]
     lifecycle = [
@@ -541,7 +536,7 @@ def _encode_rows(
 
 @dataclass
 class BatchResult:
-    """A batch as far as it ran, filled in as its sims finish; a pooled one decodes its results on first read."""
+    """A batch as far as it ran, filled in as its sims finish; every batch decodes its results on first read."""
 
     config: ExperimentConfig
     summaries: list[SimulationSummary] = field(default_factory=list)
@@ -553,7 +548,7 @@ class BatchResult:
 
     @property
     def results(self) -> list[SimulationResult]:
-        """Each sim's result that ran, in sim order."""
+        """Each sim's result that ran, in sim order; the first read decodes them all."""
         self._results[:] = [pickle.loads(r) if type(r) is bytes else r for r in self._results]
         return self._results
 
@@ -650,7 +645,7 @@ def run_batch(cfg: ExperimentConfig) -> BatchResult:
                 # Leaving early (an abort) cancels the sims no worker has started.
                 stack.callback(pool.shutdown, cancel_futures=True)
                 chunk = max(1, cfg.n_simulations // (cfg.parallelism * 4))
-                runs = pool.map(_run_pooled, tasks, chunksize=chunk)
+                runs = pool.map(_run_one_task, tasks, chunksize=chunk)
             for sim_id, result, summary, states, rows, reason, raised in runs:
                 if result is not None:
                     batch._results.append(result)

@@ -8,8 +8,8 @@ single-brace names; the timeliness template says {client_bonds} and
 renderer accepts both spellings. Floats render with two decimals, grid
 coordinates as plain integers.
 
-Each template is compiled once into a ``str.format`` string, so rendering
-is a single ``format`` call.
+Each template is compiled once into a ``%`` format string over a mapping,
+so rendering is a single ``%`` operation.
 """
 
 from __future__ import annotations
@@ -27,14 +27,14 @@ class PromptTemplate(Enum):
     AVERSION3 = "aversion3"
 
 
-# Placeholder name -> the str.format field it compiles to.
+# Placeholder name -> the ``%`` conversion it compiles to.
 _FORMAT_FIELDS = {
-    "client_bonds": "{b:.2f}",
-    "client_cash": "{c:.2f}",
-    "bonds": "{b:.2f}",
-    "cash": "{c:.2f}",
-    "x": "{x:d}",
-    "y": "{y:d}",
+    "client_bonds": "%(b).2f",
+    "client_cash": "%(c).2f",
+    "bonds": "%(b).2f",
+    "cash": "%(c).2f",
+    "x": "%(x)d",
+    "y": "%(y)d",
 }
 _PLACEHOLDER = re.compile(r"\{(" + "|".join(_FORMAT_FIELDS) + r")\}")
 
@@ -47,17 +47,15 @@ def load_template(template: PromptTemplate) -> str:
 
 
 def compile_template(text: str) -> str:
-    """Turn template text into a ``str.format`` string over b, c, x and y.
+    """Turn template text into a ``%`` format string over a mapping of b, c, x and y.
 
-    Known placeholders become format fields; every other brace is doubled,
-    so unknown brace expressions render unchanged rather than erroring,
-    since template text is data, not code.
+    Known placeholders become conversions; every literal ``%`` is doubled,
+    and every other brace is left as it is, so unknown brace expressions
+    render unchanged rather than erroring, since template text is data, not
+    code.
     """
     parts = _PLACEHOLDER.split(text)  # literal, name, literal, name, ..., literal
-    return "".join(
-        _FORMAT_FIELDS[part] if i % 2 else part.replace("{", "{{").replace("}", "}}")
-        for i, part in enumerate(parts)
-    )
+    return "".join(_FORMAT_FIELDS[part] if i % 2 else part.replace("%", "%%") for i, part in enumerate(parts))
 
 
 @lru_cache(maxsize=None)
@@ -74,4 +72,4 @@ def render_template(
     y: int,
 ) -> str:
     """Substitute a client's holdings and position into the template."""
-    return _compiled(template).format(b=client_bonds, c=client_cash, x=x, y=y)
+    return _compiled(template) % {"b": client_bonds, "c": client_cash, "x": x, "y": y}

@@ -159,11 +159,11 @@ def test_compiled_renderer_matches_regex_oracle(template):
 
 
 def test_compile_template_passes_unknown_braces_through():
-    text = "a {foo} b, open { here, close } here, {x}/{y} {bonds}|{cash} {{client_bonds}}"
-    rendered = compile_template(text).format(b=1.5, c=0.005, x=3, y=7)
+    text = "a {foo} b, open { here, close } here, {x}/{y} {bonds}|{cash} {{client_bonds}} 5% of %(b)s"
+    rendered = compile_template(text) % {"b": 1.5, "c": 0.005, "x": 3, "y": 7}
     assert rendered == regex_render(text, 1.5, 0.005, 3, 7)
-    assert rendered == "a {foo} b, open { here, close } here, 3/7 1.50|0.01 {1.50}"
-    assert compile_template("{foo} { }").format() == "{foo} { }"
+    assert rendered == "a {foo} b, open { here, close } here, 3/7 1.50|0.01 {1.50} 5% of %(b)s"
+    assert compile_template("{foo} { }") % {} == "{foo} { }"
 
 
 def test_templates_load_once_and_nonempty():

@@ -11,10 +11,13 @@ from bondflow import (
     DecisionProvider, DecisionState, DesireQuery, PromptTemplate, ProviderHardFailure, Simulation, simulation_seed,
 )
 from bondflow.agents import AgentConfig, CeaseRule
-from bondflow.decision import BernoulliProvider, ReplayProvider, journal_line, parse_journal_line
+from bondflow.decision import (
+    BernoulliProvider, LiveLLMProvider, ProviderConfig, ProviderKind, ReplayProvider, journal_line, parse_journal_line,
+)
 from bondflow.engine import CounterpartyKind, TerminalReason, TradeRecord
 from bondflow.landscape import Direction, LandscapeConfig
 from bondflow.seeding import STREAM_PROVIDER, substream
+from gateway import GatewayStub
 
 SMALL_LANDSCAPE = LandscapeConfig(grid_width=6, grid_height=6)
 
@@ -466,10 +469,11 @@ class FailsAfter(BernoulliProvider):
         return super().decide(q)
 
 
-def test_results_round_trip_through_pickle():
-    # A pooled batch hands each result back pickled, its trades and queries
-    # as columns. Every kind of result must come back equal, with its
-    # records typed: a NamedTuple compares equal to a plain tuple.
+def test_results_round_trip_through_pickle(monkeypatch):
+    # Every batch hands each result back pickled, its trades and queries as
+    # columns. Every kind of result must come back equal, with its records
+    # typed: a NamedTuple compares equal to a plain tuple. A live result's
+    # outcomes carry reply text and a latency, which no scripted one does.
     timeliness = PromptTemplate.TIMELINESS
 
     def journal(result):
@@ -484,6 +488,16 @@ def test_results_round_trip_through_pickle():
         "aborted": make_sim(FailsAfter(5)).run(),
         "replay": make_sim(ReplayProvider(records, timeliness)).run(),
     }
+    monkeypatch.setenv("TEST_GATEWAY_TOKEN", "tok-123-secret")
+    replies = [(200, {"choices": [{"message": {"content": text}}]}) for text in ("No thanks", "Yes!", "Maybe")]
+    with GatewayStub(replies) as stub:
+        live = ProviderConfig(
+            kind=ProviderKind.LIVE_LLM, endpoint_url=stub.url, model_name="test-model",
+            token_env="TEST_GATEWAY_TOKEN", timeout_s=5.0, rate_limit_rps=10_000.0,
+        )
+        cases["live"] = make_sim(LiveLLMProvider(live), max_steps=10).run()
+    assert {o.state for _, o in cases["live"].decisions} == set(DecisionState)
+    assert all(o.raw_text and o.latency_ms is not None for _, o in cases["live"].decisions)
     assert cases["coin flip"].trades
     assert cases["no trades, no decisions"].trades == cases["no trades, no decisions"].decisions == []
     assert cases["aborted"].aborted and len(cases["aborted"].decisions) == 5

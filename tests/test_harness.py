@@ -58,6 +58,7 @@ from bondflow.harness import (
 )
 from bondflow import decision, engine, harness
 from bondflow.landscape import LandscapeConfig
+from bondflow.metrics import summarize_simulation, yes_ratio_series
 from bondflow.seeding import STREAM_PROVIDER, substream
 from gateway import GatewayStub
 from util import mini_config, run_mini
@@ -555,7 +556,7 @@ def test_parallel_batches_are_byte_identical(tmp_path, monkeypatch):
         )
         assert len(serial.summaries) == n_simulations
         assert serial.summaries == pooled.summaries
-        # Pooled results come back pickled; a NamedTuple equals a plain tuple,
+        # Results come back pickled; a NamedTuple equals a plain tuple,
         # so the record types are checked too.
         assert pooled.results == serial.results
         assert all(type(t) is engine.TradeRecord for r in pooled.results for t in r.trades)
@@ -574,9 +575,11 @@ def test_parallel_batches_are_byte_identical(tmp_path, monkeypatch):
     assert pools == [2, 2]
 
 
-def test_a_pooled_batch_decodes_its_results_on_first_read(monkeypatch):
-    # A pooled sim's result comes back as the bytes its worker pickled. The
-    # parent decodes none of them until .results is read, then each once.
+@pytest.mark.parametrize("parallelism", [1, 2], ids=["serial", "pooled"])
+def test_a_batch_decodes_its_results_on_first_read(monkeypatch, parallelism):
+    # Every sim's result comes back as the bytes its worker pickled, serial
+    # or pooled. The batch decodes none of them until .results is read, then
+    # each once, into the results the sims give when run directly.
     decoded = []
     unpickle = engine._unpickle_result
 
@@ -586,18 +589,31 @@ def test_a_pooled_batch_decodes_its_results_on_first_read(monkeypatch):
         return unpickle(*args)
 
     monkeypatch.setattr(engine, "_unpickle_result", counted)
-    cfg = resolve_preset("exp3", {"n_simulations": 4, "max_steps": 40, "parallelism": 2})
-    pooled = run_batch(cfg)
-    assert pooled.ok and pooled.skipped == []
+    cfg = resolve_preset("exp3", {"n_simulations": 4, "max_steps": 40, "parallelism": parallelism})
+    batch = run_batch(cfg)
+    assert batch.ok and batch.skipped == []
     assert decoded == []
-    first = list(pooled.results)
+    first = list(batch.results)
     assert sorted(decoded) == [0, 1, 2, 3]
-    second = pooled.results
+    second = batch.results
     assert len(decoded) == 4
     assert all(a is b for a, b in zip(first, second, strict=True))
-    serial = run_batch(dataclasses.replace(cfg, parallelism=1))
-    assert second == serial.results
-    assert pooled.summaries == serial.summaries and pooled.series == serial.series
+    direct = []
+    for sim_id in range(cfg.n_simulations):
+        seed = simulation_seed(cfg.master_seed, sim_id)
+        provider = decision.build_provider(cfg.provider, seed)
+        sim = engine.Simulation(
+            sim_id, seed, cfg.landscape, cfg.agents, provider,
+            max_steps=cfg.max_steps, interbank_runway_steps=cfg.interbank_runway_steps,
+        )
+        direct.append(sim.run())
+    # A NamedTuple equals a plain tuple, so the record types are checked too.
+    assert second == direct
+    assert all(type(t) is engine.TradeRecord for r in second for t in r.trades)
+    assert all(type(q) is DesireQuery for r in second for q, _ in r.decisions)
+    assert batch.summaries == [summarize_simulation(r) for r in direct]
+    states = [o.state for r in direct for _, o in r.decisions]
+    assert states and batch.series == yes_ratio_series(states, cfg.rolling_window)
 
 
 def test_encoded_trade_quantities_keep_their_sign(mini_batch):
