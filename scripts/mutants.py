@@ -633,14 +633,19 @@ MUTANTS = (
     ),
     Mutant(
         "the first rolling window starts one outcome early", "metrics.py",
-        "for j in range(window, k + 1)]", "for j in range(window - 1, k + 1)]",
+        "for j in range(window, k + 1)))", "for j in range(window - 1, k + 1)))",
         ("tests/test_metrics.py::test_rolling_all_yes_is_exactly_one",),
     ),
     Mutant(
         "errors enter the cumulative ratio's denominator", "metrics.py",
-        "    cumulative = [yes_after[j] / j for j in range(1, k + 1)]\n",
-        "    cumulative = [yes_after[j] / (positions[j - 1] + 1) for j in range(1, k + 1)]\n",
+        "    cumulative = array(\"d\", (yes_after[j] / j for j in range(1, k + 1)))\n",
+        "    cumulative = array(\"d\", (yes_after[j] / (positions[j - 1] + 1) for j in range(1, k + 1)))\n",
         ("tests/test_metrics.py::test_errors_are_excluded_from_both_series",),
+    ),
+    Mutant(
+        "the series is built as lists", "metrics.py",
+        "    rolling = array(\"d\", (", "    rolling = list((",
+        ("tests/test_metrics.py::test_series_holds_8_byte_arrays_not_boxed_numbers",),
     ),
     Mutant(
         "an empty series' stats come from numpy", "metrics.py",

@@ -19,6 +19,7 @@ semantics) and tallied separately.
 
 from __future__ import annotations
 
+from array import array
 from collections import Counter
 from dataclasses import astuple, dataclass
 from itertools import accumulate
@@ -108,12 +109,14 @@ class YesRatioSeries:
 
     positions[i] is the index of the i-th non-error outcome in the input
     stream. rolling[i] covers the window ending at positions[i+window-1].
+    Each column is an 8-byte ``array.array`` (positions ``'q'``, ratios ``'d'``),
+    not a list: compare ``list(column)`` with a list.
     """
 
     window: int
-    positions: list[int]
-    cumulative: list[float]
-    rolling: list[float]
+    positions: array
+    cumulative: array
+    rolling: array
     yes_count: int
     no_count: int
     error_count: int
@@ -265,17 +268,18 @@ def yes_ratio_series(
     ``yes_after[j]`` counts the yes outcomes among the first ``j`` non-errors;
     each ratio is such a count divided once by an int. Python's int/int division
     rounds the exact quotient, as numpy's int64 division does for counts below
-    2**53, so every float equals numpy's.
+    2**53, so every float equals numpy's. Each array fills from a generator:
+    no full-length list of boxed numbers is ever built.
     """
     if window < 1:
         raise ValueError("window must be >= 1")
     yes_state, error = DecisionState.YES, DecisionState.ERROR
-    positions = [i for i, s in enumerate(states) if s is not error]
-    yes_after = list(accumulate((states[i] is yes_state for i in positions), initial=0))
+    positions = array("q", (i for i, s in enumerate(states) if s is not error))
+    yes_after = array("q", accumulate((states[i] is yes_state for i in positions), initial=0))
     k = len(positions)
     yes = yes_after[-1]
-    cumulative = [yes_after[j] / j for j in range(1, k + 1)]
-    rolling = [(yes_after[j] - yes_after[j - window]) / window for j in range(window, k + 1)]
+    cumulative = array("d", (yes_after[j] / j for j in range(1, k + 1)))
+    rolling = array("d", ((yes_after[j] - yes_after[j - window]) / window for j in range(window, k + 1)))
     return YesRatioSeries(window, positions, cumulative, rolling, yes, k - yes, len(states) - k)
 
 

@@ -2,8 +2,11 @@
 
 from __future__ import annotations
 
+import array
 import csv
 import dataclasses
+import tracemalloc
+from itertools import accumulate
 from pathlib import Path
 
 import numpy as np
@@ -249,14 +252,14 @@ def test_cap_count_counts_step_limited_runs():
 
 def test_rolling_all_yes_is_exactly_one():
     series = yes_ratio_series([Y] * 10, window=10)
-    assert series.rolling == [1.0]
+    assert list(series.rolling) == [1.0]
     assert series.rolling[0] == 1.0  # exact, not 0.999...
     assert series.cumulative[-1] == 1.0
     assert type(series.yes_count) is int and series.yes_count == 10
     # The smallest window is one decision; a smaller one is refused.
-    assert yes_ratio_series([Y], window=1).rolling == [1.0]
+    assert list(yes_ratio_series([Y], window=1).rolling) == [1.0]
     # A stream shorter than its window has no rolling ratio.
-    assert yes_ratio_series([Y] * 5, window=6).rolling == []
+    assert list(yes_ratio_series([Y] * 5, window=6).rolling) == []
     with pytest.raises(ValueError, match="window"):
         yes_ratio_series([Y], window=0)
 
@@ -270,9 +273,9 @@ def test_rolling_alternating_is_exactly_half():
 
 def test_errors_are_excluded_from_both_series():
     series = yes_ratio_series([Y, E, N, Y], window=2)
-    assert series.positions == [0, 2, 3]
-    assert series.cumulative == [1.0, 0.5, pytest.approx(2 / 3)]
-    assert series.rolling == [0.5, 0.5]
+    assert list(series.positions) == [0, 2, 3]
+    assert list(series.cumulative) == [1.0, 0.5, pytest.approx(2 / 3)]
+    assert list(series.rolling) == [0.5, 0.5]
     assert series.error_count == 1
     assert series.yes_count == 2
     assert series.no_count == 1
@@ -280,14 +283,14 @@ def test_errors_are_excluded_from_both_series():
 
 def test_short_stream_has_no_rolling_values():
     series = yes_ratio_series([Y] * 5, window=10)
-    assert series.rolling == []
+    assert list(series.rolling) == []
     assert len(series.cumulative) == 5
 
 
 def test_empty_and_all_error_streams():
-    assert yes_ratio_series([], window=10).cumulative == []
+    assert list(yes_ratio_series([], window=10).cumulative) == []
     series = yes_ratio_series([E, E], window=10)
-    assert series.cumulative == []
+    assert list(series.cumulative) == []
     assert series.error_count == 2
 
 
@@ -299,10 +302,63 @@ def test_window_sums_match_bruteforce():
     # Both ratios are exact integer counts divided once, as Python divides them.
     for window in (1, 10, k + 1):
         series = yes_ratio_series(states, window=window)
-        assert series.positions == [i for i, s in enumerate(states) if s is not E]
-        assert series.cumulative == [sum(flags[: i + 1]) / (i + 1) for i in range(k)]
-        assert series.rolling == [sum(flags[i : i + window]) / window for i in range(k - window + 1)]
+        assert list(series.positions) == [i for i, s in enumerate(states) if s is not E]
+        assert list(series.cumulative) == [sum(flags[: i + 1]) / (i + 1) for i in range(k)]
+        assert list(series.rolling) == [sum(flags[i : i + window]) / window for i in range(k - window + 1)]
         assert (series.yes_count, series.no_count, series.error_count) == (yes, k - yes, len(states) - k)
+
+
+def _list_series(states, window):
+    """The series as lists of boxed numbers, the form the arrays replaced: the bits oracle."""
+    positions = [i for i, s in enumerate(states) if s is not E]
+    yes_after = list(accumulate((states[i] is Y for i in positions), initial=0))
+    k = len(positions)
+    cumulative = [yes_after[j] / j for j in range(1, k + 1)]
+    rolling = [(yes_after[j] - yes_after[j - window]) / window for j in range(window, k + 1)]
+    return positions, cumulative, rolling, (yes_after[-1], k - yes_after[-1], len(states) - k)
+
+
+def test_series_bits_match_the_list_form():
+    def hexes(values):
+        return list(map(float.hex, values))
+
+    rng = np.random.default_rng(34)
+    # The empty stream, streams around and below each window, and long ones.
+    lengths = [0, 1, 2, 9, 10, 11, 20, 21, *rng.integers(22, 20_001, size=2).tolist(), 20_000]
+    for error_share in (0.0, 0.3, 1.0):
+        p = [0.55 * (1 - error_share), 0.45 * (1 - error_share), error_share]
+        for n in lengths:
+            states = [(Y, N, E)[i] for i in rng.choice(3, size=n, p=p)]
+            for window in (1, 3, 10, 20):
+                positions, cumulative, rolling, counts = _list_series(states, window)
+                series = yes_ratio_series(states, window=window)
+                assert list(series.positions) == positions
+                assert hexes(series.cumulative) == hexes(cumulative)
+                assert hexes(series.rolling) == hexes(rolling)
+                assert (series.yes_count, series.no_count, series.error_count) == counts
+                for column, oracle in ((series.cumulative, cumulative), (series.rolling, rolling)):
+                    assert hexes(dataclasses.astuple(series_stats(column))) == hexes(
+                        dataclasses.astuple(series_stats(oracle))
+                    )
+
+
+def test_series_holds_8_byte_arrays_not_boxed_numbers():
+    rng = np.random.default_rng(34)
+    states = [(Y, N, E)[i] for i in rng.choice(3, size=15_000, p=[0.5, 0.35, 0.15])]
+    # tracemalloc counts bytes, not pages, so the bounds do not move with the machine.
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        series = yes_ratio_series(states, window=10)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # On this stream the arrays hold 21 B per state and peak at 28 B; lists held 86 and peaked at 120.
+    assert (peak - before) / len(states) <= 48
+    assert (held - before) / len(states) <= 32
+    for column in (series.positions, series.cumulative, series.rolling):
+        assert isinstance(column, array.array) and column.itemsize == 8
 
 
 def test_series_stats_population_std():
