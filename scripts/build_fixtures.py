@@ -35,7 +35,6 @@ from bondflow import (  # noqa: E402
     DecisionProvider,
     DecisionState,
     DesireQuery,
-    ProviderKind,
     Simulation,
     resolve_preset,
     simulation_seed,
@@ -134,8 +133,6 @@ OTHER_REFUSALS = [
 class ScriptedAverseProvider(DecisionProvider):
     """Deterministic stand-in for a live averse session: never says yes."""
 
-    kind = ProviderKind.LIVE_LLM
-
     def __init__(self, rng: np.random.Generator) -> None:
         self.rng = rng
         verbose = [f["raw"] for f in REPLY_FIXTURES if f["expected"] != "yes"]
@@ -150,9 +147,7 @@ class ScriptedAverseProvider(DecisionProvider):
         raw = self.pool[int(self.rng.choice(len(self.pool), p=self.weights))]
         state = normalize_response(raw)
         assert state is not DecisionState.YES, raw
-        return DecisionOutcome(
-            state=state, raw_text=raw, provider=self.kind, latency_ms=int(self.rng.integers(180, 900))
-        )
+        return DecisionOutcome(state, raw, latency_ms=int(self.rng.integers(180, 900)))
 
 
 def build_reply_fixtures(out: Path) -> None:

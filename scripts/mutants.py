@@ -242,6 +242,13 @@ MUTANTS = (
         "summary, [], rows",
         ("tests/test_harness.py::test_a_batch_decodes_its_results_on_first_read",),
     ),
+    Mutant(
+        "decisions.csv names a fixed provider, not the configured one",
+        "harness.py",
+        "    sid, source, client = r.sim_id, provider._value_, CounterpartyKind.CLIENT\n",
+        "    sid, source, client = r.sim_id, \"bernoulli\", CounterpartyKind.CLIENT\n",
+        ("tests/test_harness.py::test_live_thread_pool_batch_matches_serial",),
+    ),
     # The journal, which replay reads back.
     Mutant(
         "journal writes each decision's step as its seq",
@@ -294,6 +301,13 @@ MUTANTS = (
         '_PARTIAL = ".partial"',
         '_PARTIAL = ""',
         ("tests/test_harness.py::test_interrupt_between_sims_keeps_the_finished_ones",),
+    ),
+    Mutant(
+        "an earlier artifact of the wrong kind escapes as a traceback",
+        "harness.py",
+        '        raise ConfigError(f"earlier output {path} cannot be removed: {exc.strerror or exc}") from exc\n',
+        "        raise\n",
+        ("tests/test_cli.py::test_run_over_an_artifact_of_the_wrong_kind_is_config_error",),
     ),
     # Found by the sweep (--sweep): each mutant survived every test, until the
     # test it names here was written or given one more input.
@@ -378,16 +392,6 @@ MUTANTS = (
         "a corpus not starting at seq 0 has no first slice", "decision.py",
         "        if rec.seq == 0 or not slices:\n", "        if rec.seq == 0:\n",
         ("tests/test_decision.py::test_split_journal_on_seq_reset",),
-    ),
-    Mutant(
-        "the coin-flip provider names no kind", "decision.py",
-        "    kind = ProviderKind.BERNOULLI\n", "    pass\n",
-        ("tests/test_decision.py::test_build_provider_dispatch",),
-    ),
-    Mutant(
-        "the bursty provider names no kind", "decision.py",
-        "    kind = ProviderKind.SYNTHETIC_BURSTY\n", "    pass\n",
-        ("tests/test_decision.py::test_build_provider_dispatch",),
     ),
     Mutant(
         "a bursty provider built directly skips its burst_stay_no row", "decision.py",

@@ -29,7 +29,7 @@ import logging
 import re
 import threading
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
 from typing import NamedTuple
@@ -63,7 +63,6 @@ class ProviderKind(Enum):
 class DesireQuery(NamedTuple):
     """One 'do you want to trade?' question put to one client."""
 
-    sim_id: int
     step: int
     mm_id: int
     client_position: tuple[int, int]
@@ -76,8 +75,7 @@ class DesireQuery(NamedTuple):
 class DecisionOutcome:
     state: DecisionState
     raw_text: str
-    provider: ProviderKind
-    latency_ms: int | None = None
+    latency_ms: int | None = field(default=None, kw_only=True)
 
 
 # The longest a live request waits, its timeout or 1/rate_limit_rps: a day, far
@@ -239,9 +237,10 @@ class DecisionProvider:
     only consumer; ``decide`` gets no generator. The coin-flip and bursty
     providers read theirs through ``seeding.buffered_uniforms``, whose draw
     callable they hold as ``_random``.
-    """
 
-    kind: ProviderKind
+    A provider names no kind: the configured ``ProviderConfig.kind`` is the
+    run's, and what its ``decisions.csv`` writes in every row.
+    """
 
     def decide(self, q: DesireQuery) -> DecisionOutcome:
         raise NotImplementedError
@@ -249,22 +248,18 @@ class DecisionProvider:
 
 # Coin-flip and bursty providers carry no reply text or latency, so every
 # decision they make is one of two shared, immutable outcomes.
-_BERNOULLI_YES = DecisionOutcome(DecisionState.YES, "", ProviderKind.BERNOULLI)
-_BERNOULLI_NO = DecisionOutcome(DecisionState.NO, "", ProviderKind.BERNOULLI)
-_BURSTY_YES = DecisionOutcome(DecisionState.YES, "", ProviderKind.SYNTHETIC_BURSTY)
-_BURSTY_NO = DecisionOutcome(DecisionState.NO, "", ProviderKind.SYNTHETIC_BURSTY)
+_YES = DecisionOutcome(DecisionState.YES, "")
+_NO = DecisionOutcome(DecisionState.NO, "")
 
 
 class BernoulliProvider(DecisionProvider):
-    kind = ProviderKind.BERNOULLI
-
     def __init__(self, p: float, rng: np.random.Generator) -> None:
         check_bound(_BOUNDS, "bernoulli_p", p)
         self.p = p
         self._random = buffered_uniforms(rng)
 
     def decide(self, q: DesireQuery) -> DecisionOutcome:
-        return _BERNOULLI_YES if self._random() < self.p else _BERNOULLI_NO
+        return _YES if self._random() < self.p else _NO
 
 
 class SyntheticBurstyProvider(DecisionProvider):
@@ -274,8 +269,6 @@ class SyntheticBurstyProvider(DecisionProvider):
     distribution when the provider is built, so long-run frequencies are
     unbiased from the first sample.
     """
-
-    kind = ProviderKind.SYNTHETIC_BURSTY
 
     def __init__(self, stay_yes: float, stay_no: float, rng: np.random.Generator) -> None:
         check_bound(_BOUNDS, "burst_stay_yes", stay_yes)
@@ -298,7 +291,7 @@ class SyntheticBurstyProvider(DecisionProvider):
             self._state = (
                 DecisionState.NO if emitted is DecisionState.YES else DecisionState.YES
             )
-        return _BURSTY_YES if emitted is DecisionState.YES else _BURSTY_NO
+        return _YES if emitted is DecisionState.YES else _NO
 
 
 class ReplayProvider(DecisionProvider):
@@ -310,8 +303,6 @@ class ReplayProvider(DecisionProvider):
     a replay degrades loudly in the tallies instead of silently trading.
     """
 
-    kind = ProviderKind.REPLAY
-
     def __init__(self, records: list[JournalRecord], template: PromptTemplate) -> None:
         self.records = records
         self.template = template
@@ -319,15 +310,13 @@ class ReplayProvider(DecisionProvider):
 
     def decide(self, q: DesireQuery) -> DecisionOutcome:
         if self._cursor >= len(self.records):
-            return DecisionOutcome(state=DecisionState.ERROR, raw_text="", provider=self.kind)
+            return DecisionOutcome(DecisionState.ERROR, "")
         rec = self.records[self._cursor]
         self._cursor += 1
         expected = prompt_hash(render_prompt(self.template, q))
         if rec.prompt_hash != expected:
-            return DecisionOutcome(state=DecisionState.ERROR, raw_text=rec.raw, provider=self.kind)
-        return DecisionOutcome(
-            state=rec.state, raw_text=rec.raw, provider=self.kind, latency_ms=rec.latency_ms
-        )
+            return DecisionOutcome(DecisionState.ERROR, rec.raw)
+        return DecisionOutcome(rec.state, rec.raw, latency_ms=rec.latency_ms)
 
 
 class _RateLimiter:
@@ -371,8 +360,6 @@ class LiveLLMProvider(DecisionProvider):
     The bearer token is read from the configured environment variable at
     construction (fail-fast) and is never logged or journaled.
     """
-
-    kind = ProviderKind.LIVE_LLM
 
     def __init__(self, cfg: ProviderConfig) -> None:
         import os
@@ -431,13 +418,8 @@ class LiveLLMProvider(DecisionProvider):
                 raise ProviderHardFailure(f"malformed gateway reply: {exc}") from exc
             if not isinstance(raw, str):
                 raise ProviderHardFailure("malformed gateway reply: content is not text")
-            return DecisionOutcome(
-                state=normalize_response(raw),
-                raw_text=raw,
-                provider=self.kind,
-                latency_ms=latency_ms,
-            )
-        return DecisionOutcome(state=DecisionState.ERROR, raw_text="", provider=self.kind)
+            return DecisionOutcome(normalize_response(raw), raw, latency_ms=latency_ms)
+        return DecisionOutcome(DecisionState.ERROR, "")
 
 
 def build_provider(

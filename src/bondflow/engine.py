@@ -232,7 +232,7 @@ class Simulation:
             return
         bonds, cash = self.grid.holdings(x, y)
         # Records are built by position on the hot path: half the cost of keywords.
-        query = DesireQuery(self.sim_id, self.step_no, mm.id, (x, y), bonds, cash, len(self.decisions))
+        query = DesireQuery(self.step_no, mm.id, (x, y), bonds, cash, len(self.decisions))
         outcome = self.provider.decide(query)
         self.decisions.append((query, outcome))
         if outcome.state is not DecisionState.YES:

@@ -485,7 +485,7 @@ def _run_one_task(task: _Task) -> _SimDone:
         ).run()
         summary = None if result.aborted else summarize_simulation(result)
         template = cfg.provider.prompt_template if cfg.journal_enabled() else None
-        rows = _encode_rows(result, summary, template) if cfg.output_dir else None
+        rows = _encode_rows(result, summary, cfg.provider.kind, template) if cfg.output_dir else None
         encoded = pickle.dumps(result, pickle.HIGHEST_PROTOCOL)
         return sim_id, encoded, summary, [o.state for _, o in result.decisions], rows, result.abort_reason, None
     except ProviderHardFailure:
@@ -495,12 +495,14 @@ def _run_one_task(task: _Task) -> _SimDone:
 
 
 def _encode_rows(
-    r: SimulationResult, summary: SimulationSummary | None, template: PromptTemplate | None
+    r: SimulationResult, summary: SimulationSummary | None, provider: ProviderKind, template: PromptTemplate | None
 ) -> tuple[str, str, str, str, str | None]:
     """One sim's trades, decisions, lifecycle and summary rows, as CSV text, and its journal.
 
     An aborted sim has no summary, so it has no summary row. With no
     ``template`` (a batch that keeps no journal) the journal is None.
+    Every decision row takes the sim's id and ``provider``, the run's
+    configured kind, from the run: a decision record holds neither.
 
     Every float formatted with repr is a Python float, whose repr is what
     str(float(x)) gives; no field can need csv quoting. A trade leg whose
@@ -508,7 +510,7 @@ def _encode_rows(
     formats it once; identity, not equality, so 0.0 and -0.0 stay apart.
     An enum's value is read as ``_value_``, which runs no Python-level hash.
     """
-    sid, client = r.sim_id, CounterpartyKind.CLIENT
+    sid, source, client = r.sim_id, provider._value_, CounterpartyKind.CLIENT
     trades = []
     for step, mm_id, kind, counterparty, direction, bond_qty, cash_qty in r.trades:
         bond = repr(bond_qty)
@@ -519,8 +521,8 @@ def _encode_rows(
         else:
             trades.append(f"{sid},{step},{mm_id},mm,{counterparty},,{bond},{cash}\n")
     decisions = [
-        f"{q_sim},{seq},{step},{mm_id},{x},{y},{o.state._value_},{o.provider._value_}\n"
-        for (q_sim, step, mm_id, (x, y), _, _, seq), o in r.decisions
+        f"{sid},{seq},{step},{mm_id},{x},{y},{o.state._value_},{source}\n"
+        for (step, mm_id, (x, y), _, _, seq), o in r.decisions
     ]
     lifecycle = [
         f"{sid},{mm.id},{'' if mm.ceased_at_step is None else mm.ceased_at_step},"
@@ -691,16 +693,22 @@ def _clear_tree(out: Path) -> None:
 
     Other files in the directory are left alone. So a rerun into the same
     directory leaves no earlier run's artifacts, whether it ends or fails.
-    An ``out`` that is, or lies under, a file is a ``ConfigError``.
+    An ``out`` that is, or lies under, a file is a ``ConfigError``, and so
+    is an artifact's name taken by the wrong kind of entry.
     """
     try:
         out.mkdir(parents=True, exist_ok=True)
     except (FileExistsError, NotADirectoryError) as exc:
         raise ConfigError(f"output directory {out} cannot be made: {exc}") from exc
-    if (out / JOURNAL_DIR).exists():
-        shutil.rmtree(out / JOURNAL_DIR)
-    for name in _ARTIFACTS:
-        (out / name).unlink(missing_ok=True)
+    path = out / JOURNAL_DIR
+    try:
+        if path.exists():
+            shutil.rmtree(path)
+        for name in _ARTIFACTS:
+            path = out / name
+            path.unlink(missing_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"earlier output {path} cannot be removed: {exc.strerror or exc}") from exc
 
 
 def _publish_logs(out: Path) -> None:

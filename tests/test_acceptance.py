@@ -228,7 +228,7 @@ def test_criterion_4_bursty_chain_ratio_statistics():
     def compute():
         provider = SyntheticBurstyProvider(s_yes, s_no, substream(20240, 0))
         q = DesireQuery(
-            sim_id=0, step=0, mm_id=0, client_position=(0, 0),
+            step=0, mm_id=0, client_position=(0, 0),
             client_bonds=1.0, client_cash=1.0, sequence_no=0,
         )
         states = [provider.decide(q).state for _ in range(n)]

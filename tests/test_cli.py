@@ -30,6 +30,7 @@ from bondflow.harness import (
     MANIFEST_JSON,
     SUMMARIES_CSV,
     TABLE_FILES,
+    TRADES_CSV,
     config_hash,
     shipped_aversion_corpus,
 )
@@ -218,6 +219,26 @@ def test_run_into_an_out_that_cannot_be_a_directory_is_config_error(tmp_path, ca
     # Nothing was written.
     assert taken.read_text(encoding="utf-8") == "not a directory\n"
     assert sorted(p.name for p in tmp_path.iterdir()) == ["taken"]
+
+
+@pytest.mark.parametrize("name", [JOURNAL_DIR, TRADES_CSV], ids=["journals-a-file", "trades-a-directory"])
+def test_run_over_an_artifact_of_the_wrong_kind_is_config_error(tmp_path, capfd, caplog, name):
+    # An earlier artifact's name, taken by a file where the run keeps a
+    # directory or the other way round, cannot be cleared.
+    out = tmp_path / "out"
+    taken = out / name
+    if name == JOURNAL_DIR:
+        out.mkdir()
+        taken.write_text("not a directory\n", encoding="utf-8")
+    else:
+        taken.mkdir(parents=True)
+    assert main(["run", "exp3", "--sims", "2", "--out", str(out)]) == EXIT_CONFIG_ERROR
+    assert "Traceback" not in capfd.readouterr().err
+    (message,) = [r.getMessage() for r in caplog.records if r.levelno >= logging.ERROR]
+    assert message.startswith(f"configuration error: earlier output {taken} cannot be removed: ")
+    assert "\n" not in message
+    # Nothing was written.
+    assert [p.name for p in out.iterdir()] == [name]
 
 
 def test_live_flag_conflicts_with_locked_preset(tmp_path):

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import logging
 import re
@@ -42,9 +43,8 @@ from bondflow.seeding import substream
 from gateway import YES_PAYLOAD, GatewayStub
 
 
-def make_query(seq=0, step=0, mm_id=0, pos=(3, 7), bonds=20.32, cash=4.62, sim_id=0):
+def make_query(seq=0, step=0, mm_id=0, pos=(3, 7), bonds=20.32, cash=4.62):
     return DesireQuery(
-        sim_id=sim_id,
         step=step,
         mm_id=mm_id,
         client_position=pos,
@@ -191,7 +191,7 @@ def test_bernoulli_extremes_and_frequency():
     assert abs(yes / n - p) < 3 * sigma
 
     outcome = coin.decide(q)
-    assert outcome.provider is ProviderKind.BERNOULLI
+    assert outcome == DecisionOutcome(outcome.state, "")  # the state, and nothing of the provider
     assert outcome.raw_text == ""
     assert outcome.latency_ms is None
 
@@ -254,9 +254,7 @@ def test_bursty_is_deterministic_per_stream():
 
 
 def outcome_of(state, raw, latency=250):
-    return DecisionOutcome(
-        state=state, raw_text=raw, provider=ProviderKind.LIVE_LLM, latency_ms=latency
-    )
+    return DecisionOutcome(state=state, raw_text=raw, latency_ms=latency)
 
 
 def journal_append(path, q, outcome, template=PromptTemplate.TIMELINESS):
@@ -343,7 +341,7 @@ def test_replay_reproduces_recorded_stream(tmp_path):
         assert got.state is o.state
         assert got.raw_text == o.raw_text
         assert got.latency_ms == o.latency_ms
-        assert got.provider is ProviderKind.REPLAY
+        assert got == o  # an outcome holds nothing the recording does not
 
     # Exhausted journal: every further query is an error with empty raw.
     extra = provider.decide(make_query(seq=3))
@@ -363,12 +361,12 @@ def test_replay_flags_prompt_mismatch(tmp_path):
 
 
 def test_build_provider_dispatch(tmp_path):
-    # Each provider names its kind.
+    # Each kind builds its own provider class.
     for kind, cls in (
         (ProviderKind.BERNOULLI, BernoulliProvider), (ProviderKind.SYNTHETIC_BURSTY, SyntheticBurstyProvider),
     ):
         provider = build_provider(ProviderConfig(kind=kind), 7)
-        assert isinstance(provider, cls) and provider.kind is kind
+        assert type(provider) is cls
     path = tmp_path / "j.jsonl"
     journal_append(path, make_query(), outcome_of(DecisionState.NO, "No"))
     replay = build_provider(
@@ -376,9 +374,25 @@ def test_build_provider_dispatch(tmp_path):
         7,
         replay_records=read_journal(path),
     )
-    assert isinstance(replay, ReplayProvider) and replay.kind is ProviderKind.REPLAY
+    assert type(replay) is ReplayProvider
     with pytest.raises(ConfigError):  # a replay provider needs its records
         build_provider(ProviderConfig(kind=ProviderKind.REPLAY, replay_path=str(path)), 7)
+
+
+def test_decision_records_hold_only_per_decision_facts():
+    # The sim's id and the provider kind are the run's; no record repeats them
+    # (test_engine checks the query's fields).
+    assert [f.name for f in dataclasses.fields(DecisionOutcome)] == ["state", "raw_text", "latency_ms"]
+    with pytest.raises(TypeError):  # a stale positional provider kind is refused
+        DecisionOutcome(DecisionState.YES, "", ProviderKind.BERNOULLI)
+    for cls in (decision.DecisionProvider, BernoulliProvider, SyntheticBurstyProvider, ReplayProvider, LiveLLMProvider):
+        assert not hasattr(cls, "kind"), cls
+    # The coin-flip and bursty providers hand out one shared pair of outcomes.
+    q = make_query()
+    yes = BernoulliProvider(1.0, substream(1, 4)).decide(q)
+    no = BernoulliProvider(0.0, substream(1, 4)).decide(q)
+    bursty = SyntheticBurstyProvider(0.5, 0.5, substream(2, 4))
+    assert all(o is (yes if o.state is DecisionState.YES else no) for o in (bursty.decide(q) for _ in range(50)))
 
 
 # -- live gateway ------------------------------------------------------

@@ -64,7 +64,7 @@ def client_trade(sim, mm, x, y, direction):
     """The obligated trade after a yes from the client at (x, y)."""
     bonds, cash = sim.grid.holdings(x, y)
     query = DesireQuery(
-        sim_id=sim.sim_id, step=sim.step_no, mm_id=mm.id, client_position=(x, y),
+        step=sim.step_no, mm_id=mm.id, client_position=(x, y),
         client_bonds=bonds, client_cash=cash, sequence_no=len(sim.decisions),
     )
     return sim._execute_client_trade(mm, query, direction)
@@ -432,8 +432,8 @@ def test_contact_selection_uniform_over_base():
     [
         (
             DesireQuery,
-            ("sim_id", "step", "mm_id", "client_position", "client_bonds", "client_cash", "sequence_no"),
-            (3, 7, 1, (4, 5), 12.5, 0.75, 9),
+            ("step", "mm_id", "client_position", "client_bonds", "client_cash", "sequence_no"),
+            (7, 1, (4, 5), 12.5, 0.75, 9),
         ),
         (
             TradeRecord,

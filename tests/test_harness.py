@@ -362,7 +362,7 @@ def test_every_numeric_config_field_is_refused_or_runs(tmp_path, monkeypatch, ke
                     rate_limit_rps=10_000.0,
                 )
                 provider = LiveLLMProvider(dataclasses.replace(live, **{name: value}))
-                queries = [DesireQuery(0, 0, 0, (1, 1), 1.0, 1.0, seq) for seq in (0, 1)]
+                queries = [DesireQuery(0, 0, (1, 1), 1.0, 1.0, seq) for seq in (0, 1)]
                 states = {provider.decide(q).state for q in queries}
             assert states <= {DecisionState.YES, DecisionState.NO}, (key, value, states)
         if name.startswith("burst_stay"):
@@ -622,7 +622,7 @@ def test_encoded_trade_quantities_keep_their_sign(mini_batch):
     mm = engine.CounterpartyKind.MARKET_MAKER
     legs = [engine.TradeRecord(3, 0, mm, 1, None, 0.0, -0.0), engine.TradeRecord(3, 0, mm, 1, None, 0.5, 0.5)]
     result = dataclasses.replace(mini_batch.results[0], trades=legs)
-    trades = harness._encode_rows(result, None, None)[0]
+    trades = harness._encode_rows(result, None, ProviderKind.BERNOULLI, None)[0]
     assert trades == "0,3,0,mm,1,,0.0,-0.0\n0,3,0,mm,1,,0.5,0.5\n"
 
 
@@ -678,6 +678,10 @@ def test_live_thread_pool_batch_matches_serial(tmp_path, monkeypatch):
     assert stub.requests
     assert threading.current_thread().name in threads and len(threads) > 1
     assert logs[0] == logs[1]
+    # The provider column is the configured kind's, in every row of every sim.
+    rows = list(csv.DictReader(logs[1][DECISIONS_CSV].decode("utf-8").splitlines()))
+    assert {row["sim_id"] for row in rows} == {"0", "1", "2"}
+    assert all(row["provider"] == "llm" for row in rows)
 
 
 def test_abort_starts_no_more_sims(monkeypatch):
@@ -912,10 +916,10 @@ def test_failure_after_a_sim_ran_leaves_nothing_of_it(tmp_path, monkeypatch):
     # aborted like one that raised mid-run, and none of its files is written.
     encode = harness._encode_rows
 
-    def broken_for_sim_1(r, summary, template):
+    def broken_for_sim_1(r, summary, provider, template):
         if r.sim_id == 1:
             raise OSError("encoder broke")
-        return encode(r, summary, template)
+        return encode(r, summary, provider, template)
 
     monkeypatch.setattr(harness, "_encode_rows", broken_for_sim_1)
     out = tmp_path / "partial"

@@ -124,7 +124,7 @@ def test_arithmetic_parameterization_conversion():
             arithmetic_to_underlying(*moments)
 
 
-def test_init_landscape_populates_every_cell():
+def test_landscape_populates_every_cell():
     cfg = LandscapeConfig()
     grid = Landscape(cfg, substream(6, 0), substream(6, 1))
     assert grid.shape == (50, 50)
@@ -134,7 +134,7 @@ def test_init_landscape_populates_every_cell():
     assert np.all(grid.cash > 0) and np.all(grid.cash <= cfg.max_cash)
 
 
-def test_init_landscape_bitwise_deterministic():
+def test_landscape_bitwise_deterministic():
     cfg = LandscapeConfig()
     a = Landscape(cfg, substream(7, 0), substream(7, 1))
     b = Landscape(cfg, substream(7, 0), substream(7, 1))
@@ -185,7 +185,7 @@ def all_cells(grid):
     return [(x, y) for y in range(h) for x in range(w)]
 
 
-def test_roll_step_state_extremes():
+def test_step_lookups_at_availability_extremes():
     grid = Landscape(LandscapeConfig(availability_p=0.0), substream(9, 0), substream(9, 1))
     grid.begin_step()
     assert not any(grid.is_available(x, y) for x, y in all_cells(grid))
@@ -195,7 +195,7 @@ def test_roll_step_state_extremes():
     assert all(grid.is_available(x, y) for x, y in all_cells(grid))
 
 
-def test_roll_step_state_frequencies():
+def test_step_lookup_frequencies():
     cfg = LandscapeConfig(availability_p=0.2, direction_p=0.5)
     grid = Landscape(cfg, substream(10, 0), substream(10, 1))
     cells = all_cells(grid)

@@ -15,7 +15,6 @@ import pytest
 from bondflow import (
     DecisionOutcome,
     DecisionState,
-    ProviderKind,
     SimulationResult,
     yes_ratio_series,
 )
@@ -69,10 +68,10 @@ def decision(state):
     from bondflow import DesireQuery
 
     q = DesireQuery(
-        sim_id=0, step=0, mm_id=0, client_position=(0, 0),
+        step=0, mm_id=0, client_position=(0, 0),
         client_bonds=1.0, client_cash=1.0, sequence_no=0,
     )
-    return (q, DecisionOutcome(state=state, raw_text="", provider=ProviderKind.BERNOULLI))
+    return (q, DecisionOutcome(state=state, raw_text=""))
 
 
 def make_result(

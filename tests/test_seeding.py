@@ -149,7 +149,7 @@ def test_buffered_uniforms_match_scalar_random():
 
 def test_provider_uniforms_match_scalar_random():
     """Built-in providers decide on exactly the scalar ``random()`` sequence."""
-    q = DesireQuery(0, 0, 0, (0, 0), 1.0, 1.0, 0)
+    q = DesireQuery(0, 0, (0, 0), 1.0, 1.0, 0)
     draws = 2 * BLOCK + 5
 
     coin, reference = BernoulliProvider(0.37, np.random.default_rng(21)), np.random.default_rng(21)
